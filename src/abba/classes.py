@@ -21,8 +21,8 @@ from .linalg import (
     rank_of_concatenation,
     solve_linear,
 )
-from .matrix import EXACT, FLOAT, Matrix
-from .scalars import DEFAULT_TOLERANCE, GQ, TolerancePolicy
+from .matrix import EXACT, FLOAT, Matrix, block
+from .scalars import DEFAULT_TOLERANCE, TolerancePolicy
 
 _HALF = Fraction(1, 2)
 
@@ -113,12 +113,12 @@ def _normality_witness(m: Matrix) -> dict:
             best_v, best_gap, best_size = v, gap, size
 
     def basis_vector(j, extra=None):
-        e = Matrix.zeros(n, 1, m.backend).array.copy()
-        e[j, 0] = GQ(1) if m.backend == EXACT else 1.0
+        e = [[0] for _ in range(n)]
+        e[j][0] = 1
         if extra is not None:
             k, w = extra
-            e[k, 0] = w
-        return Matrix(e, m.backend)
+            e[k][0] = w
+        return Matrix.exact(e) if m.backend == EXACT else Matrix.from_float(e)
 
     for j in range(n):
         consider(basis_vector(j))
@@ -183,11 +183,11 @@ class EPDecomposition:
     residual: float
 
     def reconstruct(self) -> Matrix:
-        n = self.v.rows
+        k = self.v.rows - self.r
         backend = self.v.backend
-        padded = Matrix.zeros(n, n, backend).array.copy()
-        padded[: self.r, : self.r] = self.c.array
-        return self.v @ Matrix(padded, backend) @ self.v.adjoint()
+        padded = block([[self.c, Matrix.zeros(self.r, k, backend)],
+                        [Matrix.zeros(k, self.r, backend), Matrix.zeros(k, k, backend)]])
+        return self.v @ padded @ self.v.adjoint()
 
 
 def ep_decomposition(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> EPDecomposition:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .classes import is_normal
 from .linalg import rank as matrix_rank, solve_linear
-from .matrix import EXACT, Matrix
+from .matrix import Matrix, block
 from .scalars import GQ
 
 
@@ -103,14 +103,15 @@ def _int(rng: np.random.Generator, span: int) -> int:
 
 
 def rational_skew_hermitian(n: int, rng: np.random.Generator, span: int = 1) -> Matrix:
-    arr = Matrix.zeros(n, n).array.copy()
+    re = np.zeros((n, n), dtype=object)
+    im = np.zeros((n, n), dtype=object)
     for i in range(n):
-        arr[i, i] = GQ(0, _int(rng, span))
+        im[i, i] = _int(rng, span)
         for j in range(i + 1, n):
             a, b = _int(rng, span), _int(rng, span)
-            arr[i, j] = GQ(a, b)
-            arr[j, i] = GQ(-a, b)
-    return Matrix(arr, EXACT)
+            re[i, j], im[i, j] = a, b
+            re[j, i], im[j, i] = -a, b
+    return Matrix.from_ints(re, im)
 
 
 def rational_unitary(n: int, rng: np.random.Generator, span: int = 1) -> Matrix:
@@ -156,14 +157,15 @@ def rational_hermitian(
         u = rational_unitary(n, rng)
         d = rational_diagonal(n, rng, rank, real=True)
         return u @ d @ u.adjoint()
-    arr = Matrix.zeros(n, n).array.copy()
+    re = np.zeros((n, n), dtype=object)
+    im = np.zeros((n, n), dtype=object)
     for i in range(n):
-        arr[i, i] = GQ(_int(rng, span))
+        re[i, i] = _int(rng, span)
         for j in range(i + 1, n):
-            z = GQ(_int(rng, span), _int(rng, span))
-            arr[i, j] = z
-            arr[j, i] = z.conjugate()
-    return Matrix(arr, EXACT)
+            a, b = _int(rng, span), _int(rng, span)
+            re[i, j], im[i, j] = a, b
+            re[j, i], im[j, i] = a, -b
+    return Matrix.from_ints(re, im)
 
 
 def rational_psd(n: int, rng: np.random.Generator, rank: int | None = None, span: int = 2) -> Matrix:
@@ -185,9 +187,8 @@ def rational_ep(n: int, rng: np.random.Generator, rank: int | None = None, span:
         c = Matrix.exact([[(_int(rng, span), _int(rng, span)) for _ in range(r)] for _ in range(r)])
         if matrix_rank(c) == r:
             break
-    core = Matrix.zeros(n, n).array.copy()
-    core[:r, :r] = c.array
-    return u @ Matrix(core, EXACT) @ u.adjoint()
+    core = block([[c, Matrix.zeros(r, n - r)], [Matrix.zeros(n - r, r), Matrix.zeros(n - r, n - r)]])
+    return u @ core @ u.adjoint()
 
 
 def zero_one_normal(n: int, rng: np.random.Generator, rank: int | None = None) -> Matrix:
@@ -196,9 +197,9 @@ def zero_one_normal(n: int, rng: np.random.Generator, rank: int | None = None) -
         k = _pick_rank(n, rng, rank)
         rows = rng.choice(n, size=k, replace=False)
         cols = rng.choice(n, size=k, replace=False)
-        arr = Matrix.zeros(n, n).array.copy()
+        arr = np.zeros((n, n), dtype=object)
         for i, j in zip(rows, cols):
-            arr[int(i), int(j)] = GQ(1)
-        m = Matrix(arr, EXACT)
+            arr[int(i), int(j)] = 1
+        m = Matrix.from_ints(arr)
         if is_normal(m):
             return m

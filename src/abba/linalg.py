@@ -1,13 +1,22 @@
 """Rank, null spaces, solves, and characteristic polynomials on both backends.
 
-Exact-backend eliminations use fraction-free (Bareiss-style) pivoting so
-intermediate entries stay minors of the input; float-backend rank decisions
-come from singular values with the relative cutoff
+On the exact backend one routine, :func:`_eliminate`, does every
+elimination: fraction-free (Bareiss) elimination over the Gaussian
+integers, run directly on the integer numerators of :class:`Matrix`
+(the one reader of that representation outside abba.matrix), so
+intermediate entries stay minors of the input.  Rank and determinant
+read the forward pass; null spaces and solves let it clear the rows
+above each pivot as well, which yields the (unique) reduced row echelon
+form over one Gaussian-integer denominator.  Float-backend rank decisions come from singular values with
+the relative cutoff
 
     sigma > rank_rel_tol * sigma_max * max(rows, cols).
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -16,76 +25,60 @@ from .matrix import EXACT, FLOAT, Matrix, hstack
 from .scalars import DEFAULT_TOLERANCE, GQ, TolerancePolicy
 
 
-def _rows_of(m: Matrix) -> list[list[GQ]]:
-    return [[m.array[i, j] for j in range(m.cols)] for i in range(m.rows)]
+def _eliminate(re: np.ndarray, im: np.ndarray, reduce: bool = False):
+    """Fraction-free elimination over Z[i] on a copy of the matrix re + i im.
 
+    Pivots are the first nonzero entries of their columns.  Each update is
+    (p * a - f * b) / prev, with p the current pivot and prev the one
+    before it; the division is exact in Z[i] because every entry stays a
+    minor of the input.  Forward elimination clears the rows below each
+    pivot.  With reduce=True the rows above are cleared as well
+    (fraction-free Gauss-Jordan), which leaves every pivot equal to the
+    last one, d, so the pivot rows hold d times the reduced row echelon
+    form.
 
-def _bareiss(rows: list[list[GQ]]) -> tuple[list[int], int, GQ]:
-    """Fraction-free elimination in place.
-
-    Returns (pivot columns, swap sign, last pivot).  Each update is
-    (p * a - f * b) / prev, where the division is exact because every
-    intermediate entry is a minor of the input matrix.
+    Returns (re, im, pivot columns, row-swap sign, last pivot as (re, im)).
     """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    prev = GQ(1)
+    re, im = re.copy(), im.copy()
+    rows, cols = re.shape
+    prev = (1, 0)
     sign = 1
     pivots: list[int] = []
-    pr = 0
-    for pc in range(ncols):
-        piv = None
-        for i in range(pr, nrows):
-            if rows[i][pc]:
-                piv = i
-                break
-        if piv is None:
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        hit = next((i for i in range(r, rows) if re[i, c] or im[i, c]), None)
+        if hit is None:
             continue
-        if piv != pr:
-            rows[pr], rows[piv] = rows[piv], rows[pr]
+        if hit != r:
+            re[[r, hit]] = re[[hit, r]]
+            im[[r, hit]] = im[[hit, r]]
             sign = -sign
-        p = rows[pr][pc]
-        for i in range(pr + 1, nrows):
-            ri = rows[i]
-            rp = rows[pr]
-            f = ri[pc]
-            for j in range(pc + 1, ncols):
-                ri[j] = (p * ri[j] - f * rp[j]) / prev
-            ri[pc] = GQ(0)
-        pivots.append(pc)
-        prev = p
-        pr += 1
-        if pr == nrows:
-            break
-    return pivots, sign, prev
+        pr, pi = re[r, c], im[r, c]
+        # below row r everything left of column c is zero already; above it is not
+        top, lo = (0, 0) if reduce else (r + 1, c)
+        ar, ai = re[top:, lo:], im[top:, lo:]
+        fr, fi = re[top:, c:c + 1], im[top:, c:c + 1]
+        br, bi = re[r, lo:], im[r, lo:]
+        xr = pr * ar - pi * ai - (fr * br - fi * bi)
+        xi = pr * ai + pi * ar - (fr * bi + fi * br)
+        if prev != (1, 0):
+            qr, qi = prev
+            norm = qr * qr + qi * qi
+            xr, xi = (xr * qr + xi * qi) // norm, (xi * qr - xr * qi) // norm
+        if reduce:  # the update would zero the pivot row itself
+            xr[r], xi[r] = br, bi
+        re[top:, lo:], im[top:, lo:] = xr, xi
+        prev = (pr, pi)
+        pivots.append(c)
+    return re, im, pivots, sign, prev
 
 
-def _rref(rows: list[list[GQ]]) -> list[int]:
-    """Reduced row echelon form in place (rational divisions); returns pivot columns."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots: list[int] = []
-    pr = 0
-    for pc in range(ncols):
-        piv = None
-        for i in range(pr, nrows):
-            if rows[i][pc]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[pr], rows[piv] = rows[piv], rows[pr]
-        p = rows[pr][pc]
-        rows[pr] = [x / p for x in rows[pr]]
-        for i in range(nrows):
-            if i != pr and rows[i][pc]:
-                f = rows[i][pc]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[pr])]
-        pivots.append(pc)
-        pr += 1
-        if pr == nrows:
-            break
-    return pivots
+def _over_pivot(re: np.ndarray, im: np.ndarray, pivot: tuple[int, int]) -> Matrix:
+    """The exact matrix (re + i im) / pivot, for a nonzero Gaussian-integer pivot."""
+    dr, di = pivot
+    return Matrix((re * dr + im * di, im * dr - re * di, dr * dr + di * di), EXACT)
 
 
 def _singular_values(m: Matrix) -> np.ndarray:
@@ -105,8 +98,7 @@ def _float_rank(m: Matrix, tol: TolerancePolicy) -> int:
 def rank(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> int:
     """Rank over the complex field (exact) or numerical rank (float)."""
     if m.backend == EXACT:
-        pivots, _, _ = _bareiss(_rows_of(m))
-        return len(pivots)
+        return len(_eliminate(m._re, m._im)[2])
     return _float_rank(m, tol)
 
 
@@ -115,10 +107,11 @@ def determinant(m: Matrix):
         raise ShapeError("determinant of a non-square matrix")
     if m.backend == FLOAT:
         return complex(np.linalg.det(m.array))
-    pivots, sign, last = _bareiss(_rows_of(m))
+    _, _, pivots, sign, (dr, di) = _eliminate(m._re, m._im)
     if len(pivots) < m.rows:
         return GQ(0)
-    return last * sign
+    scale = m._den ** m.rows
+    return GQ(Fraction(sign * dr, scale), Fraction(sign * di, scale))
 
 
 def invertible(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> bool:
@@ -147,17 +140,15 @@ def condition_estimate(m: Matrix) -> float:
 def nullspace_basis(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> list[Matrix]:
     """Basis of ker(m) as column vectors; length is cols - rank(m)."""
     if m.backend == EXACT:
-        rows = _rows_of(m)
-        pivots = _rref(rows)
+        re, im, pivots, _, d = _eliminate(m._re, m._im, reduce=True)
         free = [j for j in range(m.cols) if j not in pivots]
-        basis = []
-        for f in free:
-            v = [[GQ(0)] for _ in range(m.cols)]
-            v[f][0] = GQ(1)
-            for k, pc in enumerate(pivots):
-                v[pc][0] = -rows[k][f]
-            basis.append(Matrix.exact(v))
-        return basis
+        # v_f = e_f - sum_k rref[k, f] e_{pivots[k]}, over the common denominator d
+        vr = np.zeros((m.cols, len(free)), dtype=object)
+        vi = np.zeros((m.cols, len(free)), dtype=object)
+        vr[free, range(len(free))], vi[free, range(len(free))] = d
+        vr[pivots], vi[pivots] = -re[:len(pivots), free], -im[:len(pivots), free]
+        basis = _over_pivot(vr, vi, d)
+        return [basis.column(j) for j in range(len(free))]
     u, s, vh = np.linalg.svd(m.array)
     if m.is_zero():
         r = 0
@@ -177,21 +168,16 @@ def solve_linear(a: Matrix, b: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE)
     if a.rows != b.rows:
         raise ShapeError("a and b must have the same number of rows")
     if a.backend == EXACT:
-        rows = [[a.array[i, j] for j in range(a.cols)] + [b.array[i, j] for j in range(b.cols)]
-                for i in range(a.rows)]
-        pivots = _rref(rows)
-        if any(pc >= a.cols for pc in pivots):
+        den = math.lcm(a._den, b._den)
+        sa, sb = den // a._den, den // b._den
+        re, im, pivots, _, d = _eliminate(np.hstack([a._re * sa, b._re * sb]),
+                                          np.hstack([a._im * sa, b._im * sb]), reduce=True)
+        if pivots and pivots[-1] >= a.cols:
             return None
-        x = [[GQ(0)] * b.cols for _ in range(a.cols)]
-        for k, pc in enumerate(pivots):
-            for j in range(b.cols):
-                x[pc][j] = rows[k][a.cols + j]
-        out = Matrix.zeros(a.cols, b.cols)
-        arr = out.array.copy()
-        for i in range(a.cols):
-            for j in range(b.cols):
-                arr[i, j] = x[i][j]
-        return Matrix(arr, EXACT)
+        xr = np.zeros((a.cols, b.cols), dtype=object)
+        xi = np.zeros((a.cols, b.cols), dtype=object)
+        xr[pivots], xi[pivots] = re[:len(pivots), a.cols:], im[:len(pivots), a.cols:]
+        return _over_pivot(xr, xi, d)
     x, *_ = np.linalg.lstsq(a.array, b.array, rcond=None)
     residual = float(np.linalg.norm(a.array @ x - b.array))
     if residual > tol.residual_tol * max(float(np.linalg.norm(b.array)), 1e-300):
@@ -209,7 +195,7 @@ def orthonormal_range_basis(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE)
     return Matrix.from_float(u[:, :r])
 
 
-def characteristic_polynomial(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> list:
+def characteristic_polynomial(m: Matrix) -> list:
     """Monic coefficients in descending powers, [1, c_1, ..., c_n].
 
     Exact backend: Faddeev-LeVerrier recursion (error-free).  Float
@@ -233,10 +219,10 @@ def characteristic_polynomial(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANC
     return coeffs
 
 
-def principal_minor_sums(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> list:
+def principal_minor_sums(m: Matrix) -> list:
     """e_k = sum of k x k principal minors, k = 0..n, from the characteristic
     polynomial: p(t) = sum_k (-1)^k e_k t^(n-k)."""
-    coeffs = characteristic_polynomial(m, tol)
+    coeffs = characteristic_polynomial(m)
     return [c if k % 2 == 0 else -c for k, c in enumerate(coeffs)]
 
 

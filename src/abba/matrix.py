@@ -1,36 +1,80 @@
 """Dense complex matrices over two scalar backends.
 
-A matrix is either ``exact`` (entries are :class:`GaussianRational`,
-stored in a numpy object array) or ``float`` (complex128).  Values are
-immutable after construction; every operation returns a new matrix.
-Mixing backends in one operation raises :class:`BackendError`.
+A matrix is either ``exact`` or ``float``.  An exact matrix stores two
+numpy object arrays of Python ints, ``re`` and ``im``, over one positive
+int denominator ``den``: entry (j, k) is (re[j, k] + i im[j, k]) / den.
+The triple is kept canonical, gcd(den, every numerator) = 1, so equal
+matrices have equal triples and the zero matrix has den = 1.  Arithmetic
+runs on the int arrays (a product is four integer ``dot``s and one gcd
+pass); entries read one at a time (``m[i, j]``, ``trace``, ``tolist``,
+``array``) come back as :class:`GaussianRational`.  A float matrix wraps
+a complex128 array.
+
+Values are immutable after construction; every operation returns a new
+matrix.  Mixing backends in one operation raises :class:`BackendError`.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import BackendError, ShapeError
-from .scalars import GQ, GaussianRational
+from .scalars import GQ
 
 EXACT = "exact"
 FLOAT = "float"
 
+# numpy fixed-width ints would wrap on overflow; exact numerators are Python ints
+_INDEX = np.frompyfunc(operator.index, 1, 1)
+
+
+def _over_common_den(values: Sequence[GQ]) -> tuple[list[int], list[int], int]:
+    """Numerators (re, im) of Gaussian rationals over their least common denominator."""
+    den = math.lcm(*(q.denominator for z in values for q in (z.re, z.im)))
+    return ([z.re.numerator * (den // z.re.denominator) for z in values],
+            [z.im.numerator * (den // z.im.denominator) for z in values], den)
+
+
+def _gauss(op, ar, ai, br, bi):
+    """(ar + i ai) op (br + i bi) for a bilinear op on integer arrays."""
+    return op(ar, br) - op(ai, bi), op(ar, bi) + op(ai, br)
+
 
 class Matrix:
-    __slots__ = ("_data", "_backend")
+    # float matrices set _data, exact ones _re, _im and _den
+    __slots__ = ("_backend", "_shape", "_data", "_re", "_im", "_den")
 
-    def __init__(self, data: np.ndarray, backend: str):
-        if backend not in (EXACT, FLOAT):
+    def __init__(self, data, backend: str):
+        """Wrap `data`: a complex128 array on the float backend, or a triple
+        (re, im, den) of integer object arrays and a positive int on the
+        exact backend, which is brought to canonical form.  Build matrices
+        with the static constructors below."""
+        if backend == FLOAT:
+            data.flags.writeable = False
+            object.__setattr__(self, "_data", data)
+            shape = data.shape
+        elif backend == EXACT:
+            re, im, den = data
+            g = math.gcd(den, *re.flat, *im.flat)
+            if g != 1:
+                re, im, den = re // g, im // g, den // g
+            re.flags.writeable = False
+            im.flags.writeable = False
+            object.__setattr__(self, "_re", re)
+            object.__setattr__(self, "_im", im)
+            object.__setattr__(self, "_den", den)
+            shape = re.shape
+        else:
             raise BackendError(f"unknown backend {backend!r}")
-        if data.ndim != 2:
+        if len(shape) != 2:
             raise ShapeError("matrix data must be two-dimensional")
-        data.flags.writeable = False
-        object.__setattr__(self, "_data", data)
         object.__setattr__(self, "_backend", backend)
+        object.__setattr__(self, "_shape", shape)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -45,11 +89,22 @@ class Matrix:
         ncols = {len(r) for r in conv}
         if len(conv) == 0 or len(ncols) != 1:
             raise ShapeError("rows must be nonempty and of equal length")
-        arr = np.empty((len(conv), ncols.pop()), dtype=object)
-        for i, row in enumerate(conv):
-            for j, x in enumerate(row):
-                arr[i, j] = x
-        return Matrix(arr, EXACT)
+        re, im, den = _over_common_den([z for row in conv for z in row])
+        shape = (len(conv), ncols.pop())
+        return Matrix((np.array(re, dtype=object).reshape(shape),
+                       np.array(im, dtype=object).reshape(shape), den), EXACT)
+
+    @staticmethod
+    def from_ints(re, im=None, den: int = 1) -> "Matrix":
+        """Exact matrix (re + i im) / den from 2-D integer arrays or nested
+        lists; im defaults to zero and den must be a positive integer."""
+        re = _INDEX(np.array(re, dtype=object))
+        im = np.zeros(re.shape, dtype=object) if im is None else _INDEX(np.array(im, dtype=object))
+        if re.shape != im.shape:
+            raise ShapeError("real and imaginary parts must have the same shape")
+        if operator.index(den) <= 0:
+            raise ValueError("the denominator must be positive")
+        return Matrix((re, im, operator.index(den)), EXACT)
 
     @staticmethod
     def from_float(rows) -> "Matrix":
@@ -61,29 +116,28 @@ class Matrix:
     @staticmethod
     def zeros(rows: int, cols: int, backend: str = EXACT) -> "Matrix":
         if backend == EXACT:
-            arr = np.empty((rows, cols), dtype=object)
-            arr[...] = GQ(0)
-            return Matrix(arr, EXACT)
+            return Matrix((np.zeros((rows, cols), dtype=object),
+                           np.zeros((rows, cols), dtype=object), 1), EXACT)
         return Matrix(np.zeros((rows, cols), dtype=np.complex128), FLOAT)
 
     @staticmethod
     def identity(n: int, backend: str = EXACT) -> "Matrix":
         if backend == EXACT:
-            arr = np.empty((n, n), dtype=object)
-            arr[...] = GQ(0)
-            for i in range(n):
-                arr[i, i] = GQ(1)
-            return Matrix(arr, EXACT)
+            return Matrix((np.eye(n, dtype=object), np.zeros((n, n), dtype=object), 1), EXACT)
         return Matrix(np.eye(n, dtype=np.complex128), FLOAT)
 
     @staticmethod
     def diagonal(values: Sequence, backend: str = EXACT) -> "Matrix":
         n = len(values)
-        out = Matrix.zeros(n, n, backend)
-        arr = out._data.copy()
-        for i, v in enumerate(values):
-            arr[i, i] = GQ.coerce(v) if backend == EXACT else complex(v)
-        return Matrix(arr, backend)
+        if backend != EXACT:
+            return Matrix(np.diag(np.array([complex(v) for v in values], dtype=np.complex128)),
+                          FLOAT)
+        re, im, den = _over_common_den([GQ.coerce(v) for v in values])
+        arr_re = np.zeros((n, n), dtype=object)
+        arr_im = np.zeros((n, n), dtype=object)
+        arr_re[range(n), range(n)] = re
+        arr_im[range(n), range(n)] = im
+        return Matrix((arr_re, arr_im, den), EXACT)
 
     # -- basic properties -----------------------------------------------
 
@@ -92,16 +146,16 @@ class Matrix:
         return self._backend
 
     @property
+    def shape(self) -> tuple[int, int]:
+        return self._shape
+
+    @property
     def rows(self) -> int:
-        return self._data.shape[0]
+        return self._shape[0]
 
     @property
     def cols(self) -> int:
-        return self._data.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self._data.shape
+        return self._shape[1]
 
     @property
     def is_square(self) -> bool:
@@ -109,15 +163,25 @@ class Matrix:
 
     @property
     def array(self) -> np.ndarray:
-        """The underlying read-only numpy array."""
-        return self._data
+        """A read-only numpy array of the entries: the complex128 data on the
+        float backend; on the exact backend, GaussianRational objects built
+        afresh on every call (for I/O and inspection, not for arithmetic)."""
+        if self._backend == FLOAT:
+            return self._data
+        arr = np.empty(self.shape, dtype=object)
+        for idx in np.ndindex(*self.shape):
+            arr[idx] = self[idx]
+        arr.flags.writeable = False
+        return arr
 
     def __getitem__(self, key):
         i, j = key
+        if self._backend == EXACT:
+            return GQ(Fraction(self._re[i, j], self._den), Fraction(self._im[i, j], self._den))
         return self._data[i, j]
 
     def tolist(self) -> list[list]:
-        return [[self._data[i, j] for j in range(self.cols)] for i in range(self.rows)]
+        return [[self[i, j] for j in range(self.cols)] for i in range(self.rows)]
 
     # -- arithmetic -------------------------------------------------------
 
@@ -133,36 +197,45 @@ class Matrix:
             raise ShapeError(
                 f"cannot multiply {self.shape} by {other.shape}"
             )
-        out = np.dot(self._data, other._data)
-        if self._backend == EXACT:
-            out = _renormalize_exact(out)
-        return Matrix(out, self._backend)
+        if self._backend == FLOAT:
+            return Matrix(np.dot(self._data, other._data), FLOAT)
+        re, im = _gauss(np.dot, self._re, self._im, other._re, other._im)
+        return Matrix((re, im, self._den * other._den), EXACT)
+
+    def _combine(self, other: "Matrix", op) -> "Matrix":
+        """Entrywise self op other for op in (add, sub), over the lcm of the denominators."""
+        self._check_same_backend(other)
+        if self.shape != other.shape:
+            raise ShapeError(f"shape mismatch in {op.__name__}")
+        if self._backend == FLOAT:
+            return Matrix(op(self._data, other._data), FLOAT)
+        den = math.lcm(self._den, other._den)
+        s, t = den // self._den, den // other._den
+        return Matrix((op(self._re * s, other._re * t), op(self._im * s, other._im * t), den),
+                      EXACT)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
-        self._check_same_backend(other)
-        if self.shape != other.shape:
-            raise ShapeError("shape mismatch in addition")
-        return Matrix(self._data + other._data, self._backend)
+        return self._combine(other, operator.add)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
-        self._check_same_backend(other)
-        if self.shape != other.shape:
-            raise ShapeError("shape mismatch in subtraction")
-        return Matrix(self._data - other._data, self._backend)
+        return self._combine(other, operator.sub)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(-self._data, self._backend)
+        if self._backend == EXACT:
+            return Matrix((-self._re, -self._im, self._den), EXACT)
+        return Matrix(-self._data, FLOAT)
 
     def __mul__(self, scalar) -> "Matrix":
         if isinstance(scalar, Matrix):
             raise TypeError("use @ for matrix products")
         if self._backend == EXACT:
-            s = GQ.coerce(scalar)
-            return Matrix(self._data * s, EXACT)
+            (sr,), (si,), sd = _over_common_den([GQ.coerce(scalar)])
+            re, im = _gauss(np.multiply, self._re, self._im, sr, si)
+            return Matrix((re, im, self._den * sd), EXACT)
         return Matrix(self._data * complex(scalar), FLOAT)
 
     __rmul__ = __mul__
@@ -172,6 +245,9 @@ class Matrix:
             return NotImplemented
         if self._backend != other._backend or self.shape != other.shape:
             return False
+        if self._backend == EXACT:
+            return (self._den == other._den and np.array_equal(self._re, other._re)
+                    and np.array_equal(self._im, other._im))
         return bool(np.all(self._data == other._data))
 
     def __hash__(self):
@@ -182,50 +258,44 @@ class Matrix:
     def adjoint(self) -> "Matrix":
         """Conjugate transpose."""
         if self._backend == EXACT:
-            arr = np.empty((self.cols, self.rows), dtype=object)
-            for i in range(self.rows):
-                for j in range(self.cols):
-                    arr[j, i] = self._data[i, j].conjugate()
-            return Matrix(arr, EXACT)
+            return Matrix((self._re.T, -self._im.T, self._den), EXACT)
         return Matrix(self._data.conj().T.copy(), FLOAT)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self._data.T.copy(), self._backend)
+        if self._backend == EXACT:
+            return Matrix((self._re.T, self._im.T, self._den), EXACT)
+        return Matrix(self._data.T.copy(), FLOAT)
 
     def conjugate(self) -> "Matrix":
         if self._backend == EXACT:
-            arr = np.empty(self.shape, dtype=object)
-            for i in range(self.rows):
-                for j in range(self.cols):
-                    arr[i, j] = self._data[i, j].conjugate()
-            return Matrix(arr, EXACT)
+            return Matrix((self._re, -self._im, self._den), EXACT)
         return Matrix(self._data.conj().copy(), FLOAT)
 
     def trace(self):
         if not self.is_square:
             raise ShapeError("trace of a non-square matrix")
         if self._backend == EXACT:
-            t = GQ(0)
-            for i in range(self.rows):
-                t = t + self._data[i, i]
-            return t
+            return GQ(Fraction(sum(self._re.diagonal()), self._den),
+                      Fraction(sum(self._im.diagonal()), self._den))
         return complex(np.trace(self._data))
 
     def block(self, r0: int, r1: int, c0: int, c1: int) -> "Matrix":
         """Submatrix of rows [r0, r1) and columns [c0, c1)."""
-        return Matrix(self._data[r0:r1, c0:c1].copy(), self._backend)
+        if self._backend == EXACT:
+            return Matrix((self._re[r0:r1, c0:c1], self._im[r0:r1, c0:c1], self._den), EXACT)
+        return Matrix(self._data[r0:r1, c0:c1].copy(), FLOAT)
 
     def column(self, j: int) -> "Matrix":
         return self.block(0, self.rows, j, j + 1)
 
     def to_float(self) -> "Matrix":
-        """Float copy (identity on float matrices)."""
+        """Float copy (identity on float matrices).  Each part is one
+        correctly rounded int division, equal to float(Fraction) of the entry."""
         if self._backend == FLOAT:
             return self
         arr = np.empty(self.shape, dtype=np.complex128)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                arr[i, j] = complex(self._data[i, j])
+        arr.real = (self._re / self._den).astype(np.float64)
+        arr.imag = (self._im / self._den).astype(np.float64)
         return Matrix(arr, FLOAT)
 
     # -- predicates and norms ----------------------------------------------
@@ -233,44 +303,37 @@ class Matrix:
     def is_zero(self) -> bool:
         """Entrywise exact-zero test (no tolerance, either backend)."""
         if self._backend == EXACT:
-            return all(not self._data[i, j] for i in range(self.rows) for j in range(self.cols))
+            return not (self._re.any() or self._im.any())
         return bool(np.all(self._data == 0))
 
     def frobenius(self) -> float:
         if self._backend == EXACT:
-            s = Fraction(0)
-            for i in range(self.rows):
-                for j in range(self.cols):
-                    s += self._data[i, j].norm_sq()
-            return float(s) ** 0.5
+            re, im = self._re.ravel(), self._im.ravel()
+            return (int(np.dot(re, re) + np.dot(im, im)) / self._den ** 2) ** 0.5
         return float(np.linalg.norm(self._data))
 
     def __repr__(self):
         return f"Matrix({self._backend}, {self.rows}x{self.cols})"
 
 
-def _renormalize_exact(arr: np.ndarray) -> np.ndarray:
-    # numpy seeds empty inner-dimension dot products with int 0
-    out = np.empty(arr.shape, dtype=object)
-    for idx, v in np.ndenumerate(arr):
-        out[idx] = v if isinstance(v, GaussianRational) else GQ.coerce(v)
-    return out
+def _stack(mats: Iterable[Matrix], join, name: str) -> Matrix:
+    mats = list(mats)
+    backend = mats[0].backend
+    if any(m.backend != backend for m in mats):
+        raise BackendError(f"mixed backends in {name}")
+    if backend == FLOAT:
+        return Matrix(join([m._data for m in mats]), FLOAT)
+    den = math.lcm(*(m._den for m in mats))
+    return Matrix((join([m._re * (den // m._den) for m in mats]),
+                   join([m._im * (den // m._den) for m in mats]), den), EXACT)
 
 
 def hstack(mats: Iterable[Matrix]) -> Matrix:
-    mats = list(mats)
-    backend = mats[0].backend
-    if any(m.backend != backend for m in mats):
-        raise BackendError("mixed backends in hstack")
-    return Matrix(np.hstack([m.array for m in mats]), backend)
+    return _stack(mats, np.hstack, "hstack")
 
 
 def vstack(mats: Iterable[Matrix]) -> Matrix:
-    mats = list(mats)
-    backend = mats[0].backend
-    if any(m.backend != backend for m in mats):
-        raise BackendError("mixed backends in vstack")
-    return Matrix(np.vstack([m.array for m in mats]), backend)
+    return _stack(mats, np.vstack, "vstack")
 
 
 def block(grid: Sequence[Sequence[Matrix]]) -> Matrix:
@@ -280,7 +343,7 @@ def block(grid: Sequence[Sequence[Matrix]]) -> Matrix:
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     a._check_same_backend(b)
-    out = np.kron(a.array, b.array)
-    if a.backend == EXACT:
-        out = _renormalize_exact(out)
-    return Matrix(out, a.backend)
+    if a.backend == FLOAT:
+        return Matrix(np.kron(a._data, b._data), FLOAT)
+    re, im = _gauss(np.kron, a._re, a._im, b._re, b._im)
+    return Matrix((re, im, a._den * b._den), EXACT)

@@ -13,10 +13,12 @@ import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import ShapeError, ToleranceWarning
 from .linalg import rank
-from .matrix import EXACT, FLOAT, Matrix
-from .scalars import DEFAULT_TOLERANCE, GQ, TolerancePolicy
+from .matrix import FLOAT, Matrix
+from .scalars import DEFAULT_TOLERANCE, TolerancePolicy
 
 
 @dataclass(frozen=True)
@@ -142,16 +144,16 @@ def realize_rank_sequence(seq: Sequence[int]) -> Matrix:
     for k in range(len(dr), 0, -1):
         count = dr[k - 1] - (dr[k] if k < len(dr) else 0)
         sizes.extend([k] * count)
-    grid = Matrix.zeros(n, n).array.copy()
+    grid = np.zeros((n, n), dtype=object)
     for i in range(limit):
-        grid[i, i] = GQ(1)
+        grid[i, i] = 1
     pos = limit
     for size in sizes:
         for i in range(size - 1):
-            grid[pos + i, pos + i + 1] = GQ(1)
+            grid[pos + i, pos + i + 1] = 1
         pos += size
     assert pos == n
-    return Matrix(grid, EXACT)
+    return Matrix.from_ints(grid)
 
 
 def enumerate_tail_sequences(n: int, cap: int) -> list[tuple[int, ...]]:

@@ -1,10 +1,14 @@
 """Scalar backends: exact Gaussian rationals and float tolerance policy.
 
-The exact backend stores complex numbers as pairs of ``fractions.Fraction``
-(always in lowest terms with positive denominator, which Fraction
-guarantees).  Arithmetic is error-free and closed under +, -, *, and
-division by nonzero.  The float backend is plain ``complex`` and all
-float-backend decisions are governed by a :class:`TolerancePolicy`.
+:class:`GaussianRational` is the exact backend's scalar and I/O type: a
+complex number as a pair of ``fractions.Fraction`` (always in lowest
+terms with positive denominator, which Fraction guarantees), with
+error-free +, -, *, and division by nonzero.  Exact matrices do not hold
+these objects; they store integer numerators over one denominator (see
+:mod:`abba.matrix`) and hand out GaussianRationals for single entries,
+traces, determinants and characteristic-polynomial coefficients.  The
+float backend is plain ``complex`` and all float-backend decisions are
+governed by a :class:`TolerancePolicy`.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ import numpy as np
 from .classes import ep_decomposition, is_ep, is_hermitian, is_psd, realpart_psd_same_rank
 from .errors import BackendError, HypothesisViolation, IntertwinerNotFound, ShapeError
 from .linalg import condition_estimate, determinant, nullspace_basis, rank, solve_linear
-from .matrix import EXACT, Matrix, block, kron
+from .matrix import EXACT, Matrix, block, hstack, kron
 from .rankseq import RankSequence, rank_sequence
 from .scalars import DEFAULT_TOLERANCE, GQ, TolerancePolicy
 
@@ -158,11 +158,8 @@ def intertwiner_space(m1: Matrix, m2: Matrix, tol: TolerancePolicy = DEFAULT_TOL
     eye = Matrix.identity(n, m1.backend)
     sylvester = kron(m1.transpose(), eye) - kron(eye, m2)
     vectors = nullspace_basis(sylvester, tol)
-    out = []
-    for vec in vectors:
-        arr = vec.array.reshape((n, n), order="F").copy()
-        out.append(Matrix(arr, m1.backend))
-    return out
+    # vec(s) stacks the columns of s
+    return [hstack([vec.block(j * n, (j + 1) * n, 0, 1) for j in range(n)]) for vec in vectors]
 
 
 def find_intertwiner(
@@ -308,11 +305,7 @@ def doubling_product_similarity(
     zero = Matrix.zeros(n, n, x.backend)
     t_blocks = block([[c1.t, zero], [zero, c2.t]])
     w = doubling_conjugator(n, x.backend)
-    w_inv = block(
-        [[Matrix.identity(n, x.backend), -Matrix.identity(n, x.backend)],
-         [Matrix.identity(n, x.backend), Matrix.identity(n, x.backend)]]
-    ) * Fraction(1, 2)
-    t = w_inv @ t_blocks @ w
+    t = (w.adjoint() * Fraction(1, 2)) @ t_blocks @ w  # w w* = 2 I
     phi_x = normal_doubling(x)
     phi_y = normal_doubling(y)
     cert = certificate_for(t, phi_x @ phi_y, phi_y @ phi_x, tol)

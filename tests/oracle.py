@@ -11,11 +11,9 @@ from abba import Matrix
 
 def to_sympy(m: Matrix) -> sp.Matrix:
     assert m.backend == "exact"
+    # the (rows, cols, fn) form keeps zero-size shapes such as 0 x 3
     return sp.Matrix(
-        [
-            [sp.Rational(m[i, j].re) + sp.I * sp.Rational(m[i, j].im) for j in range(m.cols)]
-            for i in range(m.rows)
-        ]
+        m.rows, m.cols, lambda i, j: sp.Rational(m[i, j].re) + sp.I * sp.Rational(m[i, j].im)
     )
 
 

@@ -1,0 +1,91 @@
+"""Byte-for-byte golden reports of the `abba` command.
+
+Every case runs `abba <argv>` with the working directory set to
+`tests/golden/inputs`, so the input paths echoed in the reports are
+stable, and compares stdout with `tests/golden/stdout/<case>.out`.
+
+The inputs and expected outputs were written once and are meant to stay
+fixed: a refactor of the exact kernel must reproduce every report byte.
+Regenerate them only for an intended change of the report, with
+
+    PYTHONPATH=src python -m tests.test_golden
+"""
+
+from pathlib import Path
+
+import pytest
+
+from abba import Matrix, catalog, realize_rank_sequence, save_matrix
+from abba.cli import main
+from abba.generators import default_rng, rational_hermitian, rational_psd, rational_unitary
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+INPUTS = GOLDEN / "inputs"
+STDOUT = GOLDEN / "stdout"
+
+FIXTURES = ("nilpotent-2x2", "hermitian-products-3x3", "transpose-3x3",
+            "hermitian-normal-4x4", "doubling-conjugator")
+PAIRS = ("nilpotent-2x2", "hermitian-products-3x3", "hermitian-normal-4x4",
+         "hermitian-3-seed3", "hermitian-4-seed4", "psd-ep-3-seed5")
+
+CASES = {
+    **{f"catalog-show-{name}": ["catalog", "show", name] for name in FIXTURES},
+    **{f"decide-construct-{pair}": ["decide", f"{pair}__a.json", f"{pair}__b.json", "--construct"]
+       for pair in PAIRS},
+    "unitary-hermitian-normal-4x4": ["unitary", "hermitian-normal-4x4__ab.json",
+                                     "hermitian-normal-4x4__ba.json"],
+    "rankseq-rational-4": ["rankseq", "rational-4.json"],
+    "classify-rational-4": ["classify", "rational-4.json"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_bytes_match_golden(case, capsys, monkeypatch):
+    monkeypatch.chdir(INPUTS)
+    code = main(CASES[case])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (STDOUT / f"{case}.out").read_text()
+
+
+def write_inputs() -> None:
+    """The input files: catalog pairs and their hermitian-normal-4x4
+    products, seeded exact Hermitian pairs, a PSD x EP pair, and a
+    Cayley conjugate of I_1 + J_3 whose entries have non-unit denominators."""
+    INPUTS.mkdir(parents=True, exist_ok=True)
+    fixtures = {f.name: f.matrices for f in catalog()}
+    for name in PAIRS[:3]:
+        a, b = fixtures[name]["a"], fixtures[name]["b"]
+        save_matrix(a, INPUTS / f"{name}__a.json")
+        save_matrix(b, INPUTS / f"{name}__b.json")
+    a, b = fixtures["hermitian-normal-4x4"]["a"], fixtures["hermitian-normal-4x4"]["b"]
+    save_matrix(a @ b, INPUTS / "hermitian-normal-4x4__ab.json")
+    save_matrix(b @ a, INPUTS / "hermitian-normal-4x4__ba.json")
+    for n, seed in ((3, 3), (4, 4)):
+        rng = default_rng(seed)
+        save_matrix(rational_hermitian(n, rng), INPUTS / f"hermitian-{n}-seed{seed}__a.json")
+        save_matrix(rational_hermitian(n, rng), INPUTS / f"hermitian-{n}-seed{seed}__b.json")
+    rng = default_rng(5)
+    save_matrix(rational_psd(3, rng, rank=2), INPUTS / "psd-ep-3-seed5__a.json")
+    ep = Matrix.exact([["1/2", (0, 1), 0], [2, "-3/4", 0], [0, 0, 0]])
+    save_matrix(ep, INPUTS / "psd-ep-3-seed5__b.json")
+    u = rational_unitary(4, default_rng(6))
+    m = u @ realize_rank_sequence((4, 3, 2, 1)) @ u.adjoint()
+    assert any(m[i, j].re.denominator > 1 for i in range(4) for j in range(4))
+    save_matrix(m, INPUTS / "rational-4.json")
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+    import os
+
+    write_inputs()
+    STDOUT.mkdir(parents=True, exist_ok=True)
+    os.chdir(INPUTS)
+    for case, argv in sorted(CASES.items()):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            if main(argv) != 0:
+                raise SystemExit(f"abba {' '.join(argv)} failed")
+        (STDOUT / f"{case}.out").write_text(buf.getvalue())

@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+import sympy as sp
 
 from abba import (
     BackendError,
@@ -13,11 +16,12 @@ from abba import (
     orthonormal_range_basis,
     rank,
     solve_linear,
+    vstack,
 )
 from abba.generators import default_rng
 from abba.scalars import GQ
 
-from .oracle import gq_equals_sympy, oracle_charpoly, oracle_det, oracle_rank
+from .oracle import gq_equals_sympy, oracle_charpoly, oracle_det, oracle_rank, to_sympy
 
 
 def _random_exact(rng, rows, cols, span=4):
@@ -184,3 +188,61 @@ def test_invertible_and_condition():
     assert not invertible(Matrix.zeros(2, 2))
     near_singular = Matrix.from_float([[1.0, 0.0], [0.0, 1e-12]])
     assert not invertible(near_singular, TolerancePolicy())
+
+
+def _random_rational(rng, rows, cols, rank):
+    """A rows x cols Gaussian-rational matrix of rank at most `rank`: a product
+    through an inner dimension of `rank`, entries with denominators up to 7."""
+
+    def part():
+        return Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 8)))
+
+    def factor(r, c):
+        if r == 0 or c == 0:
+            return Matrix.zeros(r, c)
+        return Matrix.exact([[(part(), part()) for _ in range(c)] for _ in range(r)])
+
+    return factor(rows, rank) @ factor(rank, cols)
+
+
+def _exact_float(z: sp.Expr) -> complex:
+    re, im = (Fraction(int(q.p), int(q.q)) for q in (sp.re(z), sp.im(z)))
+    return complex(float(re), float(im))
+
+
+def test_exact_kernel_against_oracle():
+    """Rank-deficient and zero-size Gaussian-rational inputs, checked op by op
+    against sympy; floats must match correctly rounded rationals bit for bit."""
+    rng = default_rng(61)
+    for trial in range(60):
+        rows, cols = int(rng.integers(0, 6)), int(rng.integers(0, 6))
+        k = int(rng.integers(0, min(rows, cols) + 1))
+        m = _random_rational(rng, rows, cols, k)
+        if trial % 5 == 0:  # embed in zero-size blocks
+            m = vstack([m, Matrix.zeros(0, cols)])
+        sm = to_sympy(m)
+        assert rank(m) == sm.rank()
+        assert to_sympy(m.adjoint()) == sm.H
+        other = _random_rational(rng, cols, int(rng.integers(0, 4)), min(cols, 2))
+        assert to_sympy(m @ other) == (sm * to_sympy(other)).expand()
+        norm_sq = sum((abs(z) ** 2 for z in sm), sp.Integer(0))
+        assert m.frobenius() == float(Fraction(int(norm_sq.p), int(norm_sq.q))) ** 0.5
+        f = m.to_float()
+        assert all(f[i, j] == _exact_float(sm[i, j]) for i in range(rows) for j in range(cols))
+        basis = nullspace_basis(m)
+        expected = sm.nullspace()
+        assert len(basis) == len(expected)
+        assert all(to_sympy(v) == e.expand() for v, e in zip(basis, expected))
+        if rows == cols:
+            assert gq_equals_sympy(determinant(m), sm.det())
+        rhs = _random_rational(rng, rows, 2, int(rng.integers(0, min(rows, 2) + 1)))
+        if trial % 2:  # a consistent right-hand side
+            rhs = m @ _random_rational(rng, cols, 2, min(cols, 2))
+        x = solve_linear(m, rhs)
+        try:
+            sol, params = sm.gauss_jordan_solve(to_sympy(rhs))
+        except ValueError:
+            assert x is None
+        else:
+            particular = sol.subs({p: 0 for p in params}).expand()
+            assert x is not None and to_sympy(x) == particular

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,14 @@ def test_frobenius_norm():
     m = Matrix.exact([[3, 4]])
     assert m.frobenius() == pytest.approx(5.0)
     assert Matrix.zeros(3, 3).frobenius() == 0.0
+
+
+def test_canonical_form_makes_equal_values_equal():
+    assert Matrix.exact([[Fraction(1, 2)]]) == Matrix.exact([[1]]) * Fraction(1, 2)
+    half = Matrix.exact([["1/2", (0, "3/6")]])
+    assert half * 2 == Matrix.exact([[1, 1j]])
+    assert half - half == Matrix.zeros(1, 2)
+    assert half.block(0, 1, 1, 2) @ Matrix.exact([[(0, -2)]]) == Matrix.identity(1)
 
 
 def test_equality_distinguishes_backends():
