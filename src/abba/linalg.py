@@ -15,7 +15,6 @@ the relative cutoff
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -78,7 +77,7 @@ def _eliminate(re: np.ndarray, im: np.ndarray, reduce: bool = False):
 def _over_pivot(re: np.ndarray, im: np.ndarray, pivot: tuple[int, int]) -> Matrix:
     """The exact matrix (re + i im) / pivot, for a nonzero Gaussian-integer pivot."""
     dr, di = pivot
-    return Matrix((re * dr + im * di, im * dr - re * di, dr * dr + di * di), EXACT)
+    return Matrix.from_ints(re * dr + im * di, im * dr - re * di, dr * dr + di * di)
 
 
 def _singular_values(m: Matrix) -> np.ndarray:
@@ -168,10 +167,9 @@ def solve_linear(a: Matrix, b: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE)
     if a.rows != b.rows:
         raise ShapeError("a and b must have the same number of rows")
     if a.backend == EXACT:
-        den = math.lcm(a._den, b._den)
-        sa, sb = den // a._den, den // b._den
-        re, im, pivots, _, d = _eliminate(np.hstack([a._re * sa, b._re * sb]),
-                                          np.hstack([a._im * sa, b._im * sb]), reduce=True)
+        # one common denominator scales both sides alike and leaves X unchanged
+        ab = hstack([a, b])
+        re, im, pivots, _, d = _eliminate(ab._re, ab._im, reduce=True)
         if pivots and pivots[-1] >= a.cols:
             return None
         xr = np.zeros((a.cols, b.cols), dtype=object)

@@ -146,16 +146,16 @@ class Matrix:
         return self._backend
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return self._shape
-
-    @property
     def rows(self) -> int:
         return self._shape[0]
 
     @property
     def cols(self) -> int:
         return self._shape[1]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self._shape
 
     @property
     def is_square(self) -> bool:

@@ -124,5 +124,13 @@ def test_canonical_form_makes_equal_values_equal():
     assert half.block(0, 1, 1, 2) @ Matrix.exact([[(0, -2)]]) == Matrix.identity(1)
 
 
+def test_from_ints_reduces_over_its_denominator():
+    assert Matrix.from_ints([[2, 4]], [[0, 6]], 4) == Matrix.exact([["1/2", (1, "3/2")]])
+    assert Matrix.from_ints([[0, 0]], den=5) == Matrix.zeros(1, 2)
+    for den in (0, -3):
+        with pytest.raises(ValueError):
+            Matrix.from_ints([[1]], den=den)
+
+
 def test_equality_distinguishes_backends():
     assert Matrix.exact([[1]]) != Matrix.from_float([[1.0]])
