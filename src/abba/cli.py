@@ -15,7 +15,7 @@ import warnings
 from pathlib import Path
 
 from .catalog import FAMILIES, SearchSpec, catalog, get_fixture, search_counterexample
-from .classes import classify, is_ep, is_psd, realpart_psd_same_rank
+from .classes import classify
 from .errors import (
     BackendError,
     HypothesisViolation,
@@ -102,14 +102,11 @@ def cmd_decide(args, tol) -> dict:
     verdict = decide_product_similarity(a, b, tol)
     result = {"verdict": verdict.to_json()}
     if args.construct:
-        cert = None
-        method = None
-        if (is_psd(a, tol) or realpart_psd_same_rank(a, tol)) and is_ep(b, tol):
-            try:
-                cert = construct_similarity_psd_ep(a, b, tol)
-                method = "psd-ep-transform"
-            except (BackendError, HypothesisViolation):
-                cert = None
+        try:
+            cert = construct_similarity_psd_ep(a, b, tol)
+            method = "psd-ep-transform"
+        except (BackendError, HypothesisViolation):
+            cert = method = None
         if cert is None and verdict.similar:
             cert = find_intertwiner(a @ b, b @ a, seed=args.seed, attempts=args.attempts, tol=tol)
             if cert is not None:
@@ -179,7 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--residual-tol", type=float, default=None)
     common.add_argument("--max-condition", type=float, default=None)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--format", choices=["json"], default="json")
 
     parser = argparse.ArgumentParser(
         prog="abba",

@@ -7,10 +7,15 @@ integers, run directly on the integer numerators of :class:`Matrix`
 intermediate entries stay minors of the input.  Rank and determinant
 read the forward pass; null spaces and solves let it clear the rows
 above each pivot as well, which yields the (unique) reduced row echelon
-form over one Gaussian-integer denominator.  Float-backend rank decisions come from singular values with
-the relative cutoff
+form over one Gaussian-integer denominator.
 
-    sigma > rank_rel_tol * sigma_max * max(rows, cols).
+Every float-backend rank decision comes from one helper, :func:`_float_svd`,
+which counts the singular values with
+
+    sigma > rank_rel_tol * norm * max(rows, cols),
+
+where norm is sigma_max of the matrix itself unless the caller passes a
+reference norm (rank sequences pass ||m||_2 of the matrix they iterate).
 """
 
 from __future__ import annotations
@@ -84,21 +89,32 @@ def _singular_values(m: Matrix) -> np.ndarray:
     return np.linalg.svd(m.array, compute_uv=False)
 
 
-def _float_rank(m: Matrix, tol: TolerancePolicy) -> int:
-    if m.is_zero():
-        return 0
-    s = _singular_values(m)
-    if s.size == 0:
-        return 0
-    cutoff = tol.rank_rel_tol * float(s[0]) * max(m.rows, m.cols)
-    return int(np.count_nonzero(s > cutoff))
+def _float_svd(m: Matrix, tol: TolerancePolicy, norm: float | None = None):
+    """(u, s, vh, r): the full SVD of a float matrix and its numerical rank r,
+    the number of singular values above rank_rel_tol * norm * max(rows, cols).
+    norm defaults to the largest singular value of m."""
+    u, s, vh = np.linalg.svd(m.array)
+    if norm is None:
+        norm = s[0] if s.size else 0.0
+    return u, s, vh, int(np.count_nonzero(s > tol.rank_rel_tol * norm * max(m.rows, m.cols)))
+
+
+def _range_basis(m: Matrix, tol: TolerancePolicy, norm: float | None = None) -> Matrix:
+    """rank(m) columns spanning range(m): the pivot columns of m (exact), or
+    its leading left singular vectors under the cutoff of _float_svd (float;
+    norm is ignored on the exact backend)."""
+    if m.backend == EXACT:
+        pivots = _eliminate(m._re, m._im)[2]
+        return Matrix.from_ints(m._re[:, pivots], m._im[:, pivots], m._den)
+    u, _, _, r = _float_svd(m, tol, norm)
+    return Matrix.from_float(u[:, :r])
 
 
 def rank(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> int:
     """Rank over the complex field (exact) or numerical rank (float)."""
     if m.backend == EXACT:
         return len(_eliminate(m._re, m._im)[2])
-    return _float_rank(m, tol)
+    return _float_svd(m, tol)[3]
 
 
 def determinant(m: Matrix):
@@ -148,12 +164,7 @@ def nullspace_basis(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> list
         vr[pivots], vi[pivots] = -re[:len(pivots), free], -im[:len(pivots), free]
         basis = _over_pivot(vr, vi, d)
         return [basis.column(j) for j in range(len(free))]
-    u, s, vh = np.linalg.svd(m.array)
-    if m.is_zero():
-        r = 0
-    else:
-        cutoff = tol.rank_rel_tol * float(s[0]) * max(m.rows, m.cols) if s.size else 0.0
-        r = int(np.count_nonzero(s > cutoff))
+    _, _, vh, r = _float_svd(m, tol)
     return [Matrix.from_float(vh.conj().T[:, j].reshape(-1, 1)) for j in range(r, m.cols)]
 
 
@@ -188,9 +199,7 @@ def orthonormal_range_basis(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE)
     orthonormalization leaves the Gaussian-rational field."""
     if m.backend == EXACT:
         raise BackendError("orthonormal bases require the float backend")
-    u, s, _ = np.linalg.svd(m.array)
-    r = _float_rank(m, tol)
-    return Matrix.from_float(u[:, :r])
+    return _range_basis(m, tol)
 
 
 def characteristic_polynomial(m: Matrix) -> list:

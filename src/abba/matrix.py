@@ -6,9 +6,9 @@ int denominator ``den``: entry (j, k) is (re[j, k] + i im[j, k]) / den.
 The triple is kept canonical, gcd(den, every numerator) = 1, so equal
 matrices have equal triples and the zero matrix has den = 1.  Arithmetic
 runs on the int arrays (a product is four integer ``dot``s and one gcd
-pass); entries read one at a time (``m[i, j]``, ``trace``, ``tolist``,
-``array``) come back as :class:`GaussianRational`.  A float matrix wraps
-a complex128 array.
+pass); entries read one at a time (``m[i, j]``, ``trace``, ``array``)
+come back as :class:`GaussianRational`.  A float matrix wraps a
+complex128 array.
 
 Values are immutable after construction; every operation returns a new
 matrix.  Mixing backends in one operation raises :class:`BackendError`.
@@ -179,9 +179,6 @@ class Matrix:
         if self._backend == EXACT:
             return GQ(Fraction(self._re[i, j], self._den), Fraction(self._im[i, j], self._den))
         return self._data[i, j]
-
-    def tolist(self) -> list[list]:
-        return [[self[i, j] for j in range(self.cols)] for i in range(self.rows)]
 
     # -- arithmetic -------------------------------------------------------
 

@@ -4,19 +4,20 @@ A rank sequence is nonincreasing and convex (first differences are
 nonincreasing), stabilizes within n steps, and determines the nilpotent
 Jordan structure: the j-th drop equals the number of Jordan blocks at
 eigenvalue zero of size at least j+1.  Sequences are stored only up to
-stabilization; the final term repeats forever.
+stabilization; the final term repeats forever.  Both backends compute
+them by range iteration (see rank_sequence), never forming a power.
 """
 
 from __future__ import annotations
 
-import warnings
+import warnings  # unused here; bench/tracing.py swaps in a ToleranceWarning counter
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ShapeError, ToleranceWarning
-from .linalg import rank
+from .errors import ShapeError
+from .linalg import _range_basis
 from .matrix import FLOAT, Matrix
 from .scalars import DEFAULT_TOLERANCE, TolerancePolicy
 
@@ -72,48 +73,26 @@ def is_valid_rank_sequence(seq: Sequence[int]) -> bool:
     return all(a >= b for a, b in zip(drops, drops[1:]))
 
 
-def _clamped_terms(raw: Sequence[int]) -> tuple[list[int], bool]:
-    """Clamp any float-noise rank increase back to nonincreasing."""
-    out = [raw[0]]
-    clamped = False
-    for t in raw[1:]:
-        if t > out[-1]:
-            t = out[-1]
-            clamped = True
-        out.append(t)
-    return out, clamped
-
-
 def rank_sequence(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> RankSequence:
     """Ranks of successive powers of m until two consecutive values agree.
 
-    Powers are formed by repeated multiplication so every intermediate
-    rank is observed.  On the float backend a rank increase between
-    consecutive powers (impossible in exact arithmetic) is clamped and
-    reported as a ToleranceWarning.
+    Range iteration, one algorithm on both backends: when the columns of b
+    span range(m^j), those of m b span range(m^(j+1)).  Each rank is read
+    from an n x r_j product, no power of m is formed, and no rank can
+    exceed the one before.  The basis kept is the pivot columns (exact) or
+    the orthonormal leading left singular vectors (float) of the last
+    product; every float cutoff is relative to ||m||_2, so a power that is
+    zero up to rounding has rank 0.
     """
     if not m.is_square:
         raise ShapeError("rank sequences require a square matrix")
-    n = m.rows
-    raw = [n]
-    power = Matrix.identity(n, m.backend)
-    for _ in range(n + 1):
-        power = power @ m
-        r = rank(power, tol)
-        raw.append(r)
-        lo = min(raw[-2], raw[-1])
-        if raw[-1] >= raw[-2] or lo == 0:
-            break
-    if m.backend == FLOAT:
-        terms, clamped = _clamped_terms(raw)
-        if clamped:
-            warnings.warn(
-                "numerical rank increased between consecutive powers; clamped",
-                ToleranceWarning,
-                stacklevel=2,
-            )
-    else:
-        terms = list(raw)
+    norm = np.linalg.norm(m.array, 2) if m.backend == FLOAT else None
+    terms = [m.rows]
+    basis = _range_basis(m, tol, norm)
+    while 0 < basis.cols < terms[-1]:
+        terms.append(basis.cols)
+        basis = _range_basis(m @ basis, tol, norm)
+    terms.append(basis.cols)
     return RankSequence.from_terms(terms)
 
 

@@ -167,11 +167,6 @@ class GaussianRational:
 
 GQ = GaussianRational
 
-GQ_ZERO = GaussianRational(0)
-GQ_ONE = GaussianRational(1)
-GQ_I = GaussianRational(0, 1)
-GQ_HALF = GaussianRational(Fraction(1, 2))
-
 
 @dataclass(frozen=True)
 class TolerancePolicy:

@@ -22,9 +22,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .classes import ep_decomposition, is_ep, is_hermitian, is_psd, realpart_psd_same_rank
+from .classes import (
+    column_inclusion_factor,
+    ep_decomposition,
+    is_ep,
+    is_hermitian,
+    is_psd,
+    realpart_psd_same_rank,
+)
 from .errors import BackendError, HypothesisViolation, IntertwinerNotFound, ShapeError
-from .linalg import condition_estimate, determinant, nullspace_basis, rank, solve_linear
+from .linalg import condition_estimate, determinant, nullspace_basis, rank
 from .matrix import EXACT, Matrix, block, hstack, kron
 from .rankseq import RankSequence, rank_sequence
 from .scalars import DEFAULT_TOLERANCE, GQ, TolerancePolicy
@@ -174,6 +181,13 @@ def find_intertwiner(
     Returns the first invertible sample as a certificate, or None when
     the space is trivial or the budget runs out.  None is advisory only:
     it never proves non-similarity.
+
+    Exact coefficients are drawn uniformly from [-k, k], k = max(9, n).
+    det(sum c_i S_i) is a polynomial of degree at most n in the coefficients,
+    not identically zero when an invertible intertwiner exists, so by
+    Schwartz-Zippel one attempt fails with probability at most
+    n / (2k + 1) < 1/2, and all 32 default attempts fail with probability
+    below 2^-32.
     """
     if not (m1.is_square and m2.is_square and m1.rows == m2.rows):
         raise ShapeError("operands must be square and of equal size")
@@ -184,9 +198,10 @@ def find_intertwiner(
         return None
     n = m1.rows
     rng = np.random.default_rng(seed)
+    k = max(9, n)
     for _ in range(attempts):
         if m1.backend == EXACT:
-            coeffs = [GQ(int(c)) for c in rng.integers(-9, 10, size=len(basis))]
+            coeffs = [GQ(int(c)) for c in rng.integers(-k, k + 1, size=len(basis))]
         else:
             coeffs = list(rng.standard_normal(len(basis)))
         t = Matrix.zeros(n, n, m1.backend)
@@ -226,18 +241,17 @@ def construct_similarity_psd_ep(
     v, c, r = dec.v, dec.c, dec.r
     n = a.rows
     at = v.adjoint() @ a @ v
-    a11 = at.block(0, r, 0, r)
-    a12 = at.block(0, r, r, n)
-    a21 = at.block(r, n, 0, r)
-    x = solve_linear(a11, a12, tol)
-    if x is None:
+    col = column_inclusion_factor(at, r, tol)
+    if col is None:
         raise HypothesisViolation("column inclusion solve failed for a")
+    x = col.x
     if hermitian_a:
         y = x
     else:
-        y = solve_linear(a11.adjoint(), a21.adjoint(), tol)
-        if y is None:
+        row = column_inclusion_factor(at.adjoint(), r, tol)
+        if row is None:
             raise HypothesisViolation("row inclusion solve failed for a")
+        y = row.x
     eye = Matrix.identity(n - r, a.backend)
     s = block([[c + x @ y.adjoint(), -x], [-y.adjoint(), eye]])
     t = v @ s @ v.adjoint()

@@ -1,0 +1,79 @@
+"""Metamorphic properties of exact rank sequences and verdicts.
+
+Each property maps a pair (a, b) to a related pair whose products have
+known rank sequences: unitary conjugation and transposition keep them,
+a direct sum with invertible blocks shifts every term by the block size,
+and swapping the operands swaps seq_ab and seq_ba.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from abba import Matrix, block, decide_product_similarity, rank_sequence
+from abba import generators as gen
+
+# mostly-zero Gaussian-integer entries make singular, nilpotent products common
+_ENTRY = st.tuples(st.sampled_from([0, 0, 0, 1, -1, 2]), st.sampled_from([0, 0, 0, 1, -1]))
+
+
+def _square(n: int):
+    return st.lists(st.lists(_ENTRY, min_size=n, max_size=n), min_size=n, max_size=n).map(
+        Matrix.exact
+    )
+
+
+pairs = st.integers(1, 4).flatmap(lambda n: st.tuples(_square(n), _square(n)))
+seeds = st.integers(0, 2**32 - 1)
+
+
+def _invertible(k: int, seed: int) -> Matrix:
+    """A dense exact invertible k x k matrix: a Cayley unitary times a
+    nonsingular diagonal."""
+    rng = gen.default_rng(seed)
+    return gen.rational_unitary(k, rng, span=2) @ gen.rational_diagonal(k, rng, nonzeros=k)
+
+
+def _direct_sum(x: Matrix, y: Matrix) -> Matrix:
+    return block([[x, Matrix.zeros(x.rows, y.cols)], [Matrix.zeros(y.rows, x.cols), y]])
+
+
+@given(pairs, seeds)
+@settings(max_examples=200, deadline=None)
+def test_unitary_conjugation_keeps_sequences_and_verdict(pair, seed):
+    a, b = pair
+    u = gen.rational_unitary(a.rows, gen.default_rng(seed), span=2)
+    conjugated = decide_product_similarity(u @ a @ u.adjoint(), u @ b @ u.adjoint())
+    assert conjugated == decide_product_similarity(a, b)
+
+
+@given(pairs)
+@settings(max_examples=200, deadline=None)
+def test_transposition_swaps_the_products(pair):
+    # (a^T b^T) = (b a)^T, and a matrix and its transpose share every rank
+    a, b = pair
+    verdict = decide_product_similarity(a, b)
+    transposed = decide_product_similarity(a.transpose(), b.transpose())
+    assert (transposed.seq_ab, transposed.seq_ba) == (verdict.seq_ba, verdict.seq_ab)
+    assert (transposed.similar, transposed.reason) == (verdict.similar, verdict.reason)
+    assert rank_sequence((a @ b).transpose()) == verdict.seq_ab
+
+
+@given(pairs, st.integers(1, 3), seeds)
+@settings(max_examples=200, deadline=None)
+def test_direct_sum_with_invertible_block_shifts_every_term(pair, k, seed):
+    a, b = pair
+    c, d = _invertible(k, seed), _invertible(k, seed + 1)
+    verdict = decide_product_similarity(a, b)
+    summed = decide_product_similarity(_direct_sum(a, c), _direct_sum(b, d))
+    assert summed.seq_ab.terms == tuple(t + k for t in verdict.seq_ab.terms)
+    assert summed.seq_ba.terms == tuple(t + k for t in verdict.seq_ba.terms)
+    assert (summed.similar, summed.reason) == (verdict.similar, verdict.reason)
+
+
+@given(pairs)
+@settings(max_examples=200, deadline=None)
+def test_swapping_operands_swaps_the_sequences(pair):
+    a, b = pair
+    verdict = decide_product_similarity(a, b)
+    swapped = decide_product_similarity(b, a)
+    assert (swapped.seq_ab, swapped.seq_ba) == (verdict.seq_ba, verdict.seq_ab)
+    assert swapped.similar == verdict.similar

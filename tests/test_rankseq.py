@@ -14,8 +14,11 @@ from abba import (
     rank_sequence,
     realize_rank_sequence,
 )
+from abba import generators as gen
 from abba.generators import default_rng
-from abba.rankseq import _clamped_terms, stabilize
+from abba.rankseq import stabilize
+
+from .oracle import oracle_rank
 
 
 def test_sequences_of_4x4_products(hermitian_normal_pair_4x4):
@@ -122,11 +125,54 @@ def test_float_backend_matches_exact(hermitian_normal_pair_4x4):
     assert rank_sequence(ab).terms == (4, 2, 0)
 
 
-def test_clamping_flags_rank_increase():
-    terms, clamped = _clamped_terms([4, 2, 3, 1])
-    assert terms == [4, 2, 2, 1] and clamped
-    terms, clamped = _clamped_terms([4, 2, 0])
-    assert terms == [4, 2, 0] and not clamped
+def _conjugated_float(m: Matrix, seed: int) -> Matrix:
+    u = gen.random_unitary(m.rows, default_rng(seed))
+    return u @ m.to_float() @ u.adjoint()
+
+
+def test_float_nilpotent_jordan_block_under_unitary_conjugation():
+    # the cutoff is relative to ||m||, so rounding noise in a power that is
+    # zero in exact arithmetic must not count as rank
+    j6 = realize_rank_sequence([6, 5, 4, 3, 2, 1, 0])
+    wrong = [seed for seed in range(200)
+             if rank_sequence(_conjugated_float(j6, seed)).terms != (6, 5, 4, 3, 2, 1, 0)]
+    assert wrong == []
+
+
+def test_float_hermitian_normal_products_under_unitary_conjugation(hermitian_normal_pair_4x4):
+    a, b = hermitian_normal_pair_4x4
+    wrong = []
+    for seed in range(200):
+        ua, ub = _conjugated_float(a, seed), _conjugated_float(b, seed)
+        terms = rank_sequence(ua @ ub).terms, rank_sequence(ub @ ua).terms
+        if terms != ((4, 2, 0), (4, 2, 1, 0)):
+            wrong.append(seed)
+    assert wrong == []
+
+
+def _rational_with_nilpotent_part(seq, rng) -> Matrix:
+    """u (J d) u* for J = realize_rank_sequence(seq), d an invertible diagonal
+    and u a Cayley unitary: the rank sequence of J, dense Gaussian-rational
+    entries with non-unit denominators."""
+    n = seq[0]
+    d = gen.rational_diagonal(n, rng, nonzeros=n)
+    u = gen.rational_unitary(n, rng, span=2)
+    return u @ realize_rank_sequence(seq) @ d @ u.adjoint()
+
+
+def test_exact_sequences_match_oracle_ranks_of_explicit_powers():
+    rng = default_rng(73)
+    for n in range(2, 6):
+        patterns = enumerate_tail_sequences(n, n)
+        for _ in range(12):
+            seq = patterns[int(rng.integers(len(patterns)))]
+            m = _rational_with_nilpotent_part(seq, rng)
+            powers = [Matrix.identity(n)]
+            for _ in range(n + 1):
+                powers.append(powers[-1] @ m)
+            expected = stabilize([oracle_rank(p) for p in powers])
+            assert expected == stabilize(seq)
+            assert rank_sequence(m).terms == expected
 
 
 def test_no_spurious_warnings_on_clean_float_input():
