@@ -86,9 +86,7 @@ def catalog() -> list[Fixture]:
         x = w_sample if backend == EXACT else w_sample.to_float()
         n = x.rows
         h, k = hermitian_parts(x)
-        eye = Matrix.identity(n, backend)
-        winv_scaled = block([[eye, -eye], [eye, eye]])  # 2 * inverse(w)
-        lhs = ww @ normal_doubling(x) @ winv_scaled
+        lhs = ww @ normal_doubling(x) @ ww.adjoint()  # w w* = 2 I
         four_i = GQ(0, 4) if backend == EXACT else 4j
         zero = Matrix.zeros(n, n, backend)
         rhs = block([[h * 4, zero], [zero, k * four_i]])

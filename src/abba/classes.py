@@ -14,14 +14,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BackendError, HypothesisViolation, ShapeError
-from .linalg import (
-    invertible,
-    principal_minor_sums,
-    rank,
-    rank_of_concatenation,
-    solve_linear,
-)
-from .matrix import EXACT, FLOAT, Matrix, block
+from .linalg import invertible, principal_minor_sums, rank, solve_linear
+from .matrix import EXACT, Matrix, block, hstack
 from .scalars import DEFAULT_TOLERANCE, TolerancePolicy
 
 _HALF = Fraction(1, 2)
@@ -66,7 +60,7 @@ def is_ep(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> bool:
     """range(m) = range(m*), tested as rank([m | m*]) = rank(m)."""
     if not m.is_square:
         raise ShapeError("predicate requires a square matrix")
-    return rank_of_concatenation(m, m.adjoint(), tol) == rank(m, tol)
+    return rank(hstack([m, m.adjoint()]), tol) == rank(m, tol)
 
 
 def realpart_psd_same_rank(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> bool:
@@ -125,7 +119,7 @@ def _normality_witness(m: Matrix) -> dict:
     for j in range(n):
         for k in range(j + 1, n):
             w = d[j, k]
-            if (m.backend == EXACT and not w) or (m.backend == FLOAT and w == 0):
+            if not w:
                 continue
             consider(basis_vector(j, extra=(k, w.conjugate())))
     if best_v is None or best_size == 0:
@@ -166,7 +160,7 @@ def classify(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> ClassReport
             h = hermitian_real_part(m)
             witnesses["min_eigenvalue"] = float(np.linalg.eigvalsh(h.array)[0])
     if not ep:
-        witnesses["range_adjoint_rank"] = rank_of_concatenation(m, m.adjoint(), tol)
+        witnesses["range_adjoint_rank"] = rank(hstack([m, m.adjoint()]), tol)
     return ClassReport(
         hermitian=herm, normal=norm, psd=psd, ep=ep,
         realpart_psd_same_rank=rp, rank=r, witnesses=witnesses,
@@ -193,24 +187,20 @@ class EPDecomposition:
 def ep_decomposition(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> EPDecomposition:
     """Align range(m): returns V unitary whose first rank(m) columns span it.
 
-    Exact backend accepts only inputs already in block form (leading
-    invertible block, zero elsewhere), since unitary alignment needs
-    square roots.
+    Raises HypothesisViolation unless m is EP (the rank test of is_ep), so
+    constructions call this instead of is_ep.  Exact backend accepts only
+    inputs already in block form (leading block of size rank(m), zero
+    elsewhere, hence invertible), since unitary alignment needs square roots.
     """
     if not m.is_square:
         raise ShapeError("decomposition requires a square matrix")
-    if not is_ep(m, tol):
-        raise HypothesisViolation("matrix is not EP (range differs from adjoint range)")
     n = m.rows
     r = rank(m, tol)
+    if rank(hstack([m, m.adjoint()]), tol) != r:
+        raise HypothesisViolation("matrix is not EP (range differs from adjoint range)")
     if m.backend == EXACT:
         lead = m.block(0, r, 0, r)
-        aligned = (
-            m.block(0, r, r, n).is_zero()
-            and m.block(r, n, 0, n).is_zero()
-            and rank(lead) == r
-        )
-        if not aligned:
+        if not (m.block(0, r, r, n).is_zero() and m.block(r, n, 0, n).is_zero()):
             raise BackendError(
                 "exact decomposition requires the matrix already in invertible-block-plus-zero form"
             )

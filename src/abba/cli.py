@@ -221,6 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()  # built once per process; main() only parses with it
+
+
 def _gather_inputs(args) -> dict:
     inputs: dict = {}
     for attr in ("matrix", "a", "b"):
@@ -240,10 +243,9 @@ def _gather_inputs(args) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.command == "catalog" and args.action == "show" and not args.name:
-        parser.error("catalog show requires a fixture name")
+        _PARSER.error("catalog show requires a fixture name")
     try:
         tol = _policy(args)
         with warnings.catch_warnings(record=True) as caught:

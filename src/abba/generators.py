@@ -17,10 +17,6 @@ from .matrix import Matrix, block
 from .scalars import GQ
 
 
-def default_rng(seed) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
 # -- float backend ------------------------------------------------------
 
 

@@ -231,8 +231,3 @@ def principal_minor_sums(m: Matrix) -> list:
     polynomial: p(t) = sum_k (-1)^k e_k t^(n-k)."""
     coeffs = characteristic_polynomial(m)
     return [c if k % 2 == 0 else -c for k, c in enumerate(coeffs)]
-
-
-def rank_of_concatenation(a: Matrix, b: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> int:
-    """rank([a | b]) for the column-inclusion and range-comparison tests."""
-    return rank(hstack([a, b]), tol)

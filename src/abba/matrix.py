@@ -186,6 +186,13 @@ class Matrix:
         if self._backend != other._backend:
             raise BackendError("mixed exact/float operands")
 
+    def _check_operand_pair(self, other: "Matrix"):
+        """The contract of the two-matrix entry points: square, one size, one backend."""
+        if self.shape != other.shape or not self.is_square:
+            raise ShapeError("operands must be square and of equal size")
+        if self._backend != other._backend:
+            raise BackendError("operands must share a backend")
+
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented

@@ -25,12 +25,12 @@ import numpy as np
 from .classes import (
     column_inclusion_factor,
     ep_decomposition,
-    is_ep,
+    hermitian_real_part,
     is_hermitian,
     is_psd,
     realpart_psd_same_rank,
 )
-from .errors import BackendError, HypothesisViolation, IntertwinerNotFound, ShapeError
+from .errors import HypothesisViolation, IntertwinerNotFound, ShapeError
 from .linalg import condition_estimate, determinant, nullspace_basis, rank
 from .matrix import EXACT, Matrix, block, hstack, kron
 from .rankseq import RankSequence, rank_sequence
@@ -109,43 +109,39 @@ def certificate_for(
     return SimilarityCertificate(t=t, residual=residual, condition=condition_estimate(t))
 
 
+def _invertible(cert: SimilarityCertificate, tol: TolerancePolicy) -> bool:
+    if cert.t.backend == EXACT:
+        return cert.det is not None and bool(cert.det)
+    return cert.condition is not None and cert.condition <= tol.max_condition
+
+
 def certificate_valid(
     cert: SimilarityCertificate, tol: TolerancePolicy = DEFAULT_TOLERANCE
 ) -> bool:
-    if cert.t.backend == EXACT:
-        return cert.residual == 0.0 and cert.det is not None and bool(cert.det)
-    return (
-        cert.residual <= tol.residual_tol
-        and cert.condition is not None
-        and cert.condition <= tol.max_condition
+    """The acceptance rule: t invertible (nonzero det, or condition at most
+    max_condition) and residual zero (exact) or at most residual_tol (float)."""
+    exact = cert.t.backend == EXACT
+    return _invertible(cert, tol) and (
+        cert.residual == 0.0 if exact else cert.residual <= tol.residual_tol
     )
 
 
 def verify_certificate(
     cert: SimilarityCertificate, m1: Matrix, m2: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE
 ) -> CertificateCheck:
-    """Recompute residual and invertibility evidence from scratch."""
-    t = cert.t
-    residual = _relative_residual(t, m1, m2)
-    if t.backend == EXACT:
-        det = determinant(t)
-        inv = bool(det)
-        return CertificateCheck(residual=residual, invertible=inv, det=det,
-                                ok=inv and residual == 0.0)
-    cond = condition_estimate(t)
-    inv = cond <= tol.max_condition
-    return CertificateCheck(residual=residual, invertible=inv, condition=cond,
-                            ok=inv and residual <= tol.residual_tol)
+    """Recompute residual and invertibility evidence for cert.t from scratch."""
+    fresh = certificate_for(cert.t, m1, m2, tol)
+    return CertificateCheck(
+        residual=fresh.residual, invertible=_invertible(fresh, tol),
+        ok=certificate_valid(fresh, tol), det=fresh.det, condition=fresh.condition,
+    )
 
 
 def decide_product_similarity(
     a: Matrix, b: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE
 ) -> SimilarityVerdict:
     """AB is similar to BA iff their rank sequences agree."""
-    if not (a.is_square and b.is_square and a.rows == b.rows):
-        raise ShapeError("operands must be square and of equal size")
-    if a.backend != b.backend:
-        raise BackendError("operands must share a backend")
+    a._check_operand_pair(b)
     ab = a @ b
     ba = b @ a
     seq_ab = rank_sequence(ab, tol)
@@ -189,10 +185,7 @@ def find_intertwiner(
     n / (2k + 1) < 1/2, and all 32 default attempts fail with probability
     below 2^-32.
     """
-    if not (m1.is_square and m2.is_square and m1.rows == m2.rows):
-        raise ShapeError("operands must be square and of equal size")
-    if m1.backend != m2.backend:
-        raise BackendError("operands must share a backend")
+    m1._check_operand_pair(m2)
     basis = intertwiner_space(m1, m2, tol)
     if not basis:
         return None
@@ -226,17 +219,12 @@ def construct_similarity_psd_ep(
     S = [[C + X Y*, -X], [-Y*, I]] back.  Hermitian a gives Y = X and
     reduces S to its classical positive-semidefinite form.
     """
-    if not (a.is_square and b.is_square and a.rows == b.rows):
-        raise ShapeError("operands must be square and of equal size")
-    if a.backend != b.backend:
-        raise BackendError("operands must share a backend")
+    a._check_operand_pair(b)
     hermitian_a = is_hermitian(a, tol)
     if not (is_psd(a, tol) or realpart_psd_same_rank(a, tol)):
         raise HypothesisViolation(
             "a must be positive semidefinite or have a PSD real part of equal rank"
         )
-    if not is_ep(b, tol):
-        raise HypothesisViolation("b must be EP (range equal to adjoint range)")
     dec = ep_decomposition(b, tol)
     v, c, r = dec.v, dec.c, dec.r
     n = a.rows
@@ -267,13 +255,12 @@ def hermitian_parts(x: Matrix) -> tuple[Matrix, Matrix]:
     """(h, k) Hermitian with x = h + i k."""
     if not x.is_square:
         raise ShapeError("hermitian parts of a non-square matrix")
-    adj = x.adjoint()
-    h = (x + adj) * Fraction(1, 2)
+    diff = x - x.adjoint()
     if x.backend == EXACT:
-        k = (x - adj) * GQ(0, Fraction(-1, 2))
+        k = diff * GQ(0, Fraction(-1, 2))
     else:
-        k = (x - adj) * complex(0, -0.5)
-    return h, k
+        k = diff * complex(0, -0.5)
+    return hermitian_real_part(x), k
 
 
 def normal_doubling(x: Matrix) -> Matrix:
@@ -305,10 +292,7 @@ def doubling_product_similarity(
     the Sylvester sampling; the scalar 1/sqrt(2) of the unitary version
     cancels, so the exact backend stays rational.
     """
-    if x.shape != y.shape or not x.is_square:
-        raise ShapeError("operands must be square and of equal size")
-    if x.backend != y.backend:
-        raise BackendError("operands must share a backend")
+    x._check_operand_pair(y)
     n = x.rows
     x1, x2 = hermitian_parts(x)
     y1, y2 = hermitian_parts(y)

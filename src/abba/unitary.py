@@ -111,10 +111,7 @@ def word_trace_screen(
     the first differing word is reported.  "Distinguished" proves the
     matrices are not unitarily similar; the converse holds only for 2x2.
     """
-    if m1.shape != m2.shape or not m1.is_square:
-        raise ShapeError("operands must be square and of equal size")
-    if m1.backend != m2.backend:
-        raise BackendError("operands must share a backend")
+    m1._check_operand_pair(m2)
     words = list(_words_in_canonical_order(max_len))
     if max_len < len(DEGREE_SIX_PROBE):
         words.append(DEGREE_SIX_PROBE)
@@ -130,8 +127,7 @@ def decide_unitary_2x2(m1: Matrix, m2: Matrix, tol: TolerancePolicy = DEFAULT_TO
     """Complete 2x2 test: equality of (tr X, tr X^2, tr X*X)."""
     if m1.shape != (2, 2) or m2.shape != (2, 2):
         raise ShapeError("the triple invariant applies to 2x2 matrices only")
-    if m1.backend != m2.backend:
-        raise BackendError("operands must share a backend")
+    m1._check_operand_pair(m2)
 
     def triple(m: Matrix):
         return (m.trace(), (m @ m).trace(), (m.adjoint() @ m).trace())
@@ -159,8 +155,12 @@ def extend_isometry_to_unitary(
     """A unitary agreeing with the map domain_vectors[j] -> image_vectors[j].
 
     Requires the two Gram matrices to agree (the map extends to an
-    isometry exactly then).  Completion picks, at each step, the standard
-    basis vector with the largest component outside the current span.
+    isometry exactly then).  With the SVD d = P S Q* of the domain, the
+    columns of P whose singular values exceed sqrt(residual_tol) * max(1,
+    sigma_max) span the domain and map to the orthonormal columns
+    im Q S^-1; directions below the cutoff are dependent prescriptions,
+    already consistent by the Gram check.  The rest of P maps onto the
+    orthogonal complement of those images, read off their own SVD.
     """
     if len(domain_vectors) != len(image_vectors):
         raise ShapeError("domain and image lists must have equal length")
@@ -180,39 +180,11 @@ def extend_isometry_to_unitary(
     if np.linalg.norm(gram_d - gram_i) > tol.residual_tol * max(1.0, np.linalg.norm(gram_d)):
         raise HypothesisViolation("inner products of the two vector lists disagree")
 
-    cutoff = (tol.residual_tol ** 0.5)
-    qd: list[np.ndarray] = []
-    qi: list[np.ndarray] = []
-    for j in range(d.shape[1]):
-        vd = d[:, j].copy()
-        vi = im[:, j].copy()
-        for q, p in zip(qd, qi):
-            coef = np.vdot(q, vd)
-            vd -= coef * q
-            vi -= coef * p
-        norm = np.linalg.norm(vd)
-        if norm <= cutoff * max(1.0, np.linalg.norm(d[:, j])):
-            continue  # dependent prescription, consistency already via Gram
-        qd.append(vd / norm)
-        qi.append(vi / norm)
-
-    def complete(basis: list[np.ndarray]) -> np.ndarray:
-        cols = list(basis)
-        while len(cols) < n:
-            residuals = []
-            for k in range(n):
-                e = np.zeros(n, dtype=complex)
-                e[k] = 1.0
-                for q in cols:
-                    e -= np.vdot(q, e) * q
-                residuals.append((np.linalg.norm(e), k, e))
-            norm, _, e = max(residuals, key=lambda t: t[0])
-            cols.append(e / norm)
-        return np.column_stack(cols)
-
-    full_d = complete(qd)
-    full_i = complete(qi)
-    u = full_i @ full_d.conj().T
+    p, s, qh = np.linalg.svd(d)
+    r = int(np.count_nonzero(s > tol.residual_tol ** 0.5 * max(1.0, s[0])))
+    qi = im @ qh[:r].conj().T / s[:r]
+    full_i = np.hstack([qi, np.linalg.svd(qi)[0][:, r:]])
+    u = full_i @ p.conj().T
     unitarity = np.linalg.norm(u.conj().T @ u - np.eye(n))
     mapping = np.linalg.norm(u @ d - im)
     scale = max(1.0, float(np.linalg.norm(d)))
@@ -228,8 +200,7 @@ def rank_one_normal_unitary(
     normal b; COMMUTING when both products are zero."""
     if a.backend != FLOAT or b.backend != FLOAT:
         raise BackendError("the rank-one construction is float-backend only")
-    if a.shape != b.shape or not a.is_square:
-        raise ShapeError("operands must be square and of equal size")
+    a._check_operand_pair(b)
     if not is_normal(a, tol) or not is_normal(b, tol):
         raise HypothesisViolation("both matrices must be normal")
     r = rank(a, tol)

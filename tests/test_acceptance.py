@@ -86,7 +86,7 @@ def test_transpose_fixture(transpose_matrix):
 
 
 def test_psd_normal_construction_suite():
-    rng = gen.default_rng(2024)
+    rng = np.random.default_rng(2024)
     for _ in range(100):
         n = int(rng.integers(3, 9))
         a = gen.random_psd(n, rng)
@@ -100,7 +100,7 @@ def test_psd_normal_construction_suite():
 
 
 def test_realpart_psd_ep_construction_suite():
-    rng = gen.default_rng(2025)
+    rng = np.random.default_rng(2025)
     for _ in range(100):
         n = int(rng.integers(3, 9))
         a = gen.random_realpart_psd(n, rng)
@@ -114,7 +114,7 @@ def test_realpart_psd_ep_construction_suite():
 
 
 def test_normal_pairs_rank_equality_suite():
-    rng = gen.default_rng(311)
+    rng = np.random.default_rng(311)
     for trial in range(250):
         n = int(rng.integers(2, 7))
         a = gen.rational_normal(n, rng)
@@ -129,7 +129,7 @@ def test_normal_pairs_rank_equality_suite():
 
 
 def test_hermitian_pairs_similarity_suite():
-    rng = gen.default_rng(313)
+    rng = np.random.default_rng(313)
     for trial in range(250):
         n = int(rng.integers(2, 7))
         v = decide_product_similarity(
@@ -146,7 +146,7 @@ def test_hermitian_pairs_similarity_suite():
 
 
 def test_low_rank_normal_suite():
-    rng = gen.default_rng(317)
+    rng = np.random.default_rng(317)
     n = 5
     for trial in range(250):
         ra = int(rng.integers(0, 3))
@@ -166,7 +166,7 @@ def test_low_rank_normal_suite():
 
 
 def test_3x3_normal_suite():
-    rng = gen.default_rng(331)
+    rng = np.random.default_rng(331)
     for trial in range(250):
         v = decide_product_similarity(
             gen.rational_normal(3, rng), gen.rational_normal(3, rng)
@@ -188,7 +188,7 @@ def test_minimal_counterexample_patterns():
 
 
 def test_doubling_suite():
-    rng = gen.default_rng(337)
+    rng = np.random.default_rng(337)
     for trial in range(100):
         n = int(rng.integers(1, 5))
         x = Matrix.from_float(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
@@ -201,7 +201,7 @@ def test_doubling_suite():
 
 
 def test_two_by_two_normal_unitary_suite():
-    rng = gen.default_rng(347)
+    rng = np.random.default_rng(347)
     for trial in range(200):
         a = gen.random_normal(2, rng)
         b = gen.random_normal(2, rng)
@@ -210,7 +210,7 @@ def test_two_by_two_normal_unitary_suite():
 
 
 def test_rank_one_normal_unitary_suite():
-    rng = gen.default_rng(349)
+    rng = np.random.default_rng(349)
     commuting_seen = 0
     unitary_seen = 0
     for trial in range(200):
@@ -242,7 +242,7 @@ def test_rank_one_normal_unitary_suite():
 
 
 def test_rank_sequence_property_suite():
-    rng = gen.default_rng(353)
+    rng = np.random.default_rng(353)
     for trial in range(1000):
         n = int(rng.integers(1, 7))
         m = Matrix.exact(

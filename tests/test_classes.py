@@ -17,7 +17,6 @@ from abba import (
     realpart_psd_same_rank,
 )
 from abba.generators import (
-    default_rng,
     random_ep,
     random_normal,
     random_psd,
@@ -46,7 +45,7 @@ def test_hermitian_float_tolerance():
 
 def test_normal_examples(hermitian_normal_pair_4x4):
     assert is_normal(hermitian_normal_pair_4x4[1])
-    rng = default_rng(2)
+    rng = np.random.default_rng(2)
     assert is_normal(random_unitary(4, rng))
     assert not is_normal(J2)
 
@@ -62,7 +61,7 @@ def test_psd_examples(hermitian_normal_pair_4x4):
 
 
 def test_psd_exact_matches_sympy_oracle():
-    rng = default_rng(23)
+    rng = np.random.default_rng(23)
     for _ in range(20):
         n = int(rng.integers(1, 5))
         h = rational_hermitian(n, rng)
@@ -70,7 +69,7 @@ def test_psd_exact_matches_sympy_oracle():
 
 
 def test_psd_float():
-    rng = default_rng(31)
+    rng = np.random.default_rng(31)
     p = random_psd(5, rng, rank=3)
     assert is_psd(p)
     assert not is_psd(Matrix.from_float(np.diag([1.0, -1e-3])))
@@ -90,7 +89,7 @@ def test_realpart_psd_same_rank():
 
 
 def test_predicate_implication_chain():
-    rng = default_rng(17)
+    rng = np.random.default_rng(17)
     pool = []
     for _ in range(12):
         n = int(rng.integers(1, 6))
@@ -110,7 +109,7 @@ def test_predicate_implication_chain():
 
 
 def test_normal_implies_ep_500():
-    rng = default_rng(19)
+    rng = np.random.default_rng(19)
     for _ in range(500):
         n = int(rng.integers(1, 7))
         assert is_ep(random_normal(n, rng))
@@ -161,7 +160,7 @@ def test_ep_decomposition_of_4x4_normal(hermitian_normal_pair_4x4):
 
 
 def test_ep_decomposition_round_trip_random():
-    rng = default_rng(61)
+    rng = np.random.default_rng(61)
     for _ in range(25):
         n = int(rng.integers(1, 7))
         m = random_ep(n, rng)
@@ -187,7 +186,7 @@ def test_column_inclusion_examples():
 
 
 def test_psd_always_has_column_inclusion():
-    rng = default_rng(67)
+    rng = np.random.default_rng(67)
     for _ in range(500):
         n = int(rng.integers(1, 7))
         p = random_psd(n, rng)

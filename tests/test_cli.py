@@ -2,11 +2,12 @@ import json
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from abba import Matrix, catalog, save_matrix
 from abba.cli import main
-from abba.generators import default_rng, random_normal, random_psd
+from abba.generators import random_normal, random_psd
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -88,7 +89,7 @@ def test_decide_identical_invertible(capsys, fixture_files):
 
 
 def test_decide_construct_psd_normal(capsys, tmp_path):
-    rng = default_rng(5)
+    rng = np.random.default_rng(5)
     a = random_psd(4, rng, rank=3)
     b = random_normal(4, rng, rank=2)
     pa, pb = tmp_path / "a.json", tmp_path / "b.json"
@@ -128,7 +129,7 @@ def test_unitary_equal_inputs(capsys, fixture_files):
 
 
 def test_unitary_2x2_triple(capsys, tmp_path):
-    rng = default_rng(9)
+    rng = np.random.default_rng(9)
     a = random_normal(2, rng)
     b = random_normal(2, rng)
     pa, pb = tmp_path / "p.json", tmp_path / "q.json"

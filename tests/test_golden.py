@@ -13,11 +13,12 @@ Regenerate them only for an intended change of the report, with
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from abba import Matrix, catalog, realize_rank_sequence, save_matrix
 from abba.cli import main
-from abba.generators import default_rng, rational_hermitian, rational_psd, rational_unitary
+from abba.generators import rational_hermitian, rational_psd, rational_unitary
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 INPUTS = GOLDEN / "inputs"
@@ -62,14 +63,14 @@ def write_inputs() -> None:
     save_matrix(a @ b, INPUTS / "hermitian-normal-4x4__ab.json")
     save_matrix(b @ a, INPUTS / "hermitian-normal-4x4__ba.json")
     for n, seed in ((3, 3), (4, 4)):
-        rng = default_rng(seed)
+        rng = np.random.default_rng(seed)
         save_matrix(rational_hermitian(n, rng), INPUTS / f"hermitian-{n}-seed{seed}__a.json")
         save_matrix(rational_hermitian(n, rng), INPUTS / f"hermitian-{n}-seed{seed}__b.json")
-    rng = default_rng(5)
+    rng = np.random.default_rng(5)
     save_matrix(rational_psd(3, rng, rank=2), INPUTS / "psd-ep-3-seed5__a.json")
     ep = Matrix.exact([["1/2", (0, 1), 0], [2, "-3/4", 0], [0, 0, 0]])
     save_matrix(ep, INPUTS / "psd-ep-3-seed5__b.json")
-    u = rational_unitary(4, default_rng(6))
+    u = rational_unitary(4, np.random.default_rng(6))
     m = u @ realize_rank_sequence((4, 3, 2, 1)) @ u.adjoint()
     assert any(m[i, j].re.denominator > 1 for i in range(4) for j in range(4))
     save_matrix(m, INPUTS / "rational-4.json")

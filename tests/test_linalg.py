@@ -18,7 +18,6 @@ from abba import (
     solve_linear,
     vstack,
 )
-from abba.generators import default_rng
 from abba.scalars import GQ
 
 from .oracle import gq_equals_sympy, oracle_charpoly, oracle_det, oracle_rank, to_sympy
@@ -42,14 +41,14 @@ def test_rank_examples(hermitian_normal_pair_4x4, hermitian_pair_3x3):
 
 
 def test_rank_against_oracle():
-    rng = default_rng(101)
+    rng = np.random.default_rng(101)
     for _ in range(25):
         m = _random_exact(rng, int(rng.integers(1, 6)), int(rng.integers(1, 6)))
         assert rank(m) == oracle_rank(m)
 
 
 def test_rank_adjoint_identities():
-    rng = default_rng(7)
+    rng = np.random.default_rng(7)
     for _ in range(25):
         m = _random_exact(rng, int(rng.integers(1, 6)), int(rng.integers(1, 6)))
         r = rank(m)
@@ -58,7 +57,7 @@ def test_rank_adjoint_identities():
 
 
 def test_exact_and_float_rank_agree_on_small_integer_matrices():
-    rng = default_rng(13)
+    rng = np.random.default_rng(13)
     for _ in range(40):
         n = int(rng.integers(1, 9))
         c = int(rng.integers(1, 9))
@@ -69,7 +68,7 @@ def test_exact_and_float_rank_agree_on_small_integer_matrices():
 
 
 def test_determinant_against_oracle():
-    rng = default_rng(29)
+    rng = np.random.default_rng(29)
     for _ in range(20):
         n = int(rng.integers(1, 6))
         m = _random_exact(rng, n, n)
@@ -95,7 +94,7 @@ def test_nullspace_examples(hermitian_normal_pair_4x4):
 
 
 def test_nullspace_float_residual():
-    rng = default_rng(3)
+    rng = np.random.default_rng(3)
     m = Matrix.from_float(rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6)))
     basis = nullspace_basis(m)
     assert len(basis) == 2
@@ -113,7 +112,7 @@ def test_solve_examples():
 
 
 def test_solve_consistency_matches_rank_test():
-    rng = default_rng(37)
+    rng = np.random.default_rng(37)
     for _ in range(40):
         rows, cols = int(rng.integers(1, 5)), int(rng.integers(1, 5))
         a = _random_exact(rng, rows, cols, span=2)
@@ -158,7 +157,7 @@ def test_charpoly_examples():
 
 
 def test_charpoly_against_oracle():
-    rng = default_rng(41)
+    rng = np.random.default_rng(41)
     for _ in range(15):
         n = int(rng.integers(1, 5))
         m = _random_exact(rng, n, n, span=3)
@@ -168,7 +167,7 @@ def test_charpoly_against_oracle():
 
 
 def test_products_share_charpoly():
-    rng = default_rng(43)
+    rng = np.random.default_rng(43)
     for _ in range(10):
         a = _random_exact(rng, 4, 4, span=3)
         b = _random_exact(rng, 4, 4, span=3)
@@ -176,7 +175,7 @@ def test_products_share_charpoly():
 
 
 def test_charpoly_float_matches_exact():
-    rng = default_rng(47)
+    rng = np.random.default_rng(47)
     m = _random_exact(rng, 4, 4, span=2)
     exact = [complex(c) for c in characteristic_polynomial(m)]
     approx = characteristic_polynomial(m.to_float())
@@ -213,7 +212,7 @@ def _exact_float(z: sp.Expr) -> complex:
 def test_exact_kernel_against_oracle():
     """Rank-deficient and zero-size Gaussian-rational inputs, checked op by op
     against sympy; floats must match correctly rounded rationals bit for bit."""
-    rng = default_rng(61)
+    rng = np.random.default_rng(61)
     for trial in range(60):
         rows, cols = int(rng.integers(0, 6)), int(rng.integers(0, 6))
         k = int(rng.integers(0, min(rows, cols) + 1))

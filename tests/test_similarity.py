@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from abba import (
@@ -5,9 +6,11 @@ from abba import (
     HypothesisViolation,
     Matrix,
     ShapeError,
+    SimilarityCertificate,
     certificate_for,
     construct_similarity_psd_ep,
     decide_product_similarity,
+    decide_unitary_2x2,
     doubling_conjugator,
     doubling_product_similarity,
     find_intertwiner,
@@ -15,7 +18,9 @@ from abba import (
     intertwiner_space,
     is_normal,
     normal_doubling,
+    rank_one_normal_unitary,
     verify_certificate,
+    word_trace_screen,
 )
 from abba import generators as gen
 from abba.scalars import GQ
@@ -46,7 +51,7 @@ def test_decide_4x4_pair(hermitian_normal_pair_4x4):
 
 
 def test_decide_invertible_shortcut():
-    rng = gen.default_rng(3)
+    rng = np.random.default_rng(3)
     a = gen.rational_unitary(3, rng)
     b = _random_exact(rng, 3)
     v = decide_product_similarity(a, b)
@@ -54,15 +59,26 @@ def test_decide_invertible_shortcut():
 
 
 def test_decide_errors(nilpotent_pair):
+    """Every two-matrix entry point enforces the same operand contract:
+    square of one size first, then one backend."""
     a, _ = nilpotent_pair
-    with pytest.raises(ShapeError):
-        decide_product_similarity(a, Matrix.identity(3))
-    with pytest.raises(BackendError):
-        decide_product_similarity(a, Matrix.identity(2, "float"))
+    for entry in (decide_product_similarity, find_intertwiner, construct_similarity_psd_ep,
+                  doubling_product_similarity, word_trace_screen):
+        with pytest.raises(ShapeError, match="operands must be square and of equal size"):
+            entry(a, Matrix.identity(3))
+        with pytest.raises(ShapeError, match="operands must be square and of equal size"):
+            entry(a, Matrix.zeros(2, 3, "float"))
+        with pytest.raises(BackendError, match="operands must share a backend"):
+            entry(a, Matrix.identity(2, "float"))
+    # each of these checks one half of the contract itself first
+    with pytest.raises(BackendError, match="operands must share a backend"):
+        decide_unitary_2x2(a, Matrix.identity(2, "float"))
+    with pytest.raises(ShapeError, match="operands must be square and of equal size"):
+        rank_one_normal_unitary(a.to_float(), Matrix.identity(3, "float"))
 
 
 def test_verdict_similar_iff_sequences_equal():
-    rng = gen.default_rng(15)
+    rng = np.random.default_rng(15)
     for _ in range(25):
         n = int(rng.integers(1, 5))
         v = decide_product_similarity(_random_exact(rng, n, 2), _random_exact(rng, n, 2))
@@ -87,7 +103,7 @@ def test_find_intertwiner_none_for_4x4_products(hermitian_normal_pair_4x4):
 
 
 def test_find_intertwiner_hermitian_products():
-    rng = gen.default_rng(8)
+    rng = np.random.default_rng(8)
     for trial in range(10):
         n = int(rng.integers(2, 5))
         a = gen.rational_hermitian(n, rng)
@@ -105,7 +121,7 @@ def test_intertwiner_space_contains_commutant():
 
 
 def test_certificates_returned_are_always_sound():
-    rng = gen.default_rng(77)
+    rng = np.random.default_rng(77)
     for trial in range(10):
         n = int(rng.integers(2, 5))
         m1 = _random_exact(rng, n, 2)
@@ -116,10 +132,22 @@ def test_certificates_returned_are_always_sound():
 
 
 def test_verify_certificate_flags_singular_t():
-    m = Matrix.identity(2)
-    bogus = certificate_for(Matrix.zeros(2, 2), m, m)
-    chk = verify_certificate(bogus, m, m)
-    assert not chk.invertible and not chk.ok
+    for backend in ("exact", "float"):
+        m = Matrix.identity(2, backend)
+        bogus = certificate_for(Matrix.zeros(2, 2, backend), m, m)
+        chk = verify_certificate(bogus, m, m)
+        assert not chk.invertible and not chk.ok
+
+
+def test_verify_certificate_float_rejects_non_intertwiner():
+    # t = I intertwines m1 and m2 only if they are equal; these do not even commute
+    m1 = Matrix.from_float([[0.0, 1.0], [0.0, 0.0]])
+    m2 = Matrix.from_float([[0.0, 0.0], [1.0, 0.0]])
+    assert not (m1 @ m2 == m2 @ m1)
+    chk = verify_certificate(SimilarityCertificate(t=Matrix.identity(2, "float"), residual=0.0),
+                             m1, m2)
+    assert chk.invertible and chk.condition == 1.0
+    assert chk.residual == pytest.approx(1.0) and not chk.ok
 
 
 def test_identity_certificate_on_commuting_pair():
@@ -133,7 +161,7 @@ def test_identity_certificate_on_commuting_pair():
 
 
 def test_construct_identity_a():
-    rng = gen.default_rng(5)
+    rng = np.random.default_rng(5)
     b = gen.random_normal(4, rng)
     cert = construct_similarity_psd_ep(Matrix.identity(4, "float"), b)
     assert cert.residual <= 1e-12
@@ -158,7 +186,7 @@ def test_construct_hand_checked_2x2():
 
 
 def test_construct_random_psd_normal_float():
-    rng = gen.default_rng(100)
+    rng = np.random.default_rng(100)
     a = gen.random_psd(4, rng, rank=3)
     b = gen.random_normal(4, rng, rank=2)
     cert = construct_similarity_psd_ep(a, b)
@@ -183,7 +211,7 @@ def test_construct_rejects_bad_hypotheses():
 
 
 def test_construct_extreme_ranks_float():
-    rng = gen.default_rng(321)
+    rng = np.random.default_rng(321)
     a = gen.random_psd(4, rng, rank=2)
     zero = Matrix.zeros(4, 4, "float")
     cert = construct_similarity_psd_ep(a, zero)
@@ -208,7 +236,7 @@ def test_hermitian_parts():
 
 
 def test_hermitian_parts_reconstruct():
-    rng = gen.default_rng(54)
+    rng = np.random.default_rng(54)
     x = _random_exact(rng, 3)
     h, k = hermitian_parts(x)
     assert h + k * GQ(0, 1) == x
@@ -227,7 +255,7 @@ def test_normal_doubling_of_hermitian():
 
 
 def test_normal_doubling_always_normal():
-    rng = gen.default_rng(59)
+    rng = np.random.default_rng(59)
     for _ in range(5):
         x = _random_exact(rng, 3)
         assert is_normal(normal_doubling(x))
@@ -245,13 +273,13 @@ def test_doubling_similarity_trivial_cases():
     one = Matrix.exact([[(2, 5)]])
     cert = doubling_product_similarity(one, Matrix.exact([[(-1, 3)]]), seed=0)
     assert cert.residual == 0.0
-    x = _random_exact(gen.default_rng(61), 2)
+    x = _random_exact(np.random.default_rng(61), 2)
     cert2 = doubling_product_similarity(x, x, seed=0)
     assert cert2.residual == 0.0
 
 
 def test_doubling_similarity_random_pairs():
-    rng = gen.default_rng(62)
+    rng = np.random.default_rng(62)
     x = _random_exact(rng, 2)
     y = _random_exact(rng, 2)
     cert = doubling_product_similarity(x, y, seed=3)

@@ -79,7 +79,7 @@ def test_screen_transpose_fixture(transpose_matrix):
 
 
 def test_unitary_conjugates_indistinguishable():
-    rng = gen.default_rng(71)
+    rng = np.random.default_rng(71)
     for _ in range(10):
         n = int(rng.integers(2, 6))
         m = Matrix.from_float(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
@@ -89,7 +89,7 @@ def test_unitary_conjugates_indistinguishable():
 
 
 def test_decide_unitary_2x2():
-    rng = gen.default_rng(73)
+    rng = np.random.default_rng(73)
     for _ in range(40):
         a = gen.random_normal(2, rng)
         b = gen.random_normal(2, rng)
@@ -125,8 +125,24 @@ def test_extend_isometry_gram_mismatch():
         extend_isometry_to_unitary([e1], [doubled])
 
 
+def test_extend_isometry_dependent_domain():
+    """Repeated and combined domain vectors are dependent prescriptions: the
+    rank cutoff drops them, and the mapping check still covers them."""
+    rng = np.random.default_rng(139)
+    for n in (2, 3, 5):
+        w = gen.random_unitary(n, rng).array
+        v1 = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
+        v2 = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
+        vecs = [v1, v1, v2, (1 - 2j) * v1 + v2] if n > 2 else [v1, v1]
+        u = extend_isometry_to_unitary([Matrix.from_float(v) for v in vecs],
+                                       [Matrix.from_float(w @ v) for v in vecs])
+        assert np.allclose(u.array.conj().T @ u.array, np.eye(n), atol=1e-12)
+        for v in vecs:
+            assert np.allclose(u.array @ v, w @ v, atol=1e-10)
+
+
 def test_extend_isometry_on_proof_pair():
-    rng = gen.default_rng(79)
+    rng = np.random.default_rng(79)
     for _ in range(10):
         n = int(rng.integers(2, 6))
         b = gen.random_normal(n, rng, rank=n)
@@ -158,7 +174,7 @@ def test_rank_one_swap_case():
 
 
 def test_rank_one_random_pairs():
-    rng = gen.default_rng(83)
+    rng = np.random.default_rng(83)
     for _ in range(25):
         n = int(rng.integers(2, 6))
         a = gen.random_rank_one_normal(n, rng)
@@ -182,7 +198,7 @@ def test_rank_one_parallel_degenerate_case():
 
 
 def test_rank_one_unitary_b():
-    rng = gen.default_rng(89)
+    rng = np.random.default_rng(89)
     a = gen.random_rank_one_normal(4, rng)
     b = gen.random_unitary(4, rng)
     u = rank_one_normal_unitary(a, b)
@@ -191,7 +207,7 @@ def test_rank_one_unitary_b():
 
 
 def test_rank_one_hypothesis_checks():
-    rng = gen.default_rng(97)
+    rng = np.random.default_rng(97)
     with pytest.raises(BackendError):
         rank_one_normal_unitary(Matrix.identity(2), Matrix.identity(2))
     with pytest.raises(HypothesisViolation):
@@ -216,7 +232,7 @@ def test_similar_to_transpose(transpose_matrix):
 def test_every_matrix_is_similar_to_its_transpose():
     from abba import find_intertwiner
 
-    rng = gen.default_rng(131)
+    rng = np.random.default_rng(131)
     for trial in range(200):
         n = int(rng.integers(1, 6))
         m = Matrix.from_float(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
