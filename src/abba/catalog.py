@@ -30,7 +30,11 @@ from .similarity import (
 )
 from .unitary import word_trace_screen
 
-FAMILIES = ("normal", "hermitian", "psd", "ep", "zero-one-normal")
+# family -> generator name; _draw looks the name up in `generators` at call
+# time, so a profiler that rebinds module attributes still sees each draw
+_GENERATORS = {"normal": "rational_normal", "hermitian": "rational_hermitian",
+               "psd": "rational_psd", "ep": "rational_ep", "zero-one-normal": "zero_one_normal"}
+FAMILIES = tuple(_GENERATORS)
 
 
 @dataclass(frozen=True)
@@ -87,9 +91,8 @@ def catalog() -> list[Fixture]:
         n = x.rows
         h, k = hermitian_parts(x)
         lhs = ww @ normal_doubling(x) @ ww.adjoint()  # w w* = 2 I
-        four_i = GQ(0, 4) if backend == EXACT else 4j
         zero = Matrix.zeros(n, n, backend)
-        rhs = block([[h * 4, zero], [zero, k * four_i]])
+        rhs = block([[h * 4, zero], [zero, k * GQ(0, 4)]])
         return _close(lhs, rhs)
 
     return [
@@ -223,17 +226,7 @@ class Finding:
 
 
 def _draw(family: str, n: int, rng, rank_: int | None) -> Matrix:
-    if family == "normal":
-        return gen.rational_normal(n, rng, rank=rank_)
-    if family == "hermitian":
-        return gen.rational_hermitian(n, rng, rank=rank_)
-    if family == "psd":
-        return gen.rational_psd(n, rng, rank=rank_)
-    if family == "ep":
-        return gen.rational_ep(n, rng, rank=rank_)
-    if family == "zero-one-normal":
-        return gen.zero_one_normal(n, rng, rank=rank_)
-    raise ValueError(family)
+    return getattr(gen, _GENERATORS[family])(n, rng, rank=rank_)
 
 
 def search_counterexample(

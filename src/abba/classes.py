@@ -1,9 +1,12 @@
 """Structural predicates (Hermitian, normal, PSD, EP) with witnesses.
 
-The EP test is rank([m | m*]) = rank(m), which works on both backends.
-The exact PSD test reads signs of principal-minor sums off the
-characteristic polynomial instead of computing (generally irrational)
-eigenvalues.
+Each rule has one owner, read by the predicates, by :func:`classify` and
+by :func:`ep_decomposition` alike.  ``_ep_ranks`` owns the EP test
+rank([m | m*]) = rank(m), which works on both backends.  ``_psd_violation``
+owns the PSD rule for a Hermitian matrix: the exact backend reads signs of
+principal-minor sums off the characteristic polynomial instead of computing
+(generally irrational) eigenvalues; the float backend compares the least
+eigenvalue with the residual tolerance.
 """
 
 from __future__ import annotations
@@ -45,28 +48,45 @@ def is_normal(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> bool:
     return d.frobenius() <= tol.residual_tol * scale
 
 
-def is_psd(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> bool:
-    if not is_hermitian(m, tol):
-        return False
+def _psd_violation(m: Matrix, tol: TolerancePolicy) -> int | float | None:
+    """None when the Hermitian matrix m is PSD, else the witness: the order of
+    the first principal-minor sum that is not a nonnegative real (exact), or
+    the least eigenvalue of the Hermitian part (float)."""
     if m.backend == EXACT:
         sums = principal_minor_sums(m)
-        return all(e.im == 0 and e.re >= 0 for e in sums)
-    h = hermitian_real_part(m)
-    eigs = np.linalg.eigvalsh(h.array)
-    return bool(eigs.size == 0 or eigs[0] >= -tol.residual_tol * m.frobenius())
+        return next((k for k, e in enumerate(sums) if e.im != 0 or e.re < 0), None)
+    eigs = np.linalg.eigvalsh(hermitian_real_part(m).array)
+    if eigs.size == 0 or eigs[0] >= -tol.residual_tol * m.frobenius():
+        return None
+    return float(eigs[0])
+
+
+def is_psd(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> bool:
+    return is_hermitian(m, tol) and _psd_violation(m, tol) is None
+
+
+def _ep_ranks(m: Matrix, tol: TolerancePolicy) -> tuple[int, int]:
+    """(rank(m), rank([m | m*])); m is EP exactly when the two agree."""
+    if not m.is_square:
+        raise ShapeError("predicate requires a square matrix")
+    return rank(m, tol), rank(hstack([m, m.adjoint()]), tol)
 
 
 def is_ep(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> bool:
     """range(m) = range(m*), tested as rank([m | m*]) = rank(m)."""
-    if not m.is_square:
-        raise ShapeError("predicate requires a square matrix")
-    return rank(hstack([m, m.adjoint()]), tol) == rank(m, tol)
+    r, r_joint = _ep_ranks(m, tol)
+    return r == r_joint
 
 
 def realpart_psd_same_rank(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> bool:
     """(m + m*)/2 is PSD and has the same rank as m."""
+    return _realpart_psd_rank(m, None, tol)
+
+
+def _realpart_psd_rank(m: Matrix, r: int | None, tol: TolerancePolicy) -> bool:
+    """realpart_psd_same_rank, taking rank(m) = r when the caller has it."""
     h = hermitian_real_part(m)
-    return is_psd(h, tol) and rank(h, tol) == rank(m, tol)
+    return is_psd(h, tol) and rank(h, tol) == (rank(m, tol) if r is None else r)
 
 
 @dataclass(frozen=True)
@@ -95,75 +115,49 @@ def _normality_witness(m: Matrix) -> dict:
     """A vector v with ||m v|| != ||m* v||, encoded entrywise as strings."""
     d = m.adjoint() @ m - m @ m.adjoint()  # v* d v = ||m v||^2 - ||m* v||^2
     n = m.rows
-    best_v = None
-    best_gap = None
-    best_size = 0.0
 
-    def consider(v: Matrix):
-        nonlocal best_v, best_gap, best_size
-        gap = (v.adjoint() @ d @ v)[0, 0]
-        size = abs(complex(gap))
-        if best_v is None or size > best_size:
-            best_v, best_gap, best_size = v, gap, size
-
-    def basis_vector(j, extra=None):
+    def basis_vector(j, k=None):  # e_j, plus conj(d[j, k]) in entry k
         e = [[0] for _ in range(n)]
         e[j][0] = 1
-        if extra is not None:
-            k, w = extra
-            e[k][0] = w
+        if k is not None:
+            e[k][0] = d[j, k].conjugate()
         return Matrix.exact(e) if m.backend == EXACT else Matrix.from_float(e)
 
-    for j in range(n):
-        consider(basis_vector(j))
-    for j in range(n):
-        for k in range(j + 1, n):
-            w = d[j, k]
-            if not w:
-                continue
-            consider(basis_vector(j, extra=(k, w.conjugate())))
-    if best_v is None or best_size == 0:
+    candidates = [basis_vector(j) for j in range(n)] + [
+        basis_vector(j, k) for j in range(n) for k in range(j + 1, n) if d[j, k]
+    ]
+    # max keeps the first of equal gaps
+    gap, v = max((((v.adjoint() @ d @ v)[0, 0], v) for v in candidates),
+                 key=lambda pair: abs(complex(pair[0])))
+    if not gap:
         return {}
-    return {
-        "vector": [str(best_v[i, 0]) for i in range(best_v.rows)],
-        "norm_gap_sq": str(best_gap),
-    }
+    return {"vector": [str(v[i, 0]) for i in range(v.rows)], "norm_gap_sq": str(gap)}
 
 
 def classify(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> ClassReport:
     """Evaluate every predicate and attach witnesses for the failures."""
     herm = is_hermitian(m, tol)
     norm = is_normal(m, tol)
-    psd = is_psd(m, tol)
-    ep = is_ep(m, tol)
-    rp = realpart_psd_same_rank(m, tol)
-    r = rank(m, tol)
+    psd_violation = _psd_violation(m, tol) if herm else None
+    r, r_joint = _ep_ranks(m, tol)
     witnesses: dict = {}
     if not herm:
-        for i in range(m.rows):
-            for j in range(m.cols):
-                if m[i, j] != m[j, i].conjugate():
-                    witnesses["hermitian_violation"] = [i, j]
-                    break
-            if "hermitian_violation" in witnesses:
-                break
+        witnesses["hermitian_violation"] = next(
+            [i, j] for i in range(m.rows) for j in range(m.cols)
+            if m[i, j] != m[j, i].conjugate()
+        )
     if not norm:
         w = _normality_witness(m)
         if w:
             witnesses["normality_violation"] = w
-    if herm and not psd:
-        if m.backend == EXACT:
-            sums = principal_minor_sums(m)
-            k = next(i for i, e in enumerate(sums) if e.im != 0 or e.re < 0)
-            witnesses["negative_minor_sum_order"] = k
-        else:
-            h = hermitian_real_part(m)
-            witnesses["min_eigenvalue"] = float(np.linalg.eigvalsh(h.array)[0])
-    if not ep:
-        witnesses["range_adjoint_rank"] = rank(hstack([m, m.adjoint()]), tol)
+    if psd_violation is not None:
+        key = "negative_minor_sum_order" if m.backend == EXACT else "min_eigenvalue"
+        witnesses[key] = psd_violation
+    if r_joint != r:
+        witnesses["range_adjoint_rank"] = r_joint
     return ClassReport(
-        hermitian=herm, normal=norm, psd=psd, ep=ep,
-        realpart_psd_same_rank=rp, rank=r, witnesses=witnesses,
+        hermitian=herm, normal=norm, psd=herm and psd_violation is None, ep=r == r_joint,
+        realpart_psd_same_rank=_realpart_psd_rank(m, r, tol), rank=r, witnesses=witnesses,
     )
 
 
@@ -192,13 +186,11 @@ def ep_decomposition(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> EPD
     inputs already in block form (leading block of size rank(m), zero
     elsewhere, hence invertible), since unitary alignment needs square roots.
     """
-    if not m.is_square:
-        raise ShapeError("decomposition requires a square matrix")
-    n = m.rows
-    r = rank(m, tol)
-    if rank(hstack([m, m.adjoint()]), tol) != r:
+    r, r_joint = _ep_ranks(m, tol)
+    if r_joint != r:
         raise HypothesisViolation("matrix is not EP (range differs from adjoint range)")
     if m.backend == EXACT:
+        n = m.rows
         lead = m.block(0, r, 0, r)
         if not (m.block(0, r, r, n).is_zero() and m.block(r, n, 0, n).is_zero()):
             raise BackendError(

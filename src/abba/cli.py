@@ -16,13 +16,7 @@ from pathlib import Path
 
 from .catalog import FAMILIES, SearchSpec, catalog, get_fixture, search_counterexample
 from .classes import classify
-from .errors import (
-    BackendError,
-    HypothesisViolation,
-    IntertwinerNotFound,
-    MatrixFormatError,
-    ShapeError,
-)
+from .errors import BackendError, HypothesisViolation, IntertwinerNotFound, MatrixFormatError
 from .matio import dump_matrix, load_matrix, save_matrix
 from .matrix import Matrix
 from .rankseq import rank_sequence
@@ -36,15 +30,7 @@ from .unitary import decide_unitary_2x2, word_trace_screen
 
 SCHEMA_VERSION = 1
 
-_USAGE_ERRORS = (
-    MatrixFormatError,
-    ShapeError,
-    BackendError,
-    HypothesisViolation,
-    ValueError,
-    KeyError,
-    OSError,
-)
+_USAGE_ERRORS = (ValueError, KeyError, OSError)  # the abba input errors subclass ValueError
 
 
 def _policy(args) -> TolerancePolicy:

@@ -6,13 +6,14 @@ Document shape:
      "entries": [[[re, im], ...], ...]}
 
 Entries are row-major; re/im are strings.  The exact backend accepts
-integers and fractions ("p", "-p/q"); the float backend accepts decimal
-literals.
+integers and fractions ("p", "-p/q", q > 0); the float backend accepts
+finite decimal literals.  JSON true/false are not numbers here.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -21,28 +22,27 @@ from .errors import MatrixFormatError
 from .matrix import EXACT, FLOAT, Matrix
 from .scalars import GQ
 
-_EXACT_RE = re.compile(r"^-?\d+(/\d+)?$")
+_EXACT_RE = re.compile(r"^-?\d+(/0*[1-9]\d*)?$")
 
 
 def _parse_exact_part(s) -> Fraction:
-    if isinstance(s, int):
+    if type(s) is int:  # JSON true/false are not integers
         return Fraction(s)
     if not isinstance(s, str) or not _EXACT_RE.match(s.strip()):
-        raise MatrixFormatError(f"exact entries must look like 'p' or 'p/q', got {s!r}")
+        raise MatrixFormatError(f"exact entries must look like 'p' or 'p/q' with q > 0, got {s!r}")
     return Fraction(s.strip())
 
 
 def _parse_float_part(s) -> float:
-    if isinstance(s, bool):
+    if isinstance(s, bool) or not isinstance(s, (int, float, str)):
         raise MatrixFormatError(f"not a number: {s!r}")
-    if isinstance(s, (int, float)):
-        return float(s)
-    if isinstance(s, str):
-        try:
-            return float(s)
-        except ValueError:
-            raise MatrixFormatError(f"not a decimal literal: {s!r}") from None
-    raise MatrixFormatError(f"not a number: {s!r}")
+    try:
+        x = float(s)
+    except (ValueError, OverflowError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise MatrixFormatError(f"not a finite decimal literal: {s!r}")
+    return x
 
 
 def parse_matrix(doc: dict) -> Matrix:
@@ -52,7 +52,7 @@ def parse_matrix(doc: dict) -> Matrix:
     if scalar not in (EXACT, FLOAT):
         raise MatrixFormatError(f"scalar tag must be 'exact' or 'float', got {scalar!r}")
     rows, cols = doc.get("rows"), doc.get("cols")
-    if not (isinstance(rows, int) and isinstance(cols, int) and rows >= 1 and cols >= 1):
+    if not (type(rows) is int and type(cols) is int and rows >= 1 and cols >= 1):
         raise MatrixFormatError("rows and cols must be positive integers")
     entries = doc.get("entries")
     if not isinstance(entries, list) or len(entries) != rows:

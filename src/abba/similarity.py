@@ -99,9 +99,7 @@ def _relative_residual(t: Matrix, m1: Matrix, m2: Matrix) -> float:
     return diff.frobenius() / denom
 
 
-def certificate_for(
-    t: Matrix, m1: Matrix, m2: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE
-) -> SimilarityCertificate:
+def certificate_for(t: Matrix, m1: Matrix, m2: Matrix) -> SimilarityCertificate:
     """Package t as a certificate for t M1 = M2 t, computing the evidence."""
     residual = _relative_residual(t, m1, m2)
     if t.backend == EXACT:
@@ -130,7 +128,7 @@ def verify_certificate(
     cert: SimilarityCertificate, m1: Matrix, m2: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE
 ) -> CertificateCheck:
     """Recompute residual and invertibility evidence for cert.t from scratch."""
-    fresh = certificate_for(cert.t, m1, m2, tol)
+    fresh = certificate_for(cert.t, m1, m2)
     return CertificateCheck(
         residual=fresh.residual, invertible=_invertible(fresh, tol),
         ok=certificate_valid(fresh, tol), det=fresh.det, condition=fresh.condition,
@@ -194,7 +192,7 @@ def find_intertwiner(
     k = max(9, n)
     for _ in range(attempts):
         if m1.backend == EXACT:
-            coeffs = [GQ(int(c)) for c in rng.integers(-k, k + 1, size=len(basis))]
+            coeffs = [int(c) for c in rng.integers(-k, k + 1, size=len(basis))]
         else:
             coeffs = list(rng.standard_normal(len(basis)))
         t = Matrix.zeros(n, n, m1.backend)
@@ -202,7 +200,7 @@ def find_intertwiner(
             t = t + s * c
         if t.is_zero():
             continue
-        cert = certificate_for(t, m1, m2, tol)
+        cert = certificate_for(t, m1, m2)
         if certificate_valid(cert, tol):
             return cert
     return None
@@ -243,7 +241,7 @@ def construct_similarity_psd_ep(
     eye = Matrix.identity(n - r, a.backend)
     s = block([[c + x @ y.adjoint(), -x], [-y.adjoint(), eye]])
     t = v @ s @ v.adjoint()
-    cert = certificate_for(t, a @ b, b @ a, tol)
+    cert = certificate_for(t, a @ b, b @ a)
     if not certificate_valid(cert, tol):
         raise HypothesisViolation(
             f"constructed transform failed verification (residual {cert.residual:.3g})"
@@ -255,12 +253,7 @@ def hermitian_parts(x: Matrix) -> tuple[Matrix, Matrix]:
     """(h, k) Hermitian with x = h + i k."""
     if not x.is_square:
         raise ShapeError("hermitian parts of a non-square matrix")
-    diff = x - x.adjoint()
-    if x.backend == EXACT:
-        k = diff * GQ(0, Fraction(-1, 2))
-    else:
-        k = diff * complex(0, -0.5)
-    return hermitian_real_part(x), k
+    return hermitian_real_part(x), (x - x.adjoint()) * GQ(0, Fraction(-1, 2))
 
 
 def normal_doubling(x: Matrix) -> Matrix:
@@ -306,7 +299,7 @@ def doubling_product_similarity(
     t = (w.adjoint() * Fraction(1, 2)) @ t_blocks @ w  # w w* = 2 I
     phi_x = normal_doubling(x)
     phi_y = normal_doubling(y)
-    cert = certificate_for(t, phi_x @ phi_y, phi_y @ phi_x, tol)
+    cert = certificate_for(t, phi_x @ phi_y, phi_y @ phi_x)
     if not certificate_valid(cert, tol):
         raise IntertwinerNotFound(
             f"assembled doubling intertwiner failed verification (residual {cert.residual:.3g})"

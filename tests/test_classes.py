@@ -98,6 +98,16 @@ def test_predicate_implication_chain():
         pool.append(rational_psd(n, rng))
         pool.append(random_normal(n, rng))
         pool.append(random_psd(n, rng))
+    # non-normal and non-EP members, so every witness kind occurs
+    rng = np.random.default_rng(18)
+    for _ in range(6):
+        n = int(rng.integers(2, 5))
+        low = rng.integers(-2, 3, size=(n, 1)) @ rng.integers(-2, 3, size=(1, n))
+        pool.append(Matrix.exact(low.tolist()))
+        pool.append(Matrix.from_float(low + 1j * np.triu(rng.standard_normal((n, n)), 1)))
+    swap = Matrix.exact([[0, 1], [1, 0]])
+    pool += [J2, J2.to_float(), swap, swap.to_float()]
+    kinds = set()
     for m in pool:
         rep = classify(m)
         if rep.psd:
@@ -106,6 +116,19 @@ def test_predicate_implication_chain():
             assert rep.normal
         if rep.normal:
             assert rep.ep
+        assert rep.ep == is_ep(m) and rep.psd == is_psd(m) and rep.rank == rank(m)
+        assert rep.realpart_psd_same_rank == realpart_psd_same_rank(m)
+        w = rep.witnesses
+        kinds.update(w)
+        assert ("hermitian_violation" in w) == (not rep.hermitian)
+        assert ("normality_violation" in w) == (not rep.normal)
+        sign_key = "negative_minor_sum_order" if m.backend == "exact" else "min_eigenvalue"
+        assert (sign_key in w) == (rep.hermitian and not rep.psd)
+        assert ("range_adjoint_rank" in w) == (not rep.ep)
+        assert len(w) == sum(not f for f in (rep.hermitian, rep.normal, rep.ep)) + (
+            rep.hermitian and not rep.psd)
+    assert kinds == {"hermitian_violation", "normality_violation", "negative_minor_sum_order",
+                     "min_eigenvalue", "range_adjoint_rank"}
 
 
 def test_normal_implies_ep_500():
@@ -123,6 +146,18 @@ def test_classify_witnesses():
     assert rep.witnesses["range_adjoint_rank"] == 2
     neg = classify(Matrix.exact([[0, 1], [1, 0]]))
     assert neg.witnesses["negative_minor_sum_order"] == 2
+
+
+def test_classify_float_min_eigenvalue_witness():
+    u = random_unitary(3, np.random.default_rng(5))
+    m = u @ Matrix.from_float(np.diag([2.0, -0.5, 1.0])) @ u.adjoint()
+    rep = classify(m)
+    assert rep.hermitian and not rep.psd
+    assert abs(rep.witnesses["min_eigenvalue"] + 0.5) < 1e-12
+    assert "negative_minor_sum_order" not in rep.witnesses
+    # within the residual tolerance: PSD, no witness
+    tiny = classify(Matrix.from_float(np.diag([1.0, -1e-20])))
+    assert tiny.psd and "min_eigenvalue" not in tiny.witnesses
 
 
 def test_normality_witness_detects_gap():

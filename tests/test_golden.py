@@ -18,7 +18,7 @@ import pytest
 
 from abba import Matrix, catalog, realize_rank_sequence, save_matrix
 from abba.cli import main
-from abba.generators import rational_hermitian, rational_psd, rational_unitary
+from abba.generators import random_unitary, rational_hermitian, rational_psd, rational_unitary
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 INPUTS = GOLDEN / "inputs"
@@ -37,6 +37,8 @@ CASES = {
                                      "hermitian-normal-4x4__ba.json"],
     "rankseq-rational-4": ["rankseq", "rational-4.json"],
     "classify-rational-4": ["classify", "rational-4.json"],
+    "classify-float-hermitian-3": ["classify", "float-hermitian-3.json"],
+    "classify-float-nilpotent-3": ["classify", "float-nilpotent-3.json"],
 }
 
 
@@ -51,8 +53,10 @@ def test_report_bytes_match_golden(case, capsys, monkeypatch):
 
 def write_inputs() -> None:
     """The input files: catalog pairs and their hermitian-normal-4x4
-    products, seeded exact Hermitian pairs, a PSD x EP pair, and a
-    Cayley conjugate of I_1 + J_3 whose entries have non-unit denominators."""
+    products, seeded exact Hermitian pairs, a PSD x EP pair, a Cayley
+    conjugate of I_1 + J_3 whose entries have non-unit denominators, and
+    two float matrices for classify: an indefinite Hermitian one and a
+    unitary conjugate of J_3, which is neither normal nor EP."""
     INPUTS.mkdir(parents=True, exist_ok=True)
     fixtures = {f.name: f.matrices for f in catalog()}
     for name in PAIRS[:3]:
@@ -74,6 +78,12 @@ def write_inputs() -> None:
     m = u @ realize_rank_sequence((4, 3, 2, 1)) @ u.adjoint()
     assert any(m[i, j].re.denominator > 1 for i in range(4) for j in range(4))
     save_matrix(m, INPUTS / "rational-4.json")
+    u = random_unitary(3, np.random.default_rng(7))
+    h = u @ Matrix.from_float(np.diag([2.5, -1.25, 0.5])) @ u.adjoint()
+    save_matrix(h, INPUTS / "float-hermitian-3.json")
+    u = random_unitary(3, np.random.default_rng(8))
+    save_matrix(u @ realize_rank_sequence((3, 2, 1, 0)).to_float() @ u.adjoint(),
+                INPUTS / "float-nilpotent-3.json")
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from abba import Matrix, MatrixFormatError, dump_matrix, load_matrix, parse_matrix, save_matrix
+from abba.cli import main
 
 
 def test_exact_round_trip(tmp_path):
@@ -54,6 +55,37 @@ def test_parse_rejects_non_numeric_float():
     doc = {"scalar": "float", "rows": 1, "cols": 1, "entries": [[["abc", "0"]]]}
     with pytest.raises(MatrixFormatError):
         parse_matrix(doc)
+
+
+def _one_entry(scalar, re_part, rows="1"):
+    return f'{{"scalar": "{scalar}", "rows": {rows}, "cols": 1, "entries": [[[{re_part}, "0"]]]}}'
+
+
+MALFORMED = {
+    "zero-denominator": _one_entry("exact", '"1/0"'),
+    "zero-denominator-00": _one_entry("exact", '"1/00"'),
+    "json-true-entry": _one_entry("exact", "true"),
+    "json-true-rows": _one_entry("exact", '"1"', rows="true"),
+    "float-nan-string": _one_entry("float", '"nan"'),
+    "float-inf-string": _one_entry("float", '"inf"'),
+    "float-json-nan": _one_entry("float", "NaN"),
+    "float-int-overflow": _one_entry("float", "1" + "0" * 400),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_is_format_error_and_exit_2(case, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(MALFORMED[case])
+    with pytest.raises(MatrixFormatError):
+        load_matrix(path)
+    assert main(["classify", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("abba: error: ")
+
+
+def test_parse_accepts_padded_denominator():
+    doc = {"scalar": "exact", "rows": 1, "cols": 1, "entries": [[["3/010", "-1/2"]]]}
+    assert parse_matrix(doc) == Matrix.exact([[("3/10", "-1/2")]])
 
 
 def test_load_rejects_invalid_json(tmp_path):
