@@ -155,9 +155,11 @@ def classify(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> ClassReport
         witnesses[key] = psd_violation
     if r_joint != r:
         witnesses["range_adjoint_rank"] = r_joint
+    psd = herm and psd_violation is None
     return ClassReport(
-        hermitian=herm, normal=norm, psd=herm and psd_violation is None, ep=r == r_joint,
-        realpart_psd_same_rank=_realpart_psd_rank(m, r, tol), rank=r, witnesses=witnesses,
+        hermitian=herm, normal=norm, psd=psd, ep=r == r_joint, rank=r, witnesses=witnesses,
+        # an exact Hermitian m is its own real part, already tested for PSD
+        realpart_psd_same_rank=psd if herm and m.backend == EXACT else _realpart_psd_rank(m, r, tol),
     )
 
 

@@ -91,12 +91,12 @@ def dump_matrix(m: Matrix) -> dict:
 
 
 def load_matrix(path) -> Matrix:
-    text = Path(path).read_text()
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MatrixFormatError(f"{path}: invalid JSON ({exc})") from None
-    return parse_matrix(doc)
+        return parse_matrix(json.loads(Path(path).read_text()))
+    except MatrixFormatError:
+        raise
+    except ValueError as exc:  # not UTF-8 or JSON, or a number past Python's int-string digit limit
+        raise MatrixFormatError(f"{path}: unreadable matrix file ({exc})") from None
 
 
 def save_matrix(m: Matrix, path) -> None:

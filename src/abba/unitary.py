@@ -4,10 +4,15 @@ Trace words are invariant under unitary similarity, so a differing word
 trace proves the matrices are not unitarily similar.  The screen is
 one-sided for n >= 3: "indistinguishable" is inconclusive there, while
 for n = 2 the triple (tr X, tr X^2, tr X*X) is a complete invariant.
+
+Words that are rotations of each other or of each other's adjoint (the
+word reversed, x and x* swapped) form a class whose traces are equal or
+conjugate, so the screen evaluates one word per class, on a prefix tree.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -54,15 +59,24 @@ class TraceWord:
 DEGREE_SIX_PROBE = TraceWord(("x*", "x", "x", "x*", "x*", "x"))
 
 
-def trace_word(m: Matrix, w: TraceWord):
-    """Trace of the word with x = m and x* = adjoint(m)."""
+def _word_products(m: Matrix):
+    """Memoized letters -> word product (x = m, x* = m*), left to right from I."""
     if not m.is_square:
         raise ShapeError("trace words require a square matrix")
-    adj = m.adjoint()
-    prod = Matrix.identity(m.rows, m.backend)
-    for letter in w.letters:
-        prod = prod @ (m if letter == "x" else adj)
-    return prod.trace()
+    factor = {"x": m, "x*": m.adjoint()}
+    memo = {(): Matrix.identity(m.rows, m.backend)}
+
+    def product(letters: tuple[str, ...]) -> Matrix:
+        if letters not in memo:
+            memo[letters] = product(letters[:-1]) @ factor[letters[-1]]
+        return memo[letters]
+
+    return product
+
+
+def trace_word(m: Matrix, w: TraceWord):
+    """Trace of the word with x = m and x* = adjoint(m)."""
+    return _word_products(m)(w.letters).trace()
 
 
 @dataclass(frozen=True)
@@ -86,10 +100,19 @@ class WordTraceReport:
         }
 
 
-def _words_in_canonical_order(max_len: int):
+@functools.lru_cache(maxsize=8)
+def _screen_words(max_len: int) -> tuple[TraceWord, ...]:
+    """The smallest word of each rotation/adjoint class up to max_len, shortest
+    first, lexicographically with x before x*; then the probe if max_len < 6."""
+    words = []
     for length in range(1, max_len + 1):
-        for letters in itertools.product(_LETTERS, repeat=length):
-            yield TraceWord(letters)
+        for w in itertools.product(_LETTERS, repeat=length):
+            adj = tuple("x*" if l == "x" else "x" for l in reversed(w))
+            if all(w <= v[k:] + v[:k] for v in (w, adj) for k in range(length)):
+                words.append(TraceWord(w))
+    if max_len < len(DEGREE_SIX_PROBE):
+        words.append(DEGREE_SIX_PROBE)
+    return tuple(words)
 
 
 def _traces_differ(t1, t2, backend: str, tol: TolerancePolicy) -> bool:
@@ -108,16 +131,16 @@ def word_trace_screen(
     """Compare traces of all words up to max_len (plus the degree-6 probe).
 
     Words are tried shortest first, lexicographically with x before x*;
-    the first differing word is reported.  "Distinguished" proves the
-    matrices are not unitarily similar; the converse holds only for 2x2.
+    the first differing word is reported.  Traces differ on a whole
+    rotation/adjoint class or on none of it, so only the smallest word of
+    each class is evaluated, and that is the word reported.  "Distinguished"
+    proves the matrices are not unitarily similar; the converse holds only
+    for 2x2.
     """
     m1._check_operand_pair(m2)
-    words = list(_words_in_canonical_order(max_len))
-    if max_len < len(DEGREE_SIX_PROBE):
-        words.append(DEGREE_SIX_PROBE)
-    for w in words:
-        t1 = trace_word(m1, w)
-        t2 = trace_word(m2, w)
+    products1, products2 = _word_products(m1), _word_products(m2)
+    for w in _screen_words(max_len):
+        t1, t2 = products1(w.letters).trace(), products2(w.letters).trace()
         if _traces_differ(t1, t2, m1.backend, tol):
             return WordTraceReport(distinguished=True, max_len=max_len, word=w, traces=(t1, t2))
     return WordTraceReport(distinguished=False, max_len=max_len)

@@ -25,6 +25,7 @@ from abba.generators import (
     rational_normal,
     rational_psd,
 )
+from abba.linalg import principal_minor_sums
 
 from .oracle import oracle_eigenvalues, to_sympy
 
@@ -146,6 +147,33 @@ def test_classify_witnesses():
     assert rep.witnesses["range_adjoint_rank"] == 2
     neg = classify(Matrix.exact([[0, 1], [1, 0]]))
     assert neg.witnesses["negative_minor_sum_order"] == 2
+
+
+def test_classify_exact_hermitian_reads_minor_sums_once(monkeypatch):
+    """An exact Hermitian matrix is its own real part: classify reads its
+    principal-minor sums once and agrees with the separate predicates."""
+    from abba import classes
+
+    calls = []
+
+    def counted(m):
+        calls.append(m.shape)
+        return principal_minor_sums(m)
+
+    rng = np.random.default_rng(151)
+    pool = [rational_psd(3, rng), rational_psd(4, rng, rank=2), rational_hermitian(3, rng),
+            rational_hermitian(4, rng, rank=2), Matrix.exact([[0, 1], [1, 0]]), -rational_psd(2, rng)]
+    monkeypatch.setattr(classes, "principal_minor_sums", counted)
+    reports = []
+    for m in pool:
+        calls.clear()
+        reports.append(classify(m))
+        assert calls == [m.shape]
+    monkeypatch.undo()
+    for m, rep in zip(pool, reports):
+        assert rep.psd == is_psd(m)
+        assert rep.realpart_psd_same_rank == realpart_psd_same_rank(m)
+    assert {rep.psd for rep in reports} == {True, False}
 
 
 def test_classify_float_min_eigenvalue_witness():

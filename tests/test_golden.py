@@ -35,8 +35,16 @@ CASES = {
        for pair in PAIRS},
     "unitary-hermitian-normal-4x4": ["unitary", "hermitian-normal-4x4__ab.json",
                                      "hermitian-normal-4x4__ba.json"],
+    "unitary-hermitian-products-3x3-probe": ["unitary", "hermitian-products-3x3__ab.json",
+                                             "hermitian-products-3x3__ba.json",
+                                             "--max-word-len", "2"],
+    "unitary-exact-conjugate-3": ["unitary", "conjugate-3__x.json", "conjugate-3__y.json"],
+    "unitary-float-transpose-4": ["unitary", "float-transpose-4__x.json",
+                                  "float-transpose-4__y.json"],
     "rankseq-rational-4": ["rankseq", "rational-4.json"],
     "classify-rational-4": ["classify", "rational-4.json"],
+    "classify-hermitian-4-seed4": ["classify", "hermitian-4-seed4__a.json"],
+    "classify-psd-3-seed5": ["classify", "psd-ep-3-seed5__a.json"],
     "classify-float-hermitian-3": ["classify", "float-hermitian-3.json"],
     "classify-float-nilpotent-3": ["classify", "float-nilpotent-3.json"],
 }
@@ -52,20 +60,23 @@ def test_report_bytes_match_golden(case, capsys, monkeypatch):
 
 
 def write_inputs() -> None:
-    """The input files: catalog pairs and their hermitian-normal-4x4
-    products, seeded exact Hermitian pairs, a PSD x EP pair, a Cayley
-    conjugate of I_1 + J_3 whose entries have non-unit denominators, and
-    two float matrices for classify: an indefinite Hermitian one and a
-    unitary conjugate of J_3, which is neither normal nor EP."""
+    """The input files: catalog pairs and the products of two of them,
+    seeded exact Hermitian pairs, a PSD x EP pair, a Cayley conjugate of
+    I_1 + J_3 whose entries have non-unit denominators, two float matrices
+    for classify (an indefinite Hermitian one and a unitary conjugate of
+    J_3, which is neither normal nor EP), and two pairs for the word
+    screen: an exact 3x3 matrix with a Cayley conjugate, which no word
+    tells apart, and a float 4x4 matrix with its transpose, which one does."""
     INPUTS.mkdir(parents=True, exist_ok=True)
     fixtures = {f.name: f.matrices for f in catalog()}
     for name in PAIRS[:3]:
         a, b = fixtures[name]["a"], fixtures[name]["b"]
         save_matrix(a, INPUTS / f"{name}__a.json")
         save_matrix(b, INPUTS / f"{name}__b.json")
-    a, b = fixtures["hermitian-normal-4x4"]["a"], fixtures["hermitian-normal-4x4"]["b"]
-    save_matrix(a @ b, INPUTS / "hermitian-normal-4x4__ab.json")
-    save_matrix(b @ a, INPUTS / "hermitian-normal-4x4__ba.json")
+    for name in ("hermitian-products-3x3", "hermitian-normal-4x4"):
+        a, b = fixtures[name]["a"], fixtures[name]["b"]
+        save_matrix(a @ b, INPUTS / f"{name}__ab.json")
+        save_matrix(b @ a, INPUTS / f"{name}__ba.json")
     for n, seed in ((3, 3), (4, 4)):
         rng = np.random.default_rng(seed)
         save_matrix(rational_hermitian(n, rng), INPUTS / f"hermitian-{n}-seed{seed}__a.json")
@@ -84,6 +95,14 @@ def write_inputs() -> None:
     u = random_unitary(3, np.random.default_rng(8))
     save_matrix(u @ realize_rank_sequence((3, 2, 1, 0)).to_float() @ u.adjoint(),
                 INPUTS / "float-nilpotent-3.json")
+    x = Matrix.exact([[1, 2, 0], [(0, 1), -1, 3], [0, "1/2", (1, -1)]])
+    u = rational_unitary(3, np.random.default_rng(9))
+    save_matrix(x, INPUTS / "conjugate-3__x.json")
+    save_matrix(u @ x @ u.adjoint(), INPUTS / "conjugate-3__y.json")
+    rng = np.random.default_rng(10)
+    x = Matrix.from_float(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    save_matrix(x, INPUTS / "float-transpose-4__x.json")
+    save_matrix(x.transpose(), INPUTS / "float-transpose-4__y.json")
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -81,6 +82,21 @@ def test_malformed_input_is_format_error_and_exit_2(case, tmp_path, capsys):
         load_matrix(path)
     assert main(["classify", str(path)]) == 2
     assert capsys.readouterr().err.startswith("abba: error: ")
+
+
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_LONG = "1" * (_DIGIT_LIMIT + 1)
+
+
+@pytest.mark.skipif(_DIGIT_LIMIT == 0, reason="this Python has no int-string digit limit")
+@pytest.mark.parametrize("part", [_LONG, f'"{_LONG}"'], ids=["json-integer", "exact-string"])
+def test_number_past_digit_limit_is_format_error_naming_the_file(part, tmp_path, capsys):
+    path = tmp_path / "long.json"
+    path.write_text(_one_entry("exact", part))
+    with pytest.raises(MatrixFormatError, match="long.json"):
+        load_matrix(path)
+    assert main(["classify", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"abba: error: {path}: ")
 
 
 def test_parse_accepts_padded_denominator():

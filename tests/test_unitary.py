@@ -1,9 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from abba import (
     COMMUTING,
     DEGREE_SIX_PROBE,
+    DEFAULT_TOLERANCE,
     BackendError,
     HypothesisViolation,
     Matrix,
@@ -16,6 +20,7 @@ from abba import (
 )
 from abba import generators as gen
 from abba.scalars import GQ
+from abba.unitary import WordTraceReport, _screen_words
 
 from .oracle import gq_equals_sympy, oracle_word_trace
 
@@ -86,6 +91,87 @@ def test_unitary_conjugates_indistinguishable():
         u = gen.random_unitary(n, rng)
         rep = word_trace_screen(m, u @ m @ u.adjoint(), 6)
         assert not rep.distinguished
+
+
+def _brute_force_screen(m1, m2, max_len):
+    """The screen as first specified: every word up to max_len in canonical
+    order, then the probe, each evaluated from scratch by trace_word."""
+    words = [TraceWord(w) for k in range(1, max_len + 1)
+             for w in itertools.product(("x", "x*"), repeat=k)]
+    if max_len < 6:
+        words.append(DEGREE_SIX_PROBE)
+    for w in words:
+        t1, t2 = trace_word(m1, w), trace_word(m2, w)
+        if m1.backend == "exact":
+            differ = t1 != t2
+        else:
+            differ = abs(t1 - t2) > DEFAULT_TOLERANCE.residual_tol * max(1.0, abs(t1), abs(t2))
+        if differ:
+            return WordTraceReport(distinguished=True, max_len=max_len, word=w, traces=(t1, t2))
+    return WordTraceReport(distinguished=False, max_len=max_len)
+
+
+# mostly small Gaussian integers, so traces of random pairs often agree on short words
+_ENTRY = st.tuples(st.sampled_from([0, 0, 1, -1, 2]), st.sampled_from([0, 0, 1, -1]))
+
+
+@st.composite
+def _screen_pairs(draw, backend):
+    n = draw(st.integers(1, 3 if backend == "exact" else 4))
+    square = st.lists(st.lists(_ENTRY, min_size=n, max_size=n), min_size=n, max_size=n)
+    x = Matrix.exact(draw(square))
+    relation = draw(st.sampled_from(["conjugate", "transpose", "random"]))
+    if relation == "random":
+        y = Matrix.exact(draw(square))
+    elif relation == "transpose":
+        y = x.transpose()
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        u = gen.rational_unitary(n, rng, span=2) if backend == "exact" else gen.random_unitary(n, rng)
+        y = u @ (x if backend == "exact" else x.to_float()) @ u.adjoint()
+    if backend == "float":
+        x, y = x.to_float(), y.to_float()
+    return x, y
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@given(data=st.data(), max_len=st.integers(1, 8))
+@settings(max_examples=150, deadline=None)
+def test_screen_matches_brute_force_over_every_word(backend, data, max_len):
+    x, y = data.draw(_screen_pairs(backend))
+    assert word_trace_screen(x, y, max_len).to_json() == _brute_force_screen(x, y, max_len).to_json()
+
+
+def test_screen_words_are_the_smallest_of_each_class():
+    def adjoint(w):
+        return tuple("x*" if l == "x" else "x" for l in reversed(w))
+
+    for max_len, count in ((2, 3), (4, 9), (6, 22), (8, 54)):
+        classes = {frozenset(v[k:] + v[:k] for v in (w, adjoint(w)) for k in range(len(w)))
+                   for n in range(1, max_len + 1) for w in itertools.product(("x", "x*"), repeat=n)}
+        smallest = sorted((min(c) for c in classes), key=lambda w: (len(w), w))
+        words = [w.letters for w in _screen_words(max_len)]
+        assert len(classes) == count
+        assert words[:count] == smallest
+        assert words[count:] == ([DEGREE_SIX_PROBE.letters] if max_len < 6 else [])
+
+
+def test_full_exact_screen_matmul_count(monkeypatch):
+    x = Matrix.exact([[1, 2, 0], [(0, 1), -1, 3], [0, "1/2", (1, -1)]])
+    u = gen.rational_unitary(3, np.random.default_rng(9))
+    y = u @ x @ u.adjoint()
+    matmul = Matrix.__matmul__
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return matmul(a, b)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted)
+    for max_len, bound in ((6, 56), (8, 154)):
+        calls.clear()
+        assert not word_trace_screen(x, y, max_len).distinguished
+        assert len(calls) <= bound
 
 
 def test_decide_unitary_2x2():
