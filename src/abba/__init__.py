@@ -22,7 +22,6 @@ from .catalog import (
 )
 from .classes import (
     ClassReport,
-    ColumnInclusionFactor,
     EPDecomposition,
     classify,
     column_inclusion_factor,

@@ -57,11 +57,11 @@ class Fixture:
         return [(c.name, bool(c.fn(mats))) for c in self.claims]
 
 
-def _close(m1: Matrix, m2: Matrix, tol: float = 1e-10) -> bool:
+def _close(m1: Matrix, m2: Matrix) -> bool:
     d = m1 - m2
     if m1.backend == EXACT:
         return d.is_zero()
-    return d.frobenius() <= tol * max(1.0, m1.frobenius())
+    return d.frobenius() <= DEFAULT_TOLERANCE.residual_tol * max(1.0, m1.frobenius())
 
 
 def _intertwiner_ok(m1: Matrix, m2: Matrix) -> bool:

@@ -214,30 +214,15 @@ def ep_decomposition(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> EPD
     return EPDecomposition(v=v, c=c, r=r, residual=residual)
 
 
-@dataclass(frozen=True)
-class ColumnInclusionFactor:
-    """x with A11 x = A12 for the split a = [[A11, A12], [A21, A22]]."""
-
-    x: Matrix
-    residual: float
-
-
 def column_inclusion_factor(
     a: Matrix, r: int, tol: TolerancePolicy = DEFAULT_TOLERANCE
-) -> ColumnInclusionFactor | None:
-    """Solve A11 X = A12 at split index r; None when range(A12) is not
-    contained in range(A11)."""
+) -> Matrix | None:
+    """X with A11 X = A12 at split index r of a = [[A11, A12], [A21, A22]];
+    None when range(A12) is not contained in range(A11).  A float X meets
+    solve_linear's bound ||A11 X - A12||_F <= residual_tol * ||A12||_F."""
     if not a.is_square:
         raise ShapeError("column inclusion requires a square matrix")
     n = a.rows
     if not 0 <= r <= n:
         raise ValueError(f"split index {r} out of range 0..{n}")
-    a11 = a.block(0, r, 0, r)
-    a12 = a.block(0, r, r, n)
-    x = solve_linear(a11, a12, tol)
-    if x is None:
-        return None
-    if a.backend == EXACT:
-        return ColumnInclusionFactor(x=x, residual=0.0)
-    res = (a11 @ x - a12).frobenius() / max(a12.frobenius(), 1e-300)
-    return ColumnInclusionFactor(x=x, residual=res)
+    return solve_linear(a.block(0, r, 0, r), a.block(0, r, r, n), tol)

@@ -106,22 +106,18 @@ def cmd_unitary(args, tol) -> dict:
     a = _load_square(args.a)
     b = _load_square(args.b)
     screen = word_trace_screen(a, b, max_len=args.max_word_len, tol=tol)
-    result = {"word_screen": screen.to_json()}
-    if a.shape == (2, 2) and b.shape == (2, 2):
-        result["triple_invariant_equal"] = decide_unitary_2x2(a, b, tol)
-    else:
-        result["triple_invariant_equal"] = None
-    return result
+    # the screen has checked that a and b have one shape
+    triple = decide_unitary_2x2(a, b, tol) if a.shape == (2, 2) else None
+    return {"word_screen": screen.to_json(), "triple_invariant_equal": triple}
+
+
+def _search_spec(args) -> SearchSpec:
+    return SearchSpec(family=args.family, size=args.size, rank=args.rank,
+                      trials=args.trials, seed=args.seed)
 
 
 def cmd_search(args, tol) -> dict:
-    spec = SearchSpec(
-        family=args.family,
-        size=args.size,
-        rank=args.rank,
-        trials=args.trials,
-        seed=args.seed,
-    )
+    spec = _search_spec(args)
     findings = search_counterexample(spec, tol)
     return {
         "spec": spec.to_json(),
@@ -217,10 +213,7 @@ def _gather_inputs(args) -> dict:
         if path is not None:
             inputs[attr] = _digest(path)
     if args.command == "search":
-        inputs["spec"] = {
-            "family": args.family, "size": args.size, "rank": args.rank,
-            "trials": args.trials, "seed": args.seed,
-        }
+        inputs["spec"] = _search_spec(args).to_json()
     if args.command == "catalog":
         inputs["action"] = args.action
         if args.name:

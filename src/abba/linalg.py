@@ -16,6 +16,7 @@ which counts the singular values with
 
 where norm is sigma_max of the matrix itself unless the caller passes a
 reference norm (rank sequences pass ||m||_2 of the matrix they iterate).
+A float matrix is invertible when its condition_estimate is at most max_condition.
 """
 
 from __future__ import annotations
@@ -85,10 +86,6 @@ def _over_pivot(re: np.ndarray, im: np.ndarray, pivot: tuple[int, int]) -> Matri
     return Matrix.from_ints(re * dr + im * di, im * dr - re * di, dr * dr + di * di)
 
 
-def _singular_values(m: Matrix) -> np.ndarray:
-    return np.linalg.svd(m.array, compute_uv=False)
-
-
 def _float_svd(m: Matrix, tol: TolerancePolicy, norm: float | None = None):
     """(u, s, vh, r): the full SVD of a float matrix and its numerical rank r,
     the number of singular values above rank_rel_tol * norm * max(rows, cols).
@@ -134,10 +131,7 @@ def invertible(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> bool:
         return False
     if m.backend == EXACT:
         return rank(m) == m.rows
-    if m.rows == 0:
-        return True
-    s = _singular_values(m)
-    return bool(s[-1] > 0 and s[0] / s[-1] <= tol.max_condition)
+    return condition_estimate(m) <= tol.max_condition
 
 
 def condition_estimate(m: Matrix) -> float:
@@ -146,7 +140,7 @@ def condition_estimate(m: Matrix) -> float:
         raise BackendError("condition estimates are a float-backend notion")
     if m.rows == 0 or m.cols == 0:
         return 1.0
-    s = _singular_values(m)
+    s = np.linalg.svd(m.array, compute_uv=False)
     if s[-1] == 0:
         return float("inf")
     return float(s[0] / s[-1])

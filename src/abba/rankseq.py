@@ -102,8 +102,7 @@ def drops(seq: RankSequence | Sequence[int]) -> tuple[int, ...]:
         return seq.drops()
     if not is_valid_rank_sequence(seq):
         raise ValueError("not a valid rank sequence")
-    st = stabilize(seq)
-    return tuple(a - b for a, b in zip(st, st[1:]))
+    return RankSequence.from_terms(seq).drops()
 
 
 def realize_rank_sequence(seq: Sequence[int]) -> Matrix:
@@ -112,12 +111,9 @@ def realize_rank_sequence(seq: Sequence[int]) -> Matrix:
     Built as identity of size limit, plus one nilpotent Jordan block of
     size j+1 for each unit the j-th drop exceeds the (j+1)-th.
     """
-    if not is_valid_rank_sequence(seq):
-        raise ValueError("not a valid rank sequence")
-    st = stabilize(seq)
-    n = st[0]
-    limit = st[-1]
-    dr = [a - b for a, b in zip(st, st[1:])]
+    dr = drops(seq)
+    n = seq[0]
+    limit = n - sum(dr)
     # number of blocks of size exactly k: drop[k-1] - drop[k]
     sizes: list[int] = []
     for k in range(len(dr), 0, -1):

@@ -187,13 +187,5 @@ class TolerancePolicy:
         if not (self.rank_rel_tol > 0 and self.residual_tol > 0 and self.max_condition > 0):
             raise ValueError("tolerance policy fields must be strictly positive")
 
-    def scaled(self, factor: float) -> "TolerancePolicy":
-        """Jointly rescale the rank and residual cutoffs by one factor."""
-        return TolerancePolicy(
-            rank_rel_tol=self.rank_rel_tol * factor,
-            residual_tol=self.residual_tol * factor,
-            max_condition=self.max_condition,
-        )
-
 
 DEFAULT_TOLERANCE = TolerancePolicy()

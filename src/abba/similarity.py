@@ -80,14 +80,6 @@ class CertificateCheck:
     det: GQ | None = None
     condition: float | None = None
 
-    def to_json(self) -> dict:
-        return {
-            "residual": self.residual,
-            "invertible": self.invertible,
-            "ok": self.ok,
-            "det_or_cond": str(self.det) if self.det is not None else self.condition,
-        }
-
 
 def _relative_residual(t: Matrix, m1: Matrix, m2: Matrix) -> float:
     diff = t @ m1 - m2 @ t
@@ -184,6 +176,8 @@ def find_intertwiner(
     below 2^-32.
     """
     m1._check_operand_pair(m2)
+    if attempts < 1:
+        raise ValueError("attempts must be positive")
     basis = intertwiner_space(m1, m2, tol)
     if not basis:
         return None
@@ -227,17 +221,12 @@ def construct_similarity_psd_ep(
     v, c, r = dec.v, dec.c, dec.r
     n = a.rows
     at = v.adjoint() @ a @ v
-    col = column_inclusion_factor(at, r, tol)
-    if col is None:
+    x = column_inclusion_factor(at, r, tol)
+    if x is None:
         raise HypothesisViolation("column inclusion solve failed for a")
-    x = col.x
-    if hermitian_a:
-        y = x
-    else:
-        row = column_inclusion_factor(at.adjoint(), r, tol)
-        if row is None:
-            raise HypothesisViolation("row inclusion solve failed for a")
-        y = row.x
+    y = x if hermitian_a else column_inclusion_factor(at.adjoint(), r, tol)
+    if y is None:
+        raise HypothesisViolation("row inclusion solve failed for a")
     eye = Matrix.identity(n - r, a.backend)
     s = block([[c + x @ y.adjoint(), -x], [-y.adjoint(), eye]])
     t = v @ s @ v.adjoint()

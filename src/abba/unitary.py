@@ -20,7 +20,7 @@ import numpy as np
 
 from .classes import is_normal
 from .errors import BackendError, HypothesisViolation, ShapeError
-from .linalg import rank
+from .linalg import _float_svd
 from .matrix import EXACT, FLOAT, Matrix, hstack
 from .scalars import DEFAULT_TOLERANCE, TolerancePolicy
 
@@ -138,6 +138,8 @@ def word_trace_screen(
     for 2x2.
     """
     m1._check_operand_pair(m2)
+    if max_len < 1:
+        raise ValueError("max_len must be positive")
     products1, products2 = _word_products(m1), _word_products(m2)
     for w in _screen_words(max_len):
         t1, t2 = products1(w.letters).trace(), products2(w.letters).trace()
@@ -226,12 +228,11 @@ def rank_one_normal_unitary(
     a._check_operand_pair(b)
     if not is_normal(a, tol) or not is_normal(b, tol):
         raise HypothesisViolation("both matrices must be normal")
-    r = rank(a, tol)
+    _, _, vh, r = _float_svd(a, tol)
     if r > 1:
         raise HypothesisViolation("a must have rank at most one")
     if r == 0:
         return COMMUTING
-    _, _, vh = np.linalg.svd(a.array)
     v = vh.conj().T[:, :1]
     bv = b.array @ v
     c = float(np.linalg.norm(bv))

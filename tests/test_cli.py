@@ -139,6 +139,23 @@ def test_unitary_2x2_triple(capsys, tmp_path):
     assert doc["result"]["triple_invariant_equal"] is True
 
 
+def test_unitary_rejects_nonpositive_word_length(capsys, fixture_files):
+    for length in ("0", "-2"):
+        code = main(["unitary", fixture_files["a"], fixture_files["b"], "--max-word-len", length])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "max_len must be positive" in captured.err
+
+
+def test_decide_construct_rejects_nonpositive_attempts(capsys, fixture_files):
+    # ab is not PSD, so the construction falls back to sampling
+    code = main(["decide", fixture_files["ab"], fixture_files["ab"], "--construct",
+                 "--attempts", "0"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "attempts must be positive" in captured.err
+
+
 def test_search(capsys):
     doc = _run_json(
         capsys, "search", "--family", "normal", "--size", "3", "--trials", "40", "--seed", "7"

@@ -6,9 +6,11 @@ import sympy as sp
 
 from abba import (
     BackendError,
+    FLOAT,
     Matrix,
     TolerancePolicy,
     characteristic_polynomial,
+    condition_estimate,
     determinant,
     hstack,
     invertible,
@@ -18,6 +20,7 @@ from abba import (
     solve_linear,
     vstack,
 )
+from abba.generators import random_unitary
 from abba.scalars import GQ
 
 from .oracle import gq_equals_sympy, oracle_charpoly, oracle_det, oracle_rank, to_sympy
@@ -187,6 +190,29 @@ def test_invertible_and_condition():
     assert not invertible(Matrix.zeros(2, 2))
     near_singular = Matrix.from_float([[1.0, 0.0], [0.0, 1e-12]])
     assert not invertible(near_singular, TolerancePolicy())
+
+
+def test_float_invertible_is_the_condition_ratio():
+    tol = TolerancePolicy()
+    assert invertible(Matrix.zeros(0, 0, FLOAT), tol)
+    assert not invertible(Matrix.from_float([[1.0, 2.0], [2.0, 4.0]]), tol)
+    assert not invertible(Matrix.zeros(3, 3, FLOAT), tol)
+    below = Matrix.from_float(np.diag([1.0, 1.01 / tol.max_condition]))
+    above = Matrix.from_float(np.diag([1.0, 0.99 / tol.max_condition]))
+    assert condition_estimate(below) < tol.max_condition < condition_estimate(above)
+    assert invertible(below, tol) and not invertible(above, tol)
+    rng = np.random.default_rng(71)
+    verdicts = set()
+    for k in range(-6, 7):
+        for _ in range(8):
+            n = int(rng.integers(2, 6))
+            u, v = random_unitary(n, rng), random_unitary(n, rng)
+            spread = 10.0 ** rng.uniform(4, 12)  # condition straddles max_condition
+            s = Matrix.from_float(np.diag(np.geomspace(10.0 ** k, 10.0 ** k / spread, n)))
+            m = u @ s @ v
+            verdicts.add(invertible(m, tol))
+            assert invertible(m, tol) == (condition_estimate(m) <= tol.max_condition)
+    assert verdicts == {True, False}
 
 
 def _random_rational(rng, rows, cols, rank):
