@@ -17,8 +17,9 @@ import numpy as np
 from . import generators as gen
 from .classes import is_hermitian, is_normal
 from .linalg import invertible, rank
+from .matio import dump_matrix
 from .matrix import EXACT, FLOAT, Matrix, block
-from .rankseq import RankSequence, rank_sequence
+from .rankseq import RankSequence, enumerate_tail_sequences, rank_sequence
 from .scalars import DEFAULT_TOLERANCE, GQ, TolerancePolicy
 from .similarity import (
     decide_product_similarity,
@@ -214,8 +215,6 @@ class Finding:
     seq_ba: RankSequence
 
     def to_json(self) -> dict:
-        from .matio import dump_matrix
-
         return {
             "trial": self.trial,
             "a": dump_matrix(self.a),
@@ -259,8 +258,6 @@ def admissible_sequence_pairs(
     """Unordered pattern pairs compatible with a non-similar product pair:
     same second entry (ranks of AB and BA agree), same limit (invertible
     parts agree), and, unless disabled, different sequences."""
-    from .rankseq import enumerate_tail_sequences
-
     patterns = enumerate_tail_sequences(n, cap)
     pairs = []
     for i, p in enumerate(patterns):

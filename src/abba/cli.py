@@ -34,19 +34,7 @@ _USAGE_ERRORS = (ValueError, KeyError, OSError)  # the abba input errors subclas
 
 
 def _policy(args) -> TolerancePolicy:
-    base = DEFAULT_TOLERANCE
-    residual = rank_rel = None
-    if args.tol is not None:
-        residual = rank_rel = args.tol
-    if args.residual_tol is not None:
-        residual = args.residual_tol
-    if args.rank_rel_tol is not None:
-        rank_rel = args.rank_rel_tol
-    return TolerancePolicy(
-        rank_rel_tol=rank_rel if rank_rel is not None else base.rank_rel_tol,
-        residual_tol=residual if residual is not None else base.residual_tol,
-        max_condition=args.max_condition if args.max_condition is not None else base.max_condition,
-    )
+    return TolerancePolicy(args.rank_rel_tol, args.residual_tol, args.max_condition)
 
 
 def _digest(path) -> dict:
@@ -83,6 +71,8 @@ def cmd_rankseq(args, tol) -> dict:
 
 
 def cmd_decide(args, tol) -> dict:
+    if args.attempts < 1:
+        raise ValueError("attempts must be positive")
     a = _load_square(args.a)
     b = _load_square(args.b)
     verdict = decide_product_similarity(a, b, tol)
@@ -152,11 +142,9 @@ def cmd_catalog(args, tol) -> dict:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=None,
-                        help="override residual and rank tolerances jointly")
-    common.add_argument("--rank-rel-tol", type=float, default=None)
-    common.add_argument("--residual-tol", type=float, default=None)
-    common.add_argument("--max-condition", type=float, default=None)
+    common.add_argument("--rank-rel-tol", type=float, default=DEFAULT_TOLERANCE.rank_rel_tol)
+    common.add_argument("--residual-tol", type=float, default=DEFAULT_TOLERANCE.residual_tol)
+    common.add_argument("--max-condition", type=float, default=DEFAULT_TOLERANCE.max_condition)
     common.add_argument("--seed", type=int, default=0)
 
     parser = argparse.ArgumentParser(

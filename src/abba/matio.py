@@ -8,6 +8,7 @@ Document shape:
 Entries are row-major; re/im are strings.  The exact backend accepts
 integers and fractions ("p", "-p/q", q > 0); the float backend accepts
 finite decimal literals.  JSON true/false are not numbers here.
+Exact parts are read as integers over one common denominator.
 """
 
 from __future__ import annotations
@@ -15,22 +16,22 @@ from __future__ import annotations
 import json
 import math
 import re
-from fractions import Fraction
 from pathlib import Path
 
 from .errors import MatrixFormatError
 from .matrix import EXACT, FLOAT, Matrix
-from .scalars import GQ
 
 _EXACT_RE = re.compile(r"^-?\d+(/0*[1-9]\d*)?$")
 
 
-def _parse_exact_part(s) -> Fraction:
+def _parse_exact_part(s) -> tuple[int, int]:
+    """(p, q) with q > 0 as written, not reduced."""
     if type(s) is int:  # JSON true/false are not integers
-        return Fraction(s)
+        return s, 1
     if not isinstance(s, str) or not _EXACT_RE.match(s.strip()):
         raise MatrixFormatError(f"exact entries must look like 'p' or 'p/q' with q > 0, got {s!r}")
-    return Fraction(s.strip())
+    p, _, q = s.strip().partition("/")
+    return int(p), int(q or 1)
 
 
 def _parse_float_part(s) -> float:
@@ -67,13 +68,16 @@ def parse_matrix(doc: dict) -> Matrix:
                 raise MatrixFormatError(f"entry ({i},{j}) must be an [re, im] pair")
             re_part, im_part = pair
             if scalar == EXACT:
-                out_row.append(GQ(_parse_exact_part(re_part), _parse_exact_part(im_part)))
+                out_row.append((_parse_exact_part(re_part), _parse_exact_part(im_part)))
             else:
                 out_row.append(complex(_parse_float_part(re_part), _parse_float_part(im_part)))
         grid.append(out_row)
-    if scalar == EXACT:
-        return Matrix.exact(grid)
-    return Matrix.from_float(grid)
+    if scalar == FLOAT:
+        return Matrix.from_float(grid)
+    den = math.lcm(*(q for row in grid for entry in row for _, q in entry))
+    re_num = [[p * (den // q) for (p, q), _ in row] for row in grid]
+    im_num = [[p * (den // q) for _, (p, q) in row] for row in grid]
+    return Matrix.from_ints(re_num, im_num, den)
 
 
 def dump_matrix(m: Matrix) -> dict:

@@ -31,7 +31,8 @@ from .classes import (
     realpart_psd_same_rank,
 )
 from .errors import HypothesisViolation, IntertwinerNotFound, ShapeError
-from .linalg import condition_estimate, determinant, nullspace_basis, rank
+from .linalg import condition_estimate, determinant, nullspace_basis
+from .matio import dump_matrix
 from .matrix import EXACT, Matrix, block, hstack, kron
 from .rankseq import RankSequence, rank_sequence
 from .scalars import DEFAULT_TOLERANCE, GQ, TolerancePolicy
@@ -40,7 +41,7 @@ from .scalars import DEFAULT_TOLERANCE, GQ, TolerancePolicy
 @dataclass(frozen=True)
 class SimilarityVerdict:
     similar: bool
-    reason: str  # rank-sequence-equal | rank-sequence-differ | full-rank-shortcut
+    reason: str  # rank-sequence-equal | rank-sequence-differ
     seq_ab: RankSequence
     seq_ba: RankSequence
 
@@ -63,8 +64,6 @@ class SimilarityCertificate:
     condition: float | None = None  # float backend evidence
 
     def to_json(self) -> dict:
-        from .matio import dump_matrix
-
         return {
             "t": dump_matrix(self.t),
             "residual": self.residual,
@@ -138,10 +137,6 @@ def decide_product_similarity(
     seq_ba = rank_sequence(ba, tol)
     similar = seq_ab.terms == seq_ba.terms
     reason = "rank-sequence-equal" if similar else "rank-sequence-differ"
-    if similar:
-        rank_a = rank(a, tol)
-        if seq_ab.expand(2)[1] == rank_a and seq_ba.expand(2)[1] == rank_a:
-            reason = "full-rank-shortcut"
     return SimilarityVerdict(similar=similar, reason=reason, seq_ab=seq_ab, seq_ba=seq_ba)
 
 

@@ -85,7 +85,7 @@ def test_decide(capsys, fixture_files):
 def test_decide_identical_invertible(capsys, fixture_files):
     doc = _run_json(capsys, "decide", fixture_files["eye"], fixture_files["eye"])
     assert doc["result"]["verdict"]["similar"] is True
-    assert doc["result"]["verdict"]["reason"] == "full-rank-shortcut"
+    assert doc["result"]["verdict"]["reason"] == "rank-sequence-equal"
 
 
 def test_decide_construct_psd_normal(capsys, tmp_path):
@@ -156,6 +156,17 @@ def test_decide_construct_rejects_nonpositive_attempts(capsys, fixture_files):
     assert "attempts must be positive" in captured.err
 
 
+def test_decide_rejects_nonpositive_attempts_without_sampling(capsys):
+    # the PSD x EP construction certifies this pair, so the sampler never runs
+    inputs = Path(__file__).resolve().parent / "golden" / "inputs"
+    for construct in (["--construct"], []):
+        code = main(["decide", str(inputs / "psd-ep-3-seed5__a.json"),
+                     str(inputs / "psd-ep-3-seed5__b.json"), *construct, "--attempts", "0"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "attempts must be positive" in captured.err
+
+
 def test_search(capsys):
     doc = _run_json(
         capsys, "search", "--family", "normal", "--size", "3", "--trials", "40", "--seed", "7"
@@ -221,5 +232,9 @@ def test_tol_flag_scales_policy(capsys, tmp_path):
     save_matrix(noisy, p)
     doc = _run_json(capsys, "rankseq", str(p))
     assert doc["result"]["rank_sequence"]["terms"] == [2]
-    doc_loose = _run_json(capsys, "rankseq", str(p), "--tol", "1e-3")
+    doc_loose = _run_json(capsys, "rankseq", str(p), "--rank-rel-tol", "1e-3")
     assert doc_loose["result"]["rank_sequence"]["terms"] == [2, 1]
+    with pytest.raises(SystemExit) as exc:
+        main(["rankseq", str(p), "--tol", "1e-3"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err

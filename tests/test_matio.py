@@ -1,5 +1,6 @@
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -102,6 +103,18 @@ def test_number_past_digit_limit_is_format_error_naming_the_file(part, tmp_path,
 def test_parse_accepts_padded_denominator():
     doc = {"scalar": "exact", "rows": 1, "cols": 1, "entries": [[["3/010", "-1/2"]]]}
     assert parse_matrix(doc) == Matrix.exact([[("3/10", "-1/2")]])
+    # k*p/k*q parts, zero-padded and mixed denominators, JSON integers
+    doc = {"scalar": "exact", "rows": 2, "cols": 3, "entries": [
+        [["3/6", "-4/8"], [6, "0/7"], ["-10/0015", -2]],
+        [["0", "9/003"], ["21/049", "5/0025"], ["-0/1", "12/36"]],
+    ]}
+    expected = Matrix.exact([
+        [("1/2", "-1/2"), 6, ("-2/3", -2)],
+        [(0, 3), ("3/7", "1/5"), (0, "1/3")],
+    ])
+    assert parse_matrix(doc) == expected
+    whole = {"scalar": "exact", "rows": 1, "cols": 2, "entries": [[["4/2", "0/9"], [-3, "6/3"]]]}
+    assert parse_matrix(whole) == Matrix.exact([[2, (-3, 2)]])
 
 
 def test_load_rejects_invalid_json(tmp_path):
@@ -130,3 +143,14 @@ def test_exact_round_trip_property(rows, cols, data):
     ]
     m = Matrix.exact(grid)
     assert parse_matrix(dump_matrix(m)) == m
+    # the same values written unreduced over zero-padded denominators
+    k = data.draw(st.integers(min_value=1, max_value=12))
+    pad = "0" * data.draw(st.integers(min_value=0, max_value=2))
+
+    def unreduced(part):
+        q = Fraction(part)
+        return f"{k * q.numerator}/{pad}{k * q.denominator}"
+
+    doc = dump_matrix(m)
+    doc["entries"] = [[[unreduced(x) for x in pair] for pair in row] for row in doc["entries"]]
+    assert parse_matrix(doc) == m

@@ -55,7 +55,7 @@ def test_decide_invertible_shortcut():
     a = gen.rational_unitary(3, rng)
     b = _random_exact(rng, 3)
     v = decide_product_similarity(a, b)
-    assert v.similar and v.reason == "full-rank-shortcut"
+    assert v.similar and v.reason == "rank-sequence-equal"
 
 
 def test_decide_errors(nilpotent_pair):
