@@ -20,7 +20,7 @@ from .linalg import invertible, rank
 from .matio import dump_matrix
 from .matrix import EXACT, FLOAT, Matrix, block
 from .rankseq import RankSequence, enumerate_tail_sequences, rank_sequence
-from .scalars import DEFAULT_TOLERANCE, GQ, TolerancePolicy
+from .scalars import DEFAULT_TOLERANCE, GQ
 from .similarity import (
     decide_product_similarity,
     doubling_conjugator,
@@ -228,9 +228,7 @@ def _draw(family: str, n: int, rng, rank_: int | None) -> Matrix:
     return getattr(gen, _GENERATORS[family])(n, rng, rank=rank_)
 
 
-def search_counterexample(
-    spec: SearchSpec, tol: TolerancePolicy = DEFAULT_TOLERANCE
-) -> list[Finding]:
+def search_counterexample(spec: SearchSpec) -> list[Finding]:
     """Run the seeded trials; every non-similar pair becomes a Finding.
 
     Generation is exact, so findings are proofs, not numerical artifacts.
@@ -242,7 +240,7 @@ def search_counterexample(
         rng = np.random.default_rng([spec.seed, i])
         a = _draw(spec.family, spec.size, rng, spec.rank)
         b = _draw(spec.family, spec.size, rng, None)
-        verdict = decide_product_similarity(a, b, tol)
+        verdict = decide_product_similarity(a, b)
         if not verdict.similar:
             findings.append(
                 Finding(trial=i, a=a, b=b, seq_ab=verdict.seq_ab, seq_ba=verdict.seq_ba)

@@ -59,18 +59,21 @@ def _load_square(path) -> Matrix:
     return m
 
 
-def cmd_classify(args, tol) -> dict:
+def cmd_classify(args) -> dict:
+    tol = _policy(args)
     m = _load_square(args.matrix)
     report = classify(m, tol)
     return {"class_report": report.to_json()}
 
 
-def cmd_rankseq(args, tol) -> dict:
+def cmd_rankseq(args) -> dict:
+    tol = _policy(args)
     m = _load_square(args.matrix)
     return {"rank_sequence": rank_sequence(m, tol).to_json()}
 
 
-def cmd_decide(args, tol) -> dict:
+def cmd_decide(args) -> dict:
+    tol = _policy(args)
     if args.attempts < 1:
         raise ValueError("attempts must be positive")
     a = _load_square(args.a)
@@ -92,7 +95,8 @@ def cmd_decide(args, tol) -> dict:
     return result
 
 
-def cmd_unitary(args, tol) -> dict:
+def cmd_unitary(args) -> dict:
+    tol = _policy(args)
     a = _load_square(args.a)
     b = _load_square(args.b)
     screen = word_trace_screen(a, b, max_len=args.max_word_len, tol=tol)
@@ -106,9 +110,9 @@ def _search_spec(args) -> SearchSpec:
                       trials=args.trials, seed=args.seed)
 
 
-def cmd_search(args, tol) -> dict:
+def cmd_search(args) -> dict:
     spec = _search_spec(args)
-    findings = search_counterexample(spec, tol)
+    findings = search_counterexample(spec)
     return {
         "spec": spec.to_json(),
         "count": len(findings),
@@ -116,11 +120,11 @@ def cmd_search(args, tol) -> dict:
     }
 
 
-def cmd_catalog(args, tol) -> dict:
-    if args.action == "list":
-        return {
-            "fixtures": [{"name": f.name, "description": f.description} for f in catalog()]
-        }
+def cmd_catalog_list(args) -> dict:
+    return {"fixtures": [{"name": f.name, "description": f.description} for f in catalog()]}
+
+
+def cmd_catalog_show(args) -> dict:
     fixture = get_fixture(args.name)
     result = {
         "name": fixture.name,
@@ -141,11 +145,14 @@ def cmd_catalog(args, tol) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--rank-rel-tol", type=float, default=DEFAULT_TOLERANCE.rank_rel_tol)
-    common.add_argument("--residual-tol", type=float, default=DEFAULT_TOLERANCE.residual_tol)
-    common.add_argument("--max-condition", type=float, default=DEFAULT_TOLERANCE.max_condition)
-    common.add_argument("--seed", type=int, default=0)
+    # a command takes the tolerance flags when it passes a TolerancePolicy on,
+    # and --seed when it draws random numbers
+    tolerance = argparse.ArgumentParser(add_help=False)
+    tolerance.add_argument("--rank-rel-tol", type=float, default=DEFAULT_TOLERANCE.rank_rel_tol)
+    tolerance.add_argument("--residual-tol", type=float, default=DEFAULT_TOLERANCE.residual_tol)
+    tolerance.add_argument("--max-condition", type=float, default=DEFAULT_TOLERANCE.max_condition)
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0)
 
     parser = argparse.ArgumentParser(
         prog="abba",
@@ -153,15 +160,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", parents=[common], help="structural predicates of one matrix")
+    p = sub.add_parser("classify", parents=[tolerance], help="structural predicates of one matrix")
     p.add_argument("matrix")
     p.set_defaults(fn=cmd_classify)
 
-    p = sub.add_parser("rankseq", parents=[common], help="rank sequence of one matrix")
+    p = sub.add_parser("rankseq", parents=[tolerance], help="rank sequence of one matrix")
     p.add_argument("matrix")
     p.set_defaults(fn=cmd_rankseq)
 
-    p = sub.add_parser("decide", parents=[common], help="similarity verdict for AB vs BA")
+    p = sub.add_parser("decide", parents=[tolerance, seeded],
+                       help="similarity verdict for AB vs BA")
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--construct", action="store_true",
@@ -169,24 +177,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attempts", type=int, default=32)
     p.set_defaults(fn=cmd_decide)
 
-    p = sub.add_parser("unitary", parents=[common], help="unitary-similarity word screen")
+    p = sub.add_parser("unitary", parents=[tolerance], help="unitary-similarity word screen")
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--max-word-len", type=int, default=6)
     p.set_defaults(fn=cmd_unitary)
 
-    p = sub.add_parser("search", parents=[common], help="randomized counterexample search")
+    p = sub.add_parser("search", parents=[seeded], help="randomized counterexample search")
     p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--size", required=True, type=int)
     p.add_argument("--rank", type=int, default=None)
     p.add_argument("--trials", type=int, default=500)
     p.set_defaults(fn=cmd_search)
 
-    p = sub.add_parser("catalog", parents=[common], help="built-in fixtures")
-    p.add_argument("action", choices=["list", "show"])
-    p.add_argument("name", nargs="?")
+    p = sub.add_parser("catalog", help="built-in fixtures")
+    actions = p.add_subparsers(dest="action", required=True)
+    actions.add_parser("list", help="names and descriptions").set_defaults(fn=cmd_catalog_list)
+    p = actions.add_parser("show", help="one fixture's matrices and claims")
+    p.add_argument("name")
     p.add_argument("--export", default=None, metavar="DIR")
-    p.set_defaults(fn=cmd_catalog)
+    p.set_defaults(fn=cmd_catalog_show)
 
     return parser
 
@@ -204,21 +214,18 @@ def _gather_inputs(args) -> dict:
         inputs["spec"] = _search_spec(args).to_json()
     if args.command == "catalog":
         inputs["action"] = args.action
-        if args.name:
+        if args.action == "show":
             inputs["name"] = args.name
     return inputs
 
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
-    if args.command == "catalog" and args.action == "show" and not args.name:
-        _PARSER.error("catalog show requires a fixture name")
     try:
-        tol = _policy(args)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             inputs = _gather_inputs(args)
-            result = args.fn(args, tol)
+            result = args.fn(args)
         report = _report(args.command, inputs, result, caught)
     except _USAGE_ERRORS as exc:
         print(f"abba: error: {exc}", file=sys.stderr)

@@ -120,9 +120,9 @@ def rational_unitary(n: int, rng: np.random.Generator, span: int = 1) -> Matrix:
     return (eye - s) @ inv
 
 
-def _rational_nonzero(rng: np.random.Generator, span: int = 2) -> GQ:
+def _rational_nonzero(rng: np.random.Generator) -> GQ:
     while True:
-        z = GQ(_int(rng, span), _int(rng, span))
+        z = GQ(_int(rng, 2), _int(rng, 2))
         if z:
             return z
 
@@ -146,9 +146,7 @@ def rational_normal(n: int, rng: np.random.Generator, rank: int | None = None) -
     return u @ d @ u.adjoint()
 
 
-def rational_hermitian(
-    n: int, rng: np.random.Generator, rank: int | None = None, span: int = 2
-) -> Matrix:
+def rational_hermitian(n: int, rng: np.random.Generator, rank: int | None = None) -> Matrix:
     if rank is not None:
         u = rational_unitary(n, rng)
         d = rational_diagonal(n, rng, rank, real=True)
@@ -156,31 +154,31 @@ def rational_hermitian(
     re = np.zeros((n, n), dtype=object)
     im = np.zeros((n, n), dtype=object)
     for i in range(n):
-        re[i, i] = _int(rng, span)
+        re[i, i] = _int(rng, 2)
         for j in range(i + 1, n):
-            a, b = _int(rng, span), _int(rng, span)
+            a, b = _int(rng, 2), _int(rng, 2)
             re[i, j], im[i, j] = a, b
             re[j, i], im[j, i] = a, -b
     return Matrix.from_ints(re, im)
 
 
-def rational_psd(n: int, rng: np.random.Generator, rank: int | None = None, span: int = 2) -> Matrix:
+def rational_psd(n: int, rng: np.random.Generator, rank: int | None = None) -> Matrix:
     r = _pick_rank(n, rng, rank)
     if r == 0:
         return Matrix.zeros(n, n)
     while True:
-        g = Matrix.exact([[(_int(rng, span), _int(rng, span)) for _ in range(n)] for _ in range(r)])
+        g = Matrix.exact([[(_int(rng, 2), _int(rng, 2)) for _ in range(n)] for _ in range(r)])
         if matrix_rank(g) == r:
             return g.adjoint() @ g
 
 
-def rational_ep(n: int, rng: np.random.Generator, rank: int | None = None, span: int = 2) -> Matrix:
+def rational_ep(n: int, rng: np.random.Generator, rank: int | None = None) -> Matrix:
     r = _pick_rank(n, rng, rank)
     u = rational_unitary(n, rng)
     if r == 0:
         return Matrix.zeros(n, n)
     while True:
-        c = Matrix.exact([[(_int(rng, span), _int(rng, span)) for _ in range(r)] for _ in range(r)])
+        c = Matrix.exact([[(_int(rng, 2), _int(rng, 2)) for _ in range(r)] for _ in range(r)])
         if matrix_rank(c) == r:
             break
     core = block([[c, Matrix.zeros(r, n - r)], [Matrix.zeros(n - r, r), Matrix.zeros(n - r, n - r)]])

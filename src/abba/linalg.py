@@ -214,7 +214,8 @@ def characteristic_polynomial(m: Matrix) -> list:
     mk = Matrix.identity(n)
     for k in range(1, n + 1):
         am = m @ mk
-        ck = -(am.trace() / k)
+        tr = am.trace()
+        ck = GQ(-tr.re / k, -tr.im / k)
         coeffs.append(ck)
         mk = am + ck * Matrix.identity(n)
     return coeffs

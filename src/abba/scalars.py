@@ -1,14 +1,14 @@
-"""Scalar backends: exact Gaussian rationals and float tolerance policy.
+"""Scalar backends: exact Gaussian-rational values and float tolerance policy.
 
-:class:`GaussianRational` is the exact backend's scalar and I/O type: a
-complex number as a pair of ``fractions.Fraction`` (always in lowest
-terms with positive denominator, which Fraction guarantees), with
-error-free +, -, *, and division by nonzero.  Exact matrices do not hold
-these objects; they store integer numerators over one denominator (see
-:mod:`abba.matrix`) and hand out GaussianRationals for single entries,
-traces, determinants and characteristic-polynomial coefficients.  The
-float backend is plain ``complex`` and all float-backend decisions are
-governed by a :class:`TolerancePolicy`.
+:class:`GaussianRational` is the exact backend's value type: a complex
+number as a pair of ``fractions.Fraction`` (always in lowest terms with
+positive denominator, which Fraction guarantees) that compares, hashes,
+negates, conjugates and prints.  It does no arithmetic: exact matrices
+store integer numerators over one denominator, all exact arithmetic runs
+on them (see :mod:`abba.matrix`), and they hand out GaussianRationals for
+single entries, traces, determinants and characteristic-polynomial
+coefficients.  The float backend is plain ``complex`` and all
+float-backend decisions are governed by a :class:`TolerancePolicy`.
 """
 
 from __future__ import annotations
@@ -24,11 +24,11 @@ _FLOAT_IN_EXACT = "float values are not allowed in the exact backend"
 
 
 class GaussianRational:
-    """A complex number re + im*i with rational re, im.
+    """An exact complex value re + im*i with rational re, im.
 
-    Instances are immutable.  Mixed arithmetic with ``int`` and
-    ``Fraction`` is supported; ``float`` operands are rejected to keep
-    the backend exact.
+    Instances are immutable and compare equal to an ``int`` or
+    ``Fraction`` of the same real value; ``float`` parts are rejected to
+    keep the backend exact.
     """
 
     __slots__ = ("re", "im")
@@ -66,82 +66,21 @@ class GaussianRational:
             raise BackendError(_FLOAT_IN_EXACT)
         raise TypeError(f"cannot build an exact scalar from {type(value).__name__}")
 
-    def _lift(self, other):
-        if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, _RAT):
-            return GaussianRational(other)
-        return None
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(o.re - self.re, o.im - self.im)
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / d,
-            (self.im * o.re - self.re * o.im) / d,
-        )
-
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
 
-    def __pos__(self):
-        return self
-
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
-
-    def norm_sq(self) -> Fraction:
-        """|z|^2 as an exact rational."""
-        return self.re * self.re + self.im * self.im
 
     def __bool__(self):
         return self.re != 0 or self.im != 0
 
     def __eq__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
+        if isinstance(other, GaussianRational):
+            return self.re == other.re and self.im == other.im
+        if isinstance(other, _RAT):
+            return self.im == 0 and self.re == other
+        return NotImplemented
 
     def __hash__(self):
         # matches hash(Fraction) when the value is real, keeping the

@@ -234,7 +234,47 @@ def test_tol_flag_scales_policy(capsys, tmp_path):
     assert doc["result"]["rank_sequence"]["terms"] == [2]
     doc_loose = _run_json(capsys, "rankseq", str(p), "--rank-rel-tol", "1e-3")
     assert doc_loose["result"]["rank_sequence"]["terms"] == [2, 1]
+    # classify and decide read the same flag
+    assert _run_json(capsys, "classify", str(p))["result"]["class_report"]["rank"] == 2
+    doc_loose = _run_json(capsys, "classify", str(p), "--rank-rel-tol", "1e-3")
+    assert doc_loose["result"]["class_report"]["rank"] == 1
+    eye = tmp_path / "eye.json"
+    save_matrix(Matrix.from_float(np.eye(2)), eye)
+    doc = _run_json(capsys, "decide", str(p), str(eye))
+    assert doc["result"]["verdict"]["seq_ab"]["terms"] == [2]
+    doc_loose = _run_json(capsys, "decide", str(p), str(eye), "--rank-rel-tol", "1e-3")
+    assert doc_loose["result"]["verdict"]["seq_ab"]["terms"] == [2, 1]
     with pytest.raises(SystemExit) as exc:
         main(["rankseq", str(p), "--tol", "1e-3"])
     assert exc.value.code == 2
     assert "--tol" in capsys.readouterr().err
+
+
+# each flag belongs only to the commands that read it: tolerances to the four
+# that pass a TolerancePolicy on, --seed to the two that draw random numbers
+FLAGS_WITHOUT_READER = {
+    "catalog-list-rank-rel-tol": ["catalog", "list", "--rank-rel-tol", "1e-3"],
+    "catalog-list-seed": ["catalog", "list", "--seed", "1"],
+    "catalog-list-name": ["catalog", "list", "nilpotent-2x2"],
+    "catalog-list-export": ["catalog", "list", "--export", "{out}"],
+    "catalog-show-seed": ["catalog", "show", "nilpotent-2x2", "--seed", "1"],
+    "catalog-show-max-condition": ["catalog", "show", "nilpotent-2x2", "--max-condition", "10"],
+    "search-rank-rel-tol": ["search", "--family", "normal", "--size", "2", "--trials", "1",
+                            "--rank-rel-tol", "1e-3"],
+    "search-residual-tol": ["search", "--family", "normal", "--size", "2", "--trials", "1",
+                            "--residual-tol", "1e-3"],
+    "classify-seed": ["classify", "{a}", "--seed", "1"],
+    "rankseq-seed": ["rankseq", "{a}", "--seed", "1"],
+    "unitary-seed": ["unitary", "{ab}", "{ab}", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLAGS_WITHOUT_READER))
+def test_flag_without_reader_is_exit_2(capsys, fixture_files, tmp_path, case):
+    argv = [x.format(out=tmp_path / "out", **fixture_files) for x in FLAGS_WITHOUT_READER[case]]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+

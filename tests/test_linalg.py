@@ -167,6 +167,18 @@ def test_charpoly_against_oracle():
         ours = characteristic_polynomial(m)
         theirs = oracle_charpoly(m)
         assert all(gq_equals_sympy(c, s) for c, s in zip(ours, theirs))
+    # entries over denominators 2..6, so the coefficients are not Gaussian integers
+    rng = np.random.default_rng(47)
+    fractional = 0
+    for _ in range(15):
+        n = int(rng.integers(1, 5))
+        m = Matrix.exact([[tuple(Fraction(int(rng.integers(-3, 4)), int(rng.integers(2, 7)))
+                                 for _ in range(2)) for _ in range(n)] for _ in range(n)])
+        ours = characteristic_polynomial(m)
+        theirs = oracle_charpoly(m)
+        assert all(gq_equals_sympy(c, s) for c, s in zip(ours, theirs))
+        fractional += any(c.re.denominator > 1 or c.im.denominator > 1 for c in ours)
+    assert fractional >= 10
 
 
 def test_products_share_charpoly():
