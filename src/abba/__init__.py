@@ -63,7 +63,6 @@ from .rankseq import (
 )
 from .scalars import DEFAULT_TOLERANCE, GaussianRational, TolerancePolicy
 from .similarity import (
-    CertificateCheck,
     SimilarityCertificate,
     SimilarityVerdict,
     certificate_for,

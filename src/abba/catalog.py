@@ -17,7 +17,6 @@ import numpy as np
 from . import generators as gen
 from .classes import is_hermitian, is_normal
 from .linalg import invertible, rank
-from .matio import dump_matrix
 from .matrix import EXACT, FLOAT, Matrix, block
 from .rankseq import RankSequence, enumerate_tail_sequences, rank_sequence
 from .scalars import DEFAULT_TOLERANCE, GQ
@@ -196,15 +195,6 @@ class SearchSpec:
         if self.rank is not None and not 0 <= self.rank <= self.size:
             raise ValueError("rank must lie between 0 and size")
 
-    def to_json(self) -> dict:
-        return {
-            "family": self.family,
-            "size": self.size,
-            "rank": self.rank,
-            "trials": self.trials,
-            "seed": self.seed,
-        }
-
 
 @dataclass(frozen=True)
 class Finding:
@@ -213,15 +203,6 @@ class Finding:
     b: Matrix
     seq_ab: RankSequence
     seq_ba: RankSequence
-
-    def to_json(self) -> dict:
-        return {
-            "trial": self.trial,
-            "a": dump_matrix(self.a),
-            "b": dump_matrix(self.b),
-            "seq_ab": self.seq_ab.to_json(),
-            "seq_ba": self.seq_ba.to_json(),
-        }
 
 
 def _draw(family: str, n: int, rng, rank_: int | None) -> Matrix:

@@ -99,17 +99,6 @@ class ClassReport:
     rank: int
     witnesses: dict = field(default_factory=dict)
 
-    def to_json(self) -> dict:
-        return {
-            "hermitian": self.hermitian,
-            "normal": self.normal,
-            "psd": self.psd,
-            "ep": self.ep,
-            "realpart_psd_same_rank": self.realpart_psd_same_rank,
-            "rank": self.rank,
-            "witnesses": self.witnesses,
-        }
-
 
 def _normality_witness(m: Matrix) -> dict:
     """A vector v with ||m v|| != ||m* v||, encoded entrywise as strings."""

@@ -1,13 +1,15 @@
 """Command line interface: classify, rankseq, decide, unitary, search, catalog.
 
-Reports are JSON on stdout.  Exit codes: 0 for a completed run (verdicts
-live in the payload, never in the exit code), 2 for invalid input or
-usage, 1 for internal errors.
+Reports are JSON on stdout, written from the objects the library returns
+by one encoder, ``_encode``; no other module knows the report format.
+Exit codes: 0 for a completed run (verdicts live in the payload, never in
+the exit code), 2 for invalid input or usage, 1 for internal errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -20,13 +22,14 @@ from .errors import BackendError, HypothesisViolation, IntertwinerNotFound, Matr
 from .matio import dump_matrix, load_matrix, save_matrix
 from .matrix import Matrix
 from .rankseq import rank_sequence
-from .scalars import DEFAULT_TOLERANCE, TolerancePolicy
+from .scalars import DEFAULT_TOLERANCE, GaussianRational, TolerancePolicy
 from .similarity import (
+    SimilarityCertificate,
     construct_similarity_psd_ep,
     decide_product_similarity,
     find_intertwiner,
 )
-from .unitary import decide_unitary_2x2, word_trace_screen
+from .unitary import WordTraceReport, decide_unitary_2x2, word_trace_screen
 
 SCHEMA_VERSION = 1
 
@@ -52,6 +55,24 @@ def _report(command: str, inputs: dict, result: dict, caught) -> dict:
     }
 
 
+def _encode(obj):
+    """The report form of each library value json cannot write itself."""
+    if isinstance(obj, Matrix):
+        return dump_matrix(obj)
+    if isinstance(obj, (GaussianRational, complex)):
+        return str(obj)
+    if isinstance(obj, SimilarityCertificate):
+        return {"t": obj.t, "residual": obj.residual,
+                "det_or_cond": obj.det if obj.det is not None else obj.condition}
+    if isinstance(obj, WordTraceReport):
+        return {"verdict": obj.verdict, "word": obj.word.spell() if obj.word else None,
+                "traces": obj.traces or None}
+    if dataclasses.is_dataclass(obj):
+        # one level deep: dataclasses.asdict would deep-copy every Matrix
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    raise TypeError(f"no report form for {type(obj).__name__}")
+
+
 def _load_square(path) -> Matrix:
     m = load_matrix(path)
     if not m.is_square:
@@ -63,13 +84,13 @@ def cmd_classify(args) -> dict:
     tol = _policy(args)
     m = _load_square(args.matrix)
     report = classify(m, tol)
-    return {"class_report": report.to_json()}
+    return {"class_report": report}
 
 
 def cmd_rankseq(args) -> dict:
     tol = _policy(args)
     m = _load_square(args.matrix)
-    return {"rank_sequence": rank_sequence(m, tol).to_json()}
+    return {"rank_sequence": rank_sequence(m, tol)}
 
 
 def cmd_decide(args) -> dict:
@@ -79,7 +100,7 @@ def cmd_decide(args) -> dict:
     a = _load_square(args.a)
     b = _load_square(args.b)
     verdict = decide_product_similarity(a, b, tol)
-    result = {"verdict": verdict.to_json()}
+    result = {"verdict": verdict}
     if args.construct:
         try:
             cert = construct_similarity_psd_ep(a, b, tol)
@@ -90,7 +111,7 @@ def cmd_decide(args) -> dict:
             cert = find_intertwiner(a @ b, b @ a, seed=args.seed, attempts=args.attempts, tol=tol)
             if cert is not None:
                 method = "sylvester-sampling"
-        result["certificate"] = cert.to_json() if cert else None
+        result["certificate"] = cert
         result["construction"] = method
     return result
 
@@ -102,7 +123,7 @@ def cmd_unitary(args) -> dict:
     screen = word_trace_screen(a, b, max_len=args.max_word_len, tol=tol)
     # the screen has checked that a and b have one shape
     triple = decide_unitary_2x2(a, b, tol) if a.shape == (2, 2) else None
-    return {"word_screen": screen.to_json(), "triple_invariant_equal": triple}
+    return {"word_screen": screen, "triple_invariant_equal": triple}
 
 
 def _search_spec(args) -> SearchSpec:
@@ -113,11 +134,7 @@ def _search_spec(args) -> SearchSpec:
 def cmd_search(args) -> dict:
     spec = _search_spec(args)
     findings = search_counterexample(spec)
-    return {
-        "spec": spec.to_json(),
-        "count": len(findings),
-        "findings": [f.to_json() for f in findings],
-    }
+    return {"spec": spec, "count": len(findings), "findings": findings}
 
 
 def cmd_catalog_list(args) -> dict:
@@ -129,7 +146,7 @@ def cmd_catalog_show(args) -> dict:
     result = {
         "name": fixture.name,
         "description": fixture.description,
-        "matrices": {k: dump_matrix(v) for k, v in fixture.matrices.items()},
+        "matrices": fixture.matrices,
         "claims": [{"name": n, "pass": ok} for n, ok in fixture.evaluate()],
     }
     if args.export:
@@ -211,7 +228,7 @@ def _gather_inputs(args) -> dict:
         if path is not None:
             inputs[attr] = _digest(path)
     if args.command == "search":
-        inputs["spec"] = _search_spec(args).to_json()
+        inputs["spec"] = _search_spec(args)
     if args.command == "catalog":
         inputs["action"] = args.action
         if args.action == "show":
@@ -226,7 +243,8 @@ def main(argv=None) -> int:
             warnings.simplefilter("always")
             inputs = _gather_inputs(args)
             result = args.fn(args)
-        report = _report(args.command, inputs, result, caught)
+        text = json.dumps(_report(args.command, inputs, result, caught),
+                          indent=2, sort_keys=True, default=_encode)
     except _USAGE_ERRORS as exc:
         print(f"abba: error: {exc}", file=sys.stderr)
         return 2
@@ -236,7 +254,7 @@ def main(argv=None) -> int:
     except Exception as exc:  # internal failure
         print(f"abba: internal error: {exc}", file=sys.stderr)
         return 1
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(text)
     return 0
 
 

@@ -8,7 +8,8 @@ matrices have equal triples and the zero matrix has den = 1.  Arithmetic
 runs on the int arrays (a product is four integer ``dot``s and one gcd
 pass); entries read one at a time (``m[i, j]``, ``trace``, ``array``)
 come back as :class:`GaussianRational`.  A float matrix wraps a
-complex128 array.
+complex128 array of finite entries: an operation whose result overflows
+raises :class:`BackendError` instead of returning inf or NaN.
 
 Values are immutable after construction; every operation returns a new
 matrix.  Mixing backends in one operation raises :class:`BackendError`.
@@ -50,11 +51,13 @@ class Matrix:
     __slots__ = ("_backend", "_shape", "_data", "_re", "_im", "_den")
 
     def __init__(self, data, backend: str):
-        """Wrap `data`: a complex128 array on the float backend, or a triple
+        """Wrap `data`: a finite complex128 array on the float backend, or a triple
         (re, im, den) of integer object arrays and a positive int on the
         exact backend, which is brought to canonical form.  Build matrices
         with the static constructors below."""
         if backend == FLOAT:
+            if not np.isfinite(data).all():
+                raise BackendError("float matrix with an infinite or NaN entry (overflow)")
             data.flags.writeable = False
             object.__setattr__(self, "_data", data)
             shape = data.shape
@@ -108,10 +111,7 @@ class Matrix:
 
     @staticmethod
     def from_float(rows) -> "Matrix":
-        arr = np.array(rows, dtype=np.complex128)
-        if arr.ndim == 1:
-            arr = arr.reshape(1, -1)
-        return Matrix(arr, FLOAT)
+        return Matrix(np.array(rows, dtype=np.complex128), FLOAT)
 
     @staticmethod
     def zeros(rows: int, cols: int, backend: str = EXACT) -> "Matrix":
@@ -127,11 +127,9 @@ class Matrix:
         return Matrix(np.eye(n, dtype=np.complex128), FLOAT)
 
     @staticmethod
-    def diagonal(values: Sequence, backend: str = EXACT) -> "Matrix":
+    def diagonal(values: Sequence) -> "Matrix":
+        """Exact diagonal matrix with the given entries."""
         n = len(values)
-        if backend != EXACT:
-            return Matrix(np.diag(np.array([complex(v) for v in values], dtype=np.complex128)),
-                          FLOAT)
         re, im, den = _over_common_den([GQ.coerce(v) for v in values])
         arr_re = np.zeros((n, n), dtype=object)
         arr_im = np.zeros((n, n), dtype=object)
@@ -269,11 +267,6 @@ class Matrix:
         if self._backend == EXACT:
             return Matrix((self._re.T, self._im.T, self._den), EXACT)
         return Matrix(self._data.T.copy(), FLOAT)
-
-    def conjugate(self) -> "Matrix":
-        if self._backend == EXACT:
-            return Matrix((self._re, -self._im, self._den), EXACT)
-        return Matrix(self._data.conj().copy(), FLOAT)
 
     def trace(self):
         if not self.is_square:

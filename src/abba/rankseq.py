@@ -44,9 +44,6 @@ class RankSequence:
             return self.terms[:length]
         return self.terms + (self.limit,) * (length - len(self.terms))
 
-    def to_json(self) -> dict:
-        return {"n": self.n, "terms": list(self.terms), "limit": self.limit}
-
     def __str__(self):
         return "(" + ", ".join(map(str, self.terms)) + ", ...)"
 

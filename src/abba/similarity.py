@@ -32,7 +32,6 @@ from .classes import (
 )
 from .errors import HypothesisViolation, IntertwinerNotFound, ShapeError
 from .linalg import condition_estimate, determinant, nullspace_basis
-from .matio import dump_matrix
 from .matrix import EXACT, Matrix, block, hstack, kron
 from .rankseq import RankSequence, rank_sequence
 from .scalars import DEFAULT_TOLERANCE, GQ, TolerancePolicy
@@ -45,85 +44,48 @@ class SimilarityVerdict:
     seq_ab: RankSequence
     seq_ba: RankSequence
 
-    def to_json(self) -> dict:
-        return {
-            "similar": self.similar,
-            "reason": self.reason,
-            "seq_ab": self.seq_ab.to_json(),
-            "seq_ba": self.seq_ba.to_json(),
-        }
-
 
 @dataclass(frozen=True)
 class SimilarityCertificate:
-    """Invertible t with t M1 = M2 t, plus residual and invertibility evidence."""
+    """Candidate t for t M1 = M2 t: relative residual, invertibility evidence
+    and the verdict of the acceptance rule (see :func:`certificate_for`)."""
 
     t: Matrix
     residual: float
     det: GQ | None = None          # exact backend evidence
     condition: float | None = None  # float backend evidence
-
-    def to_json(self) -> dict:
-        return {
-            "t": dump_matrix(self.t),
-            "residual": self.residual,
-            "det_or_cond": str(self.det) if self.det is not None else self.condition,
-        }
+    invertible: bool = False
+    ok: bool = False
 
 
-@dataclass(frozen=True)
-class CertificateCheck:
-    residual: float
-    invertible: bool
-    ok: bool
-    det: GQ | None = None
-    condition: float | None = None
+def certificate_for(
+    t: Matrix, m1: Matrix, m2: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE
+) -> SimilarityCertificate:
+    """Package t as a certificate for t M1 = M2 t, computing the evidence.
 
-
-def _relative_residual(t: Matrix, m1: Matrix, m2: Matrix) -> float:
+    The acceptance rule: t invertible (nonzero det, or condition at most
+    max_condition) and residual zero (exact) or at most residual_tol (float).
+    """
     diff = t @ m1 - m2 @ t
-    if diff.is_zero():
-        return 0.0
-    denom = t.frobenius() * max(m1.frobenius(), m2.frobenius())
-    if denom == 0:
-        return float("inf")
-    return diff.frobenius() / denom
-
-
-def certificate_for(t: Matrix, m1: Matrix, m2: Matrix) -> SimilarityCertificate:
-    """Package t as a certificate for t M1 = M2 t, computing the evidence."""
-    residual = _relative_residual(t, m1, m2)
+    residual = 0.0
+    if not diff.is_zero():
+        denom = t.frobenius() * max(m1.frobenius(), m2.frobenius())
+        residual = diff.frobenius() / denom if denom else float("inf")
     if t.backend == EXACT:
-        return SimilarityCertificate(t=t, residual=residual, det=determinant(t))
-    return SimilarityCertificate(t=t, residual=residual, condition=condition_estimate(t))
-
-
-def _invertible(cert: SimilarityCertificate, tol: TolerancePolicy) -> bool:
-    if cert.t.backend == EXACT:
-        return cert.det is not None and bool(cert.det)
-    return cert.condition is not None and cert.condition <= tol.max_condition
-
-
-def certificate_valid(
-    cert: SimilarityCertificate, tol: TolerancePolicy = DEFAULT_TOLERANCE
-) -> bool:
-    """The acceptance rule: t invertible (nonzero det, or condition at most
-    max_condition) and residual zero (exact) or at most residual_tol (float)."""
-    exact = cert.t.backend == EXACT
-    return _invertible(cert, tol) and (
-        cert.residual == 0.0 if exact else cert.residual <= tol.residual_tol
-    )
+        det = determinant(t)
+        return SimilarityCertificate(t=t, residual=residual, det=det, invertible=bool(det),
+                                     ok=bool(det) and residual == 0.0)
+    condition = condition_estimate(t)
+    invertible = condition <= tol.max_condition
+    return SimilarityCertificate(t=t, residual=residual, condition=condition, invertible=invertible,
+                                 ok=invertible and residual <= tol.residual_tol)
 
 
 def verify_certificate(
     cert: SimilarityCertificate, m1: Matrix, m2: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE
-) -> CertificateCheck:
-    """Recompute residual and invertibility evidence for cert.t from scratch."""
-    fresh = certificate_for(cert.t, m1, m2)
-    return CertificateCheck(
-        residual=fresh.residual, invertible=_invertible(fresh, tol),
-        ok=certificate_valid(fresh, tol), det=fresh.det, condition=fresh.condition,
-    )
+) -> SimilarityCertificate:
+    """Recompute residual, invertibility evidence and verdict for cert.t from scratch."""
+    return certificate_for(cert.t, m1, m2, tol)
 
 
 def decide_product_similarity(
@@ -189,8 +151,8 @@ def find_intertwiner(
             t = t + s * c
         if t.is_zero():
             continue
-        cert = certificate_for(t, m1, m2)
-        if certificate_valid(cert, tol):
+        cert = certificate_for(t, m1, m2, tol)
+        if cert.ok:
             return cert
     return None
 
@@ -225,8 +187,8 @@ def construct_similarity_psd_ep(
     eye = Matrix.identity(n - r, a.backend)
     s = block([[c + x @ y.adjoint(), -x], [-y.adjoint(), eye]])
     t = v @ s @ v.adjoint()
-    cert = certificate_for(t, a @ b, b @ a)
-    if not certificate_valid(cert, tol):
+    cert = certificate_for(t, a @ b, b @ a, tol)
+    if not cert.ok:
         raise HypothesisViolation(
             f"constructed transform failed verification (residual {cert.residual:.3g})"
         )
@@ -283,8 +245,8 @@ def doubling_product_similarity(
     t = (w.adjoint() * Fraction(1, 2)) @ t_blocks @ w  # w w* = 2 I
     phi_x = normal_doubling(x)
     phi_y = normal_doubling(y)
-    cert = certificate_for(t, phi_x @ phi_y, phi_y @ phi_x)
-    if not certificate_valid(cert, tol):
+    cert = certificate_for(t, phi_x @ phi_y, phi_y @ phi_x, tol)
+    if not cert.ok:
         raise IntertwinerNotFound(
             f"assembled doubling intertwiner failed verification (residual {cert.residual:.3g})"
         )

@@ -92,13 +92,6 @@ class WordTraceReport:
             return "distinguished"
         return f"indistinguishable-up-to-length-{self.max_len}"
 
-    def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "word": self.word.spell() if self.word else None,
-            "traces": [str(t) for t in self.traces] if self.traces else None,
-        }
-
 
 @functools.lru_cache(maxsize=8)
 def _screen_words(max_len: int) -> tuple[TraceWord, ...]:

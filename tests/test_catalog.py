@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from abba import (
@@ -8,6 +10,7 @@ from abba import (
     minimal_counterexample_analysis,
     search_counterexample,
 )
+from abba.cli import _encode
 
 
 def test_catalog_has_five_fixtures():
@@ -52,8 +55,8 @@ def test_search_spec_validation():
 
 def test_search_deterministic_replay():
     spec = SearchSpec(family="zero-one-normal", size=4, rank=3, trials=30, seed=0)
-    first = [f.to_json() for f in search_counterexample(spec)]
-    second = [f.to_json() for f in search_counterexample(spec)]
+    first = json.dumps(search_counterexample(spec), default=_encode)
+    second = json.dumps(search_counterexample(spec), default=_encode)
     assert first == second
 
 
@@ -83,7 +86,7 @@ def test_search_zero_one_normal_flags_counterexamples():
     f = findings[0]
     assert f.seq_ab.terms != f.seq_ba.terms
     assert f.seq_ab.limit == f.seq_ba.limit
-    doc = f.to_json()
+    doc = json.loads(json.dumps(f, default=_encode))
     assert doc["trial"] == f.trial and doc["a"]["scalar"] == "exact"
 
 

@@ -141,7 +141,7 @@ def test_normal_implies_ep_500():
 
 def test_classify_witnesses():
     rep = classify(J2)
-    assert rep.to_json()["rank"] == 1
+    assert rep.rank == 1
     assert rep.witnesses["hermitian_violation"] == [0, 1]
     assert "normality_violation" in rep.witnesses
     assert rep.witnesses["range_adjoint_rank"] == 2

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from abba import Matrix, catalog, save_matrix
-from abba.cli import main
+from abba.cli import _encode, main
 from abba.generators import random_normal, random_psd
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -248,6 +248,27 @@ def test_tol_flag_scales_policy(capsys, tmp_path):
         main(["rankseq", str(p), "--tol", "1e-3"])
     assert exc.value.code == 2
     assert "--tol" in capsys.readouterr().err
+
+
+def test_encoder_rejects_unknown_objects():
+    with pytest.raises(TypeError):
+        _encode(object())
+    with pytest.raises(TypeError):
+        json.dumps({"x": {1, 2}}, default=_encode)
+
+
+def test_overflowing_float_products_are_exit_2(capsys, tmp_path):
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"scalar": "float", "rows": 2, "cols": 2,
+                               "entries": [[["1e300", "0"], ["1e300", "0"]]] * 2}))
+    for argv in (["decide", big, big], ["decide", big, big, "--construct"],
+                 ["unitary", big, big], ["classify", big]):
+        code = main([str(x) for x in argv])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "infinite or NaN" in captured.err
+    # the rank sequence never forms an overflowing product
+    assert _run_json(capsys, "rankseq", str(big))["result"]["rank_sequence"]["terms"] == [2, 1]
 
 
 # each flag belongs only to the commands that read it: tolerances to the four

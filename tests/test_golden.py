@@ -47,6 +47,9 @@ CASES = {
     "classify-psd-3-seed5": ["classify", "psd-ep-3-seed5__a.json"],
     "classify-float-hermitian-3": ["classify", "float-hermitian-3.json"],
     "classify-float-nilpotent-3": ["classify", "float-nilpotent-3.json"],
+    "search-zero-one-normal-4-rank3-seed1": ["search", "--family", "zero-one-normal", "--size", "4",
+                                             "--rank", "3", "--trials", "60", "--seed", "1"],
+    "catalog-list": ["catalog", "list"],
 }
 
 

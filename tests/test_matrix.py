@@ -57,6 +57,20 @@ def test_shape_and_backend_errors():
         Matrix.exact([[1]]) @ Matrix.from_float([[1.0]])
     with pytest.raises(BackendError):
         Matrix.exact([[0.5]])
+    with pytest.raises(ShapeError):
+        Matrix.from_float([1.0, 2.0])
+
+
+def test_float_results_must_be_finite():
+    big = Matrix.from_float([[1e300, 1e300], [1e300, 1e300]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(BackendError, match="infinite or NaN"):
+            big @ big
+        with pytest.raises(BackendError):
+            big * 1e10
+    with pytest.raises(BackendError):
+        Matrix.from_float([[float("nan")]])
+    assert (big * 0.5).array[0, 0] == 5e299
 
 
 def test_immutability():

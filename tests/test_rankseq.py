@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from abba import (
     realize_rank_sequence,
 )
 from abba import generators as gen
+from abba.cli import _encode
 from abba.rankseq import stabilize
 
 from .oracle import oracle_rank
@@ -184,5 +186,5 @@ def test_no_spurious_warnings_on_clean_float_input():
 def test_serialization():
     seq = RankSequence.from_terms((4, 2, 2, 1))
     assert seq.terms == (4, 2)  # stabilized at the first repeat
-    assert seq.to_json() == {"n": 4, "terms": [4, 2], "limit": 2}
+    assert json.loads(json.dumps(seq, default=_encode)) == {"n": 4, "terms": [4, 2], "limit": 2}
     assert seq.expand(5) == (4, 2, 2, 2, 2)

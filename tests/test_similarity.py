@@ -150,6 +150,27 @@ def test_verify_certificate_float_rejects_non_intertwiner():
     assert chk.residual == pytest.approx(1.0) and not chk.ok
 
 
+def test_hand_built_certificate_verifies_true_intertwiner_only():
+    # the form a caller holding only t builds: no evidence, no verdict
+    m1 = Matrix.exact([[0, 1], [0, 0]])
+    m2 = m1.transpose()
+    swap = SimilarityCertificate(t=Matrix.exact([[0, 1], [1, 0]]), residual=0.0)
+    assert not swap.ok
+    chk = verify_certificate(swap, m1, m2)
+    assert chk.ok and chk.invertible and chk.det == GQ(-1) and chk.residual == 0.0
+    singular = SimilarityCertificate(t=Matrix.exact([[0, 0], [0, 1]]), residual=0.0)
+    assert (singular.t @ m1 - m2 @ singular.t).is_zero()
+    chk = verify_certificate(singular, m1, m2)
+    assert not chk.invertible and not chk.ok and chk.det == GQ(0)
+
+
+def test_exact_invertible_non_intertwiner_is_not_ok():
+    m1 = Matrix.exact([[0, 1], [0, 0]])
+    cert = certificate_for(Matrix.identity(2), m1, m1.transpose())
+    assert cert.invertible and cert.det == GQ(1)
+    assert cert.residual > 0 and not cert.ok
+
+
 def test_identity_certificate_on_commuting_pair():
     m = Matrix.diagonal([2, 3])
     cert = certificate_for(Matrix.identity(2), m, m)
