@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .catalog import FAMILIES, SearchSpec, catalog, get_fixture, search_counterexample
 from .classes import classify
-from .errors import BackendError, HypothesisViolation, IntertwinerNotFound, MatrixFormatError
+from .errors import BackendError, HypothesisViolation, MatrixFormatError
 from .matio import dump_matrix, load_matrix, save_matrix
 from .matrix import Matrix
 from .rankseq import rank_sequence
@@ -248,9 +248,6 @@ def main(argv=None) -> int:
     except _USAGE_ERRORS as exc:
         print(f"abba: error: {exc}", file=sys.stderr)
         return 2
-    except IntertwinerNotFound as exc:
-        print(f"abba: error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:  # internal failure
         print(f"abba: internal error: {exc}", file=sys.stderr)
         return 1

@@ -2,12 +2,12 @@
 
 On the exact backend one routine, :func:`_eliminate`, does every
 elimination: fraction-free (Bareiss) elimination over the Gaussian
-integers, run directly on the integer numerators of :class:`Matrix`
-(the one reader of that representation outside abba.matrix), so
-intermediate entries stay minors of the input.  Rank and determinant
-read the forward pass; null spaces and solves let it clear the rows
-above each pivot as well, which yields the (unique) reduced row echelon
-form over one Gaussian-integer denominator.
+integers, run directly on the integer numerators that
+:attr:`Matrix.numerators` exposes, so intermediate entries stay minors of
+the input.  Rank and determinant read the forward pass; null spaces and
+solves let it clear the rows above each pivot as well, which yields the
+(unique) reduced row echelon form over one Gaussian-integer denominator.
+A null space comes back as one matrix whose columns are the basis vectors.
 
 Every float-backend rank decision comes from one helper, :func:`_float_svd`,
 which counts the singular values with
@@ -30,8 +30,9 @@ from .matrix import EXACT, FLOAT, Matrix, hstack
 from .scalars import DEFAULT_TOLERANCE, GQ, TolerancePolicy
 
 
-def _eliminate(re: np.ndarray, im: np.ndarray, reduce: bool = False):
-    """Fraction-free elimination over Z[i] on a copy of the matrix re + i im.
+def _eliminate(m: Matrix, reduce: bool = False):
+    """Fraction-free elimination over Z[i] on a copy of the numerators re + i im
+    of the exact matrix m.
 
     Pivots are the first nonzero entries of their columns.  Each update is
     (p * a - f * b) / prev, with p the current pivot and prev the one
@@ -44,6 +45,7 @@ def _eliminate(re: np.ndarray, im: np.ndarray, reduce: bool = False):
 
     Returns (re, im, pivot columns, row-swap sign, last pivot as (re, im)).
     """
+    re, im, _ = m.numerators
     re, im = re.copy(), im.copy()
     rows, cols = re.shape
     prev = (1, 0)
@@ -101,8 +103,9 @@ def _range_basis(m: Matrix, tol: TolerancePolicy, norm: float | None = None) -> 
     its leading left singular vectors under the cutoff of _float_svd (float;
     norm is ignored on the exact backend)."""
     if m.backend == EXACT:
-        pivots = _eliminate(m._re, m._im)[2]
-        return Matrix.from_ints(m._re[:, pivots], m._im[:, pivots], m._den)
+        pivots = _eliminate(m)[2]
+        re, im, den = m.numerators
+        return Matrix.from_ints(re[:, pivots], im[:, pivots], den)
     u, _, _, r = _float_svd(m, tol, norm)
     return Matrix.from_float(u[:, :r])
 
@@ -110,7 +113,7 @@ def _range_basis(m: Matrix, tol: TolerancePolicy, norm: float | None = None) -> 
 def rank(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> int:
     """Rank over the complex field (exact) or numerical rank (float)."""
     if m.backend == EXACT:
-        return len(_eliminate(m._re, m._im)[2])
+        return len(_eliminate(m)[2])
     return _float_svd(m, tol)[3]
 
 
@@ -119,10 +122,10 @@ def determinant(m: Matrix):
         raise ShapeError("determinant of a non-square matrix")
     if m.backend == FLOAT:
         return complex(np.linalg.det(m.array))
-    _, _, pivots, sign, (dr, di) = _eliminate(m._re, m._im)
+    _, _, pivots, sign, (dr, di) = _eliminate(m)
     if len(pivots) < m.rows:
         return GQ(0)
-    scale = m._den ** m.rows
+    scale = m.numerators[2] ** m.rows
     return GQ(Fraction(sign * dr, scale), Fraction(sign * di, scale))
 
 
@@ -146,20 +149,20 @@ def condition_estimate(m: Matrix) -> float:
     return float(s[0] / s[-1])
 
 
-def nullspace_basis(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> list[Matrix]:
-    """Basis of ker(m) as column vectors; length is cols - rank(m)."""
+def nullspace_basis(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> Matrix:
+    """The cols x (cols - rank(m)) matrix whose columns are a basis of ker(m): the
+    reduced-row-echelon basis (exact) or trailing right singular vectors (float)."""
     if m.backend == EXACT:
-        re, im, pivots, _, d = _eliminate(m._re, m._im, reduce=True)
+        re, im, pivots, _, d = _eliminate(m, reduce=True)
         free = [j for j in range(m.cols) if j not in pivots]
         # v_f = e_f - sum_k rref[k, f] e_{pivots[k]}, over the common denominator d
         vr = np.zeros((m.cols, len(free)), dtype=object)
         vi = np.zeros((m.cols, len(free)), dtype=object)
         vr[free, range(len(free))], vi[free, range(len(free))] = d
         vr[pivots], vi[pivots] = -re[:len(pivots), free], -im[:len(pivots), free]
-        basis = _over_pivot(vr, vi, d)
-        return [basis.column(j) for j in range(len(free))]
+        return _over_pivot(vr, vi, d)
     _, _, vh, r = _float_svd(m, tol)
-    return [Matrix.from_float(vh.conj().T[:, j].reshape(-1, 1)) for j in range(r, m.cols)]
+    return Matrix.from_float(vh.conj().T[:, r:])
 
 
 def solve_linear(a: Matrix, b: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> Matrix | None:
@@ -173,8 +176,7 @@ def solve_linear(a: Matrix, b: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE)
         raise ShapeError("a and b must have the same number of rows")
     if a.backend == EXACT:
         # one common denominator scales both sides alike and leaves X unchanged
-        ab = hstack([a, b])
-        re, im, pivots, _, d = _eliminate(ab._re, ab._im, reduce=True)
+        re, im, pivots, _, d = _eliminate(hstack([a, b]), reduce=True)
         if pivots and pivots[-1] >= a.cols:
             return None
         xr = np.zeros((a.cols, b.cols), dtype=object)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from fractions import Fraction
 from pathlib import Path
 
 from .errors import MatrixFormatError
@@ -81,16 +82,12 @@ def parse_matrix(doc: dict) -> Matrix:
 
 
 def dump_matrix(m: Matrix) -> dict:
-    entries = []
-    for i in range(m.rows):
-        row = []
-        for j in range(m.cols):
-            v = m[i, j]
-            if m.backend == EXACT:
-                row.append([str(v.re), str(v.im)])
-            else:
-                row.append([repr(float(v.real)), repr(float(v.imag))])
-        entries.append(row)
+    if m.backend == EXACT:
+        re, im, den = m.numerators
+        entries = [[[str(Fraction(p, den)), str(Fraction(q, den))] for p, q in zip(rr, ri)]
+                   for rr, ri in zip(re.tolist(), im.tolist())]
+    else:
+        entries = [[[repr(z.real), repr(z.imag)] for z in row] for row in m.array.tolist()]
     return {"scalar": m.backend, "rows": m.rows, "cols": m.cols, "entries": entries}
 
 

@@ -172,6 +172,14 @@ class Matrix:
         arr.flags.writeable = False
         return arr
 
+    @property
+    def numerators(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """(re, im, den) of an exact matrix: read-only integer object arrays and
+        the positive denominator, entry (j, k) being (re[j, k] + i im[j, k]) / den."""
+        if self._backend != EXACT:
+            raise BackendError("numerators are an exact-backend notion")
+        return self._re, self._im, self._den
+
     def __getitem__(self, key):
         i, j = key
         if self._backend == EXACT:
@@ -282,9 +290,6 @@ class Matrix:
             return Matrix((self._re[r0:r1, c0:c1], self._im[r0:r1, c0:c1], self._den), EXACT)
         return Matrix(self._data[r0:r1, c0:c1].copy(), FLOAT)
 
-    def column(self, j: int) -> "Matrix":
-        return self.block(0, self.rows, j, j + 1)
-
     def to_float(self) -> "Matrix":
         """Float copy (identity on float matrices).  Each part is one
         correctly rounded int division, equal to float(Fraction) of the entry."""
@@ -307,7 +312,11 @@ class Matrix:
         if self._backend == EXACT:
             re, im = self._re.ravel(), self._im.ravel()
             return (int(np.dot(re, re) + np.dot(im, im)) / self._den ** 2) ** 0.5
-        return float(np.linalg.norm(self._data))
+        norm = float(np.linalg.norm(self._data))
+        if norm == math.inf:  # the squares overflowed; rescale the finite entries
+            scale = float(max(np.abs(self._data.real).max(), np.abs(self._data.imag).max()))
+            norm = scale * float(np.linalg.norm(self._data / scale))
+        return norm
 
     def __repr__(self):
         return f"Matrix({self._backend}, {self.rows}x{self.cols})"

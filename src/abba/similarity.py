@@ -107,9 +107,10 @@ def intertwiner_space(m1: Matrix, m2: Matrix, tol: TolerancePolicy = DEFAULT_TOL
     n = m1.rows
     eye = Matrix.identity(n, m1.backend)
     sylvester = kron(m1.transpose(), eye) - kron(eye, m2)
-    vectors = nullspace_basis(sylvester, tol)
-    # vec(s) stacks the columns of s
-    return [hstack([vec.block(j * n, (j + 1) * n, 0, 1) for j in range(n)]) for vec in vectors]
+    kernel = nullspace_basis(sylvester, tol)
+    # column i of the kernel is vec(s_i), which stacks the columns of s_i
+    return [hstack([kernel.block(j * n, (j + 1) * n, i, i + 1) for j in range(n)])
+            for i in range(kernel.cols)]
 
 
 def find_intertwiner(
@@ -149,8 +150,6 @@ def find_intertwiner(
         t = Matrix.zeros(n, n, m1.backend)
         for c, s in zip(coeffs, basis):
             t = t + s * c
-        if t.is_zero():
-            continue
         cert = certificate_for(t, m1, m2, tol)
         if cert.ok:
             return cert
@@ -167,14 +166,15 @@ def construct_similarity_psd_ep(
     A11 X = A12 and A11* Y = A21* in the aligned frame, and conjugates
     S = [[C + X Y*, -X], [-Y*, I]] back.  Hermitian a gives Y = X and
     reduces S to its classical positive-semidefinite form.
+    b is tested before a, so when both fail the error is b's.
     """
     a._check_operand_pair(b)
+    dec = ep_decomposition(b, tol)
     hermitian_a = is_hermitian(a, tol)
-    if not (is_psd(a, tol) or realpart_psd_same_rank(a, tol)):
+    if not (is_psd(a, tol) if hermitian_a else realpart_psd_same_rank(a, tol)):
         raise HypothesisViolation(
             "a must be positive semidefinite or have a PSD real part of equal rank"
         )
-    dec = ep_decomposition(b, tol)
     v, c, r = dec.v, dec.c, dec.r
     n = a.rows
     at = v.adjoint() @ a @ v

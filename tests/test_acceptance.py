@@ -219,7 +219,7 @@ def test_rank_one_normal_unitary_suite():
             # force the kernel branch: a projects onto a null vector of b
             b = gen.random_normal(n, rng, rank=int(rng.integers(0, n)))
             null = nullspace_basis(b)
-            v = null[0].array
+            v = null.array[:, :1]
             a = Matrix.from_float(v @ v.conj().T)
         else:
             a = gen.random_rank_one_normal(n, rng)

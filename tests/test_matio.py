@@ -19,6 +19,19 @@ def test_exact_round_trip(tmp_path):
     assert doc["entries"][0][0] == ["1/2", "-3"]
 
 
+def test_dump_writes_each_part_as_its_value_reads():
+    """Exact parts print as reduced fractions, float parts as repr of Python floats."""
+    exact = Matrix.exact([[("6/4", "-3"), 0], [(0, "-2/6"), ("7/9", 1)]])
+    doc = dump_matrix(exact)
+    assert doc["entries"] == [[[str(exact[i, j].re), str(exact[i, j].im)] for j in range(2)]
+                              for i in range(2)]
+    assert doc["entries"][0][0] == ["3/2", "-3"]
+    f = Matrix.from_float([[-0.0, 1e-300 - 2.5j], [0.1 + 0.2, 3e300j]])
+    assert dump_matrix(f)["entries"] == [[[repr(float(f[i, j].real)), repr(float(f[i, j].imag))]
+                                          for j in range(2)] for i in range(2)]
+    assert dump_matrix(f)["entries"][0][0] == ["-0.0", "0.0"]
+
+
 def test_float_round_trip(tmp_path):
     m = Matrix.from_float([[1.5, -2.25e-3], [0.0, 3.0 + 4.0j]])
     path = tmp_path / "f.json"

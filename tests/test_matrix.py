@@ -93,7 +93,6 @@ def test_trace_and_blocks():
     m = Matrix.exact([[1, 2, 3], [4, 5, 6], [7, 8, (9, 1)]])
     assert m.trace() == GQ(15, 1)
     assert m.block(0, 2, 1, 3) == Matrix.exact([[2, 3], [5, 6]])
-    assert m.column(0) == Matrix.exact([[1], [4], [7]])
 
 
 def test_stacking_and_block_assembly():
@@ -128,6 +127,33 @@ def test_frobenius_norm():
     m = Matrix.exact([[3, 4]])
     assert m.frobenius() == pytest.approx(5.0)
     assert Matrix.zeros(3, 3).frobenius() == 0.0
+
+
+def test_frobenius_survives_overflowing_squares():
+    from abba import is_hermitian
+
+    m = Matrix.from_float([[1e200, 1e200], [0, 1e200]])
+    with pytest.warns(RuntimeWarning, match="overflow"):  # numpy's first, squaring pass
+        assert m.frobenius() == 1.7320508075688773e+200
+        assert not is_hermitian(m)  # ||m - m*|| = sqrt(2) 1e200 is no small part of ||m||
+
+
+def test_frobenius_keeps_numpy_bits_when_finite():
+    rng = np.random.default_rng(126)
+    for scale in (1e-300, 1e-160, 1e-8, 1.0, 1e8, 1e150):
+        for shape in ((1, 1), (2, 3), (4, 4), (6, 1)):
+            data = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            expected = float(np.linalg.norm(data))
+            assert np.isfinite(expected)
+            assert Matrix.from_float(data).frobenius() == expected
+
+
+def test_numerators_expose_the_exact_layout():
+    re, im, den = Matrix.exact([["1/2", (1, "3/4")]]).numerators
+    assert (re.tolist(), im.tolist(), den) == ([[2, 4]], [[0, 3]], 4)
+    assert not re.flags.writeable
+    with pytest.raises(BackendError):
+        Matrix.from_float([[1.0]]).numerators
 
 
 def test_canonical_form_makes_equal_values_equal():

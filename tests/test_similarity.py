@@ -16,13 +16,17 @@ from abba import (
     find_intertwiner,
     hermitian_parts,
     intertwiner_space,
+    is_hermitian,
     is_normal,
+    is_psd,
     normal_doubling,
     rank_one_normal_unitary,
+    realpart_psd_same_rank,
     verify_certificate,
     word_trace_screen,
 )
 from abba import generators as gen
+from abba.linalg import principal_minor_sums
 from abba.scalars import GQ
 
 
@@ -118,6 +122,19 @@ def test_intertwiner_space_contains_commutant():
     m = Matrix.diagonal([1, 2, 3])
     basis = intertwiner_space(m, m)
     assert len(basis) == 3  # distinct eigenvalues: diagonal commutant
+
+
+def test_find_intertwiner_skips_a_zero_draw():
+    """A zero sample fails the certificate rule, so the next draw is used."""
+    m = Matrix.exact([[3]])  # every 1x1 matrix intertwines: a one-dimensional space
+    assert len(intertwiner_space(m, m)) == 1
+    seed = 25
+    rng = np.random.default_rng(seed)
+    first, second = (int(rng.integers(-9, 10, size=1)[0]) for _ in range(2))  # as find_intertwiner draws
+    assert (first, second) == (0, -6)
+    assert certificate_for(Matrix.zeros(1, 1), m, m).ok is False
+    cert = find_intertwiner(m, m, seed=seed)
+    assert cert == certificate_for(Matrix.exact([[second]]), m, m)
 
 
 def test_certificates_returned_are_always_sound():
@@ -229,6 +246,52 @@ def test_construct_rejects_bad_hypotheses():
         construct_similarity_psd_ep(Matrix.exact([[0, 1], [1, 0]]), Matrix.identity(2))
     with pytest.raises(HypothesisViolation):
         construct_similarity_psd_ep(Matrix.identity(2), Matrix.exact([[0, 1], [0, 0]]))
+
+
+def test_construct_hypothesis_rule_agrees_with_either_rule():
+    """A Hermitian a is its own real part, so asking is_psd for Hermitian a
+    and realpart_psd_same_rank otherwise decides as the disjunction does."""
+    rng = np.random.default_rng(77)
+    pool = [Matrix.exact([[1, 2], [2, 1]]), Matrix.exact([[(1, 3), 0], [0, 0]])]
+    for n in (2, 3, 4):
+        for rank in (1, n):
+            psd = gen.rational_psd(n, rng, rank=rank)
+            pool += [psd, -psd, gen.rational_hermitian(n, rng, rank=rank), _random_exact(rng, n),
+                     psd + gen.rational_skew_hermitian(n, rng)]
+            fpsd = gen.random_psd(n, rng, rank=rank)
+            noise = Matrix.from_float(1e-13 * rng.standard_normal((n, n)))
+            pool += [fpsd, fpsd + noise, -fpsd, gen.random_hermitian(n, rng, rank=rank),
+                     gen.random_realpart_psd(n, rng, rank=rank), gen.random_normal(n, rng, rank=rank),
+                     fpsd * GQ(0, 1)]
+    seen = set()
+    for a in pool:
+        herm = is_hermitian(a)
+        rule = is_psd(a) if herm else realpart_psd_same_rank(a)
+        assert rule == (is_psd(a) or realpart_psd_same_rank(a))
+        seen.add((a.backend, herm, rule))
+    assert len(seen) == 8  # both backends, Hermitian or not, accepted or not
+
+
+def test_construct_tests_b_before_a(monkeypatch):
+    """An indefinite Hermitian a: its minor sums are read once after a
+    block-form EP b, and not at all when an exact b is not in block form."""
+    from abba import classes
+
+    calls = []
+
+    def counted(m):
+        calls.append(m.shape)
+        return principal_minor_sums(m)
+
+    monkeypatch.setattr(classes, "principal_minor_sums", counted)
+    a = Matrix.exact([[1, 2], [2, 1]])  # eigenvalues 3 and -1
+    with pytest.raises(HypothesisViolation):
+        construct_similarity_psd_ep(a, Matrix.diagonal([5, 0]))
+    assert calls == [(2, 2)]
+    calls.clear()
+    with pytest.raises(BackendError):
+        construct_similarity_psd_ep(a, Matrix.exact([[1, 1], [1, 1]]))  # EP, not block form
+    assert calls == []
 
 
 def test_construct_extreme_ranks_float():
