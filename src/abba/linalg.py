@@ -2,12 +2,15 @@
 
 On the exact backend one routine, :func:`_eliminate`, does every
 elimination: fraction-free (Bareiss) elimination over the Gaussian
-integers, run directly on the integer numerators that
-:attr:`Matrix.numerators` exposes, so intermediate entries stay minors of
-the input.  Rank and determinant read the forward pass; null spaces and
-solves let it clear the rows above each pivot as well, which yields the
-(unique) reduced row echelon form over one Gaussian-integer denominator.
-A null space comes back as one matrix whose columns are the basis vectors.
+integers, run on the integer numerators that :attr:`Matrix.numerators`
+exposes, so intermediate entries stay minors of the input.  It copies
+them to rows of Python ints and loops over lists, not numpy object
+arrays: on the small matrices the program eliminates, numpy's per-call
+overhead cost more than the arithmetic.  Rank and determinant read the
+forward pass; null spaces and solves let it clear the rows above each
+pivot as well, which yields the (unique) reduced row echelon form over
+one Gaussian-integer denominator.  A null space comes back as one matrix
+whose columns are the basis vectors.
 
 Every float-backend rank decision comes from one helper, :func:`_float_svd`,
 which counts the singular values with
@@ -31,23 +34,28 @@ from .scalars import DEFAULT_TOLERANCE, GQ, TolerancePolicy
 
 
 def _eliminate(m: Matrix, reduce: bool = False):
-    """Fraction-free elimination over Z[i] on a copy of the numerators re + i im
-    of the exact matrix m.
+    """Fraction-free elimination over Z[i] on the numerators re + i im of the
+    exact matrix m, copied to rows of Python ints (numpy's per-call overhead
+    on small object arrays cost more than the arithmetic).
 
     Pivots are the first nonzero entries of their columns.  Each update is
     (p * a - f * b) / prev, with p the current pivot and prev the one
     before it; the division is exact in Z[i] because every entry stays a
-    minor of the input.  Forward elimination clears the rows below each
-    pivot.  With reduce=True the rows above are cleared as well
-    (fraction-free Gauss-Jordan), which leaves every pivot equal to the
-    last one, d, so the pivot rows hold d times the reduced row echelon
-    form.
+    minor of the input.  It is a plain // when prev is real; otherwise p
+    and f are multiplied by conj(prev) and the division is by |prev|^2.
+    Forward elimination clears the rows below each pivot.  With
+    reduce=True the rows above are cleared as well (fraction-free
+    Gauss-Jordan), which leaves every pivot equal to the last one, d, so
+    the pivot rows hold d times the reduced row echelon form.  A cleared
+    pivot column is deleted from the rows, so no later update touches it.
 
     Returns (re, im, pivot columns, row-swap sign, last pivot as (re, im)).
+    With reduce=True, re and im are the rows of the echelon form on the
+    non-pivot columns, in order; the forward pass leaves them partial.
     """
     re, im, _ = m.numerators
-    re, im = re.copy(), im.copy()
     rows, cols = re.shape
+    re, im = re.tolist(), im.tolist()
     prev = (1, 0)
     sign = 1
     pivots: list[int] = []
@@ -55,29 +63,39 @@ def _eliminate(m: Matrix, reduce: bool = False):
         r = len(pivots)
         if r == rows:
             break
-        hit = next((i for i in range(r, rows) if re[i, c] or im[i, c]), None)
+        k = c - r  # where column c sits once the r earlier pivot columns are deleted
+        hit = next((i for i in range(r, rows) if re[i][k] or im[i][k]), None)
         if hit is None:
             continue
         if hit != r:
-            re[[r, hit]] = re[[hit, r]]
-            im[[r, hit]] = im[[hit, r]]
+            re[r], re[hit], im[r], im[hit] = re[hit], re[r], im[hit], im[r]
             sign = -sign
-        pr, pi = re[r, c], im[r, c]
-        # below row r everything left of column c is zero already; above it is not
-        top, lo = (0, 0) if reduce else (r + 1, c)
-        ar, ai = re[top:, lo:], im[top:, lo:]
-        fr, fi = re[top:, c:c + 1], im[top:, c:c + 1]
-        br, bi = re[r, lo:], im[r, lo:]
-        xr = pr * ar - pi * ai - (fr * br - fi * bi)
-        xi = pr * ai + pi * ar - (fr * bi + fi * br)
-        if prev != (1, 0):
-            qr, qi = prev
-            norm = qr * qr + qi * qi
-            xr, xi = (xr * qr + xi * qi) // norm, (xi * qr - xr * qi) // norm
-        if reduce:  # the update would zero the pivot row itself
-            xr[r], xi[r] = br, bi
-        re[top:, lo:], im[top:, lo:] = xr, xi
-        prev = (pr, pi)
+        br, bi = re[r], im[r]
+        qr, qi = prev
+        pr, pi = prev = br[k], bi[k]
+        div = qr
+        if qi:
+            pr, pi, div = pr * qr + pi * qi, pi * qr - pr * qi, qr * qr + qi * qi
+        for i in range(0 if reduce else r + 1, rows):
+            if i == r:
+                continue
+            ar, ai = re[i], im[i]
+            fr, fi = ar[k], ai[k]
+            if qi:
+                fr, fi = fr * qr + fi * qi, fi * qr - fr * qi
+            # rows r and i are both zero left of column c when i is below r
+            lo = k + 1 if i > r else 0
+            xr = [(pr * a - pi * b - fr * x + fi * y) // div
+                  for a, b, x, y in zip(ar[lo:], ai[lo:], br[lo:], bi[lo:])]
+            xi = [(pr * b + pi * a - fr * y - fi * x) // div
+                  for a, b, x, y in zip(ar[lo:], ai[lo:], br[lo:], bi[lo:])]
+            if i > r:
+                ar[k:], ai[k:] = xr, xi
+            else:
+                del xr[k], xi[k]
+                re[i], im[i] = xr, xi
+        if reduce:
+            del br[k], bi[k]
         pivots.append(c)
     return re, im, pivots, sign, prev
 
@@ -159,7 +177,8 @@ def nullspace_basis(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> Matr
         vr = np.zeros((m.cols, len(free)), dtype=object)
         vi = np.zeros((m.cols, len(free)), dtype=object)
         vr[free, range(len(free))], vi[free, range(len(free))] = d
-        vr[pivots], vi[pivots] = -re[:len(pivots), free], -im[:len(pivots), free]
+        for c, row_r, row_i in zip(pivots, re, im):  # the pivot rows, on the free columns
+            vr[c], vi[c] = [-x for x in row_r], [-y for y in row_i]
         return _over_pivot(vr, vi, d)
     _, _, vh, r = _float_svd(m, tol)
     return Matrix.from_float(vh.conj().T[:, r:])
@@ -181,7 +200,8 @@ def solve_linear(a: Matrix, b: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE)
             return None
         xr = np.zeros((a.cols, b.cols), dtype=object)
         xi = np.zeros((a.cols, b.cols), dtype=object)
-        xr[pivots], xi[pivots] = re[:len(pivots), a.cols:], im[:len(pivots), a.cols:]
+        for c, row_r, row_i in zip(pivots, re, im):  # b's columns follow a's free ones
+            xr[c], xi[c] = row_r[a.cols - len(pivots):], row_i[a.cols - len(pivots):]
         return _over_pivot(xr, xi, d)
     x, *_ = np.linalg.lstsq(a.array, b.array, rcond=None)
     residual = float(np.linalg.norm(a.array @ x - b.array))

@@ -23,16 +23,16 @@ from fractions import Fraction
 import numpy as np
 
 from .classes import (
+    _psd_violation,
     column_inclusion_factor,
     ep_decomposition,
     hermitian_real_part,
     is_hermitian,
-    is_psd,
     realpart_psd_same_rank,
 )
 from .errors import HypothesisViolation, IntertwinerNotFound, ShapeError
 from .linalg import condition_estimate, determinant, nullspace_basis
-from .matrix import EXACT, Matrix, block, hstack, kron
+from .matrix import EXACT, Matrix, block, kron
 from .rankseq import RankSequence, rank_sequence
 from .scalars import DEFAULT_TOLERANCE, GQ, TolerancePolicy
 
@@ -109,7 +109,12 @@ def intertwiner_space(m1: Matrix, m2: Matrix, tol: TolerancePolicy = DEFAULT_TOL
     sylvester = kron(m1.transpose(), eye) - kron(eye, m2)
     kernel = nullspace_basis(sylvester, tol)
     # column i of the kernel is vec(s_i), which stacks the columns of s_i
-    return [hstack([kernel.block(j * n, (j + 1) * n, i, i + 1) for j in range(n)])
+    if kernel.backend == EXACT:
+        re, im, den = kernel.numerators
+        return [Matrix.from_ints(re[:, i].reshape((n, n), order="F"),
+                                 im[:, i].reshape((n, n), order="F"), den)
+                for i in range(kernel.cols)]
+    return [Matrix.from_float(kernel.array[:, i].reshape((n, n), order="F"))
             for i in range(kernel.cols)]
 
 
@@ -171,7 +176,7 @@ def construct_similarity_psd_ep(
     a._check_operand_pair(b)
     dec = ep_decomposition(b, tol)
     hermitian_a = is_hermitian(a, tol)
-    if not (is_psd(a, tol) if hermitian_a else realpart_psd_same_rank(a, tol)):
+    if not (_psd_violation(a, tol) is None if hermitian_a else realpart_psd_same_rank(a, tol)):
         raise HypothesisViolation(
             "a must be positive semidefinite or have a PSD real part of equal rank"
         )

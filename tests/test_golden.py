@@ -27,7 +27,7 @@ STDOUT = GOLDEN / "stdout"
 FIXTURES = ("nilpotent-2x2", "hermitian-products-3x3", "transpose-3x3",
             "hermitian-normal-4x4", "doubling-conjugator")
 PAIRS = ("nilpotent-2x2", "hermitian-products-3x3", "hermitian-normal-4x4",
-         "hermitian-3-seed3", "hermitian-4-seed4", "psd-ep-3-seed5")
+         "hermitian-3-seed3", "hermitian-4-seed4", "hermitian-5-seed5", "psd-ep-3-seed5")
 
 CASES = {
     **{f"catalog-show-{name}": ["catalog", "show", name] for name in FIXTURES},
@@ -80,7 +80,7 @@ def write_inputs() -> None:
         a, b = fixtures[name]["a"], fixtures[name]["b"]
         save_matrix(a @ b, INPUTS / f"{name}__ab.json")
         save_matrix(b @ a, INPUTS / f"{name}__ba.json")
-    for n, seed in ((3, 3), (4, 4)):
+    for n, seed in ((3, 3), (4, 4), (5, 5)):  # n = 5 certifies through a 25 x 25 kernel
         rng = np.random.default_rng(seed)
         save_matrix(rational_hermitian(n, rng), INPUTS / f"hermitian-{n}-seed{seed}__a.json")
         save_matrix(rational_hermitian(n, rng), INPUTS / f"hermitian-{n}-seed{seed}__b.json")

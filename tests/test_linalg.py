@@ -14,13 +14,16 @@ from abba import (
     determinant,
     hstack,
     invertible,
+    kron,
     nullspace_basis,
     orthonormal_range_basis,
     rank,
     solve_linear,
     vstack,
 )
+from abba import generators as gen
 from abba.generators import random_unitary
+from abba.linalg import _eliminate
 from abba.scalars import GQ
 
 from .oracle import gq_equals_sympy, oracle_charpoly, oracle_det, oracle_rank, to_sympy
@@ -266,21 +269,92 @@ def test_exact_kernel_against_oracle():
         assert m.frobenius() == float(Fraction(int(norm_sq.p), int(norm_sq.q))) ** 0.5
         f = m.to_float()
         assert all(f[i, j] == _exact_float(sm[i, j]) for i in range(rows) for j in range(cols))
-        basis = nullspace_basis(m)
-        expected = sm.nullspace()
-        assert basis.shape == (cols, len(expected))
-        assert all(to_sympy(basis.block(0, cols, j, j + 1)) == e.expand()
-                   for j, e in enumerate(expected))
-        if rows == cols:
-            assert gq_equals_sympy(determinant(m), sm.det())
         rhs = _random_rational(rng, rows, 2, int(rng.integers(0, min(rows, 2) + 1)))
         if trial % 2:  # a consistent right-hand side
             rhs = m @ _random_rational(rng, cols, 2, min(cols, 2))
-        x = solve_linear(m, rhs)
-        try:
-            sol, params = sm.gauss_jordan_solve(to_sympy(rhs))
-        except ValueError:
-            assert x is None
-        else:
-            particular = sol.subs({p: 0 for p in params}).expand()
-            assert x is not None and to_sympy(x) == particular
+        _assert_eliminations_match_oracle(m, rhs)
+
+
+def _assert_eliminations_match_oracle(m: Matrix, rhs: Matrix) -> None:
+    """nullspace_basis vector for vector, determinant (square m) and
+    solve_linear(m, rhs) against sympy; the expected solution is sympy's
+    with every free parameter set to zero."""
+    sm = to_sympy(m)
+    basis = nullspace_basis(m)
+    expected = sm.nullspace()
+    assert basis.shape == (m.cols, len(expected))
+    assert all(to_sympy(basis.block(0, m.cols, j, j + 1)) == e.expand()
+               for j, e in enumerate(expected))
+    if m.is_square:
+        assert gq_equals_sympy(determinant(m), sm.det())
+    x = solve_linear(m, rhs)
+    try:
+        sol, params = sm.gauss_jordan_solve(to_sympy(rhs))
+    except ValueError:
+        assert x is None
+    else:
+        particular = sol.subs({p: 0 for p in params}).expand()
+        assert x is not None and to_sympy(x) == particular
+
+
+def _sylvester(x: Matrix, y: Matrix) -> Matrix:
+    """kron(x^T, I) - kron(I, y), whose kernel is vec of {s : s x = y s}."""
+    eye = Matrix.identity(x.rows)
+    return kron(x.transpose(), eye) - kron(eye, y)
+
+
+def test_elimination_branches_against_oracle():
+    """Both exact divisions and both swap parities.  The real matrix swaps
+    rows at its first two pivots (sign +1) and then divides by the real
+    pivots 3 and 6; the complex one divides by the non-real pivots 1 + 2i
+    and 2i after one swap (sign -1).  Each is checked square with a
+    right-hand side, and with a dependent column inserted after its second
+    column, so that the null space is not trivial and the reduced form
+    updates a free column left of later pivots."""
+    real = Matrix.exact([[0, 0, 1, 2], [3, 1, 0, 2], [0, 2, 5, 1], [1, 0, 2, 4]])
+    cplx = Matrix.exact([[(1, 2), 1, 3, 0], [(2, 4), 2, 1, (0, 1)], [1, 1, 0, 2], [0, 0, 0, 1]])
+    for m, sign, leading in ((real, 1, [(3, 0), (6, 0), (6, 0)]),
+                             (cplx, -1, [(1, 2), (0, 2), (0, -10)])):
+        assert _eliminate(m)[3] == sign
+        # the last pivot of the first j columns: the divisor of the next step
+        assert [_eliminate(m.block(0, 4, 0, j))[4] for j in (1, 2, 3)] == leading
+        rhs = Matrix.exact([[1, (0, 1)], [2, 0], [(3, -1), 1], [0, 5]])
+        _assert_eliminations_match_oracle(m, rhs)
+        dependent = m @ Matrix.exact([[1], [(0, 2)], [0], [0]])
+        wide = hstack([m.block(0, 4, 0, 2), dependent, m.block(0, 4, 2, 4)])
+        _assert_eliminations_match_oracle(wide, rhs)
+
+
+def test_sylvester_eliminations_against_oracle():
+    """9 x 9 Sylvester matrices of generated exact pairs, the system behind an
+    n = 3 certificate: the singular one of ab and ba (rank 6), with a
+    consistent right-hand side, and the nonsingular one of ab and ba + I."""
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        a, b = gen.rational_psd(3, rng, rank=2), gen.rational_normal(3, rng, rank=2)
+        k = _sylvester(a @ b, b @ a)
+        assert rank(k) == 6
+        _assert_eliminations_match_oracle(k, k @ _random_rational(rng, 9, 2, 2))
+        k = _sylvester(a @ b, b @ a + Matrix.identity(3))
+        assert determinant(k) != 0
+        _assert_eliminations_match_oracle(k, _random_rational(rng, 9, 2, 2))
+
+
+def test_sylvester_kernel_at_n4_is_the_rref_basis():
+    """16 x 16 Sylvester kernels, where sympy takes about 20 s, checked by the
+    properties that make a basis the reduced-row-echelon one: k v = 0, and
+    with f_j the last nonzero row of column j, v is the identity on the rows
+    f_j and zero below each f_j.  The dimension is checked against the
+    float rank."""
+    rng = np.random.default_rng(4)
+    for a, b in ((gen.rational_hermitian(4, rng), gen.rational_hermitian(4, rng)),
+                 (gen.rational_psd(4, rng, rank=2), gen.rational_normal(4, rng, rank=3))):
+        k = _sylvester(a @ b, b @ a)
+        v = nullspace_basis(k)
+        assert v.cols == 16 - rank(k.to_float())
+        assert (k @ v).is_zero()
+        re, im, den = v.numerators
+        last = [max(i for i in range(16) if re[i, j] or im[i, j]) for j in range(v.cols)]
+        assert sorted(set(last)) == last
+        assert Matrix.from_ints(re[last], im[last], den) == Matrix.identity(v.cols)
+        assert all(not (re[i, j] or im[i, j]) for j, f in enumerate(last) for i in range(f + 1, 16))

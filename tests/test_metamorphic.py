@@ -3,7 +3,8 @@
 Each property maps a pair (a, b) to a related pair whose products have
 known rank sequences: unitary conjugation and transposition keep them,
 a direct sum with invertible blocks shifts every term by the block size,
-and swapping the operands swaps seq_ab and seq_ba.
+and swapping the operands swaps seq_ab and seq_ba.  The two sequences of
+one pair also interlace, whatever the verdict.
 """
 
 import numpy as np
@@ -78,3 +79,14 @@ def test_swapping_operands_swaps_the_sequences(pair):
     swapped = decide_product_similarity(b, a)
     assert (swapped.seq_ab, swapped.seq_ba) == (verdict.seq_ba, verdict.seq_ab)
     assert swapped.similar == verdict.similar
+
+
+@given(pairs)
+@settings(max_examples=200, deadline=None)
+def test_product_sequences_interlace(pair):
+    # (ba)^(k+1) = b (ab)^k a, so r_(k+1)(ba) <= r_k(ab), and the same with a, b swapped
+    a, b = pair
+    verdict = decide_product_similarity(a, b)
+    length = a.rows + 2
+    ab, ba = verdict.seq_ab.expand(length), verdict.seq_ba.expand(length)
+    assert all(ba[k + 1] <= ab[k] and ab[k + 1] <= ba[k] for k in range(length - 1))
