@@ -57,10 +57,9 @@ class Fixture:
 
 
 def _close(m1: Matrix, m2: Matrix) -> bool:
-    d = m1 - m2
     if m1.backend == EXACT:
-        return d.is_zero()
-    return d.frobenius() <= DEFAULT_TOLERANCE.residual_tol * max(1.0, m1.frobenius())
+        return m1 == m2
+    return (m1 - m2).frobenius() <= DEFAULT_TOLERANCE.residual_tol * max(1.0, m1.frobenius())
 
 
 def catalog() -> list[Fixture]:
@@ -235,15 +234,9 @@ def admissible_sequence_pairs(
     patterns = enumerate_tail_sequences(n, cap)
     pairs = []
     for i, p in enumerate(patterns):
-        start = i + 1 if require_differ else i
-        for q in patterns[start:]:
-            sp = RankSequence.from_terms(p)
-            sq = RankSequence.from_terms(q)
-            if sp.expand(2)[1] != sq.expand(2)[1]:
-                continue
-            if sp.limit != sq.limit:
-                continue
-            pairs.append((p, q))
+        # the patterns are stabilized: p[-1] is the limit, (p + p[-1:])[1] the second term
+        pairs += [(p, q) for q in patterns[i + 1 if require_differ else i:]
+                  if (p + p[-1:])[1] == (q + q[-1:])[1] and p[-1] == q[-1]]
     return pairs
 
 

@@ -32,20 +32,20 @@ def hermitian_real_part(m: Matrix) -> Matrix:
 def is_hermitian(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> bool:
     if not m.is_square:
         raise ShapeError("predicate requires a square matrix")
-    d = m - m.adjoint()
+    adj = m.adjoint()
     if m.backend == EXACT:
-        return d.is_zero()
-    return d.frobenius() <= tol.residual_tol * m.frobenius()
+        return m == adj
+    return (m - adj).frobenius() <= tol.residual_tol * m.frobenius()
 
 
 def is_normal(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> bool:
     if not m.is_square:
         raise ShapeError("predicate requires a square matrix")
-    d = m @ m.adjoint() - m.adjoint() @ m
+    adj = m.adjoint()
+    left, right = m @ adj, adj @ m
     if m.backend == EXACT:
-        return d.is_zero()
-    scale = m.frobenius() ** 2
-    return d.frobenius() <= tol.residual_tol * scale
+        return left == right
+    return (left - right).frobenius() <= tol.residual_tol * m.frobenius() ** 2
 
 
 def _psd_violation(m: Matrix, tol: TolerancePolicy) -> int | float | None:
@@ -80,13 +80,8 @@ def is_ep(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> bool:
 
 def realpart_psd_same_rank(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> bool:
     """(m + m*)/2 is PSD and has the same rank as m."""
-    return _realpart_psd_rank(m, None, tol)
-
-
-def _realpart_psd_rank(m: Matrix, r: int | None, tol: TolerancePolicy) -> bool:
-    """realpart_psd_same_rank, taking rank(m) = r when the caller has it."""
-    h = hermitian_real_part(m)
-    return is_psd(h, tol) and rank(h, tol) == (rank(m, tol) if r is None else r)
+    h = hermitian_real_part(m)  # Hermitian by construction
+    return _psd_violation(h, tol) is None and rank(h, tol) == rank(m, tol)
 
 
 @dataclass(frozen=True)
@@ -148,7 +143,7 @@ def classify(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> ClassReport
     return ClassReport(
         hermitian=herm, normal=norm, psd=psd, ep=r == r_joint, rank=r, witnesses=witnesses,
         # an exact Hermitian m is its own real part, already tested for PSD
-        realpart_psd_same_rank=psd if herm and m.backend == EXACT else _realpart_psd_rank(m, r, tol),
+        realpart_psd_same_rank=psd if herm and m.backend == EXACT else realpart_psd_same_rank(m, tol),
     )
 
 

@@ -10,7 +10,8 @@ overhead cost more than the arithmetic.  Rank and determinant read the
 forward pass; null spaces and solves let it clear the rows above each
 pivot as well, which yields the (unique) reduced row echelon form over
 one Gaussian-integer denominator.  A null space comes back as one matrix
-whose columns are the basis vectors.
+whose columns are the basis vectors.  The characteristic polynomial runs
+Faddeev-LeVerrier on the same numerators, where its divisions are exact.
 
 Every float-backend rank decision comes from one helper, :func:`_float_svd`,
 which counts the singular values with
@@ -103,7 +104,7 @@ def _eliminate(m: Matrix, reduce: bool = False):
 def _over_pivot(re: np.ndarray, im: np.ndarray, pivot: tuple[int, int]) -> Matrix:
     """The exact matrix (re + i im) / pivot, for a nonzero Gaussian-integer pivot."""
     dr, di = pivot
-    return Matrix.from_ints(re * dr + im * di, im * dr - re * di, dr * dr + di * di)
+    return Matrix((re * dr + im * di, im * dr - re * di, dr * dr + di * di), EXACT)
 
 
 def _float_svd(m: Matrix, tol: TolerancePolicy, norm: float | None = None):
@@ -123,7 +124,7 @@ def _range_basis(m: Matrix, tol: TolerancePolicy, norm: float | None = None) -> 
     if m.backend == EXACT:
         pivots = _eliminate(m)[2]
         re, im, den = m.numerators
-        return Matrix.from_ints(re[:, pivots], im[:, pivots], den)
+        return Matrix((re[:, pivots], im[:, pivots], den), EXACT)
     u, _, _, r = _float_svd(m, tol, norm)
     return Matrix.from_float(u[:, :r])
 
@@ -221,8 +222,10 @@ def orthonormal_range_basis(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE)
 def characteristic_polynomial(m: Matrix) -> list:
     """Monic coefficients in descending powers, [1, c_1, ..., c_n].
 
-    Exact backend: Faddeev-LeVerrier recursion (error-free).  Float
-    backend: expanded from eigenvalues.
+    Exact backend: the Faddeev-LeVerrier recursion A_1 = I,
+    c_k = -tr(N A_k) / k, A_(k+1) = N A_k + c_k I on the Gaussian-integer
+    numerators N = den * m, where every division by k is exact; c_k(m) is
+    then c_k(N) / den^k.  Float backend: expanded from eigenvalues.
     """
     if not m.is_square:
         raise ShapeError("characteristic polynomial of a non-square matrix")
@@ -232,14 +235,15 @@ def characteristic_polynomial(m: Matrix) -> list:
             return [complex(1)]
         eigs = np.linalg.eigvals(m.array)
         return [complex(c) for c in np.poly(eigs)]
+    nr, ni, den = m.numerators
+    ar, ai = np.eye(n, dtype=object), np.zeros((n, n), dtype=object)
     coeffs = [GQ(1)]
-    mk = Matrix.identity(n)
     for k in range(1, n + 1):
-        am = m @ mk
-        tr = am.trace()
-        ck = GQ(-tr.re / k, -tr.im / k)
-        coeffs.append(ck)
-        mk = am + ck * Matrix.identity(n)
+        ar, ai = nr.dot(ar) - ni.dot(ai), nr.dot(ai) + ni.dot(ar)
+        cr, ci = -sum(ar.diagonal()) // k, -sum(ai.diagonal()) // k
+        coeffs.append(GQ(Fraction(cr, den ** k), Fraction(ci, den ** k)))
+        ar.flat[::n + 1] += cr  # the diagonal
+        ai.flat[::n + 1] += ci
     return coeffs
 
 

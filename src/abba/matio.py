@@ -96,7 +96,7 @@ def load_matrix(path) -> Matrix:
         return parse_matrix(json.loads(Path(path).read_text()))
     except MatrixFormatError:
         raise
-    except ValueError as exc:  # not UTF-8 or JSON, or a number past Python's int-string digit limit
+    except (ValueError, RecursionError) as exc:  # not UTF-8 or JSON, too deep, or too many digits
         raise MatrixFormatError(f"{path}: unreadable matrix file ({exc})") from None
 
 

@@ -100,7 +100,8 @@ class Matrix:
     @staticmethod
     def from_ints(re, im=None, den: int = 1) -> "Matrix":
         """Exact matrix (re + i im) / den from 2-D integer arrays or nested
-        lists; im defaults to zero and den must be a positive integer."""
+        lists; im defaults to zero and den must be a positive integer.  operator.index
+        guards input from outside; the program's own int arrays go straight to Matrix()."""
         re = _INDEX(np.array(re, dtype=object))
         im = np.zeros(re.shape, dtype=object) if im is None else _INDEX(np.array(im, dtype=object))
         if re.shape != im.shape:

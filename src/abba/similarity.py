@@ -66,11 +66,11 @@ def certificate_for(
     The acceptance rule: t invertible (nonzero det, or condition at most
     max_condition) and residual zero (exact) or at most residual_tol (float).
     """
-    diff = t @ m1 - m2 @ t
+    lhs, rhs = t @ m1, m2 @ t
     residual = 0.0
-    if not diff.is_zero():
+    if lhs != rhs:
         denom = t.frobenius() * max(m1.frobenius(), m2.frobenius())
-        residual = diff.frobenius() / denom if denom else float("inf")
+        residual = (lhs - rhs).frobenius() / denom if denom else float("inf")
     if t.backend == EXACT:
         det = determinant(t)
         return SimilarityCertificate(t=t, residual=residual, det=det, invertible=bool(det),
@@ -111,8 +111,8 @@ def intertwiner_space(m1: Matrix, m2: Matrix, tol: TolerancePolicy = DEFAULT_TOL
     # column i of the kernel is vec(s_i), which stacks the columns of s_i
     if kernel.backend == EXACT:
         re, im, den = kernel.numerators
-        return [Matrix.from_ints(re[:, i].reshape((n, n), order="F"),
-                                 im[:, i].reshape((n, n), order="F"), den)
+        return [Matrix((re[:, i].reshape((n, n), order="F"),
+                        im[:, i].reshape((n, n), order="F"), den), EXACT)
                 for i in range(kernel.cols)]
     return [Matrix.from_float(kernel.array[:, i].reshape((n, n), order="F"))
             for i in range(kernel.cols)]

@@ -1,5 +1,9 @@
+from fractions import Fraction
+from itertools import combinations
+
 import numpy as np
 import pytest
+import sympy as sp
 
 from abba import (
     BackendError,
@@ -24,6 +28,7 @@ from abba.generators import (
     rational_hermitian,
     rational_normal,
     rational_psd,
+    rational_unitary,
 )
 from abba.linalg import principal_minor_sums
 
@@ -61,12 +66,53 @@ def test_psd_examples(hermitian_normal_pair_4x4):
     assert min(eigs) < 0
 
 
+def _fractional_hermitian(rng, n):
+    """Hermitian, entries over denominators 2..6, diagonal nonnegative (so the
+    order-1 principal-minor sum, the trace, is never the negative one)."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = Fraction(int(rng.integers(0, 4)), int(rng.integers(2, 7)))
+        for j in range(i + 1, n):
+            re, im = (Fraction(int(rng.integers(-3, 4)), int(rng.integers(2, 7))) for _ in range(2))
+            rows[i][j], rows[j][i] = (re, im), (re, -im)
+    return Matrix.exact(rows)
+
+
+def _oracle_negative_minor_sum_order(m):
+    """The first k whose sum of k x k principal minors is negative, from sympy
+    determinants of the principal submatrices; None when there is none."""
+    sm = to_sympy(m)
+    for k in range(1, m.rows + 1):
+        total = sum(sm.extract(list(idx), list(idx)).det() for idx in combinations(range(m.rows), k))
+        if sp.expand(total) < 0:
+            return k
+    return None
+
+
 def test_psd_exact_matches_sympy_oracle():
     rng = np.random.default_rng(23)
     for _ in range(20):
         n = int(rng.integers(1, 5))
         h = rational_hermitian(n, rng)
         assert is_psd(h) == bool(to_sympy(h).is_positive_semidefinite)
+    # over denominators > 1, where the characteristic polynomial divides by den^k
+    rng = np.random.default_rng(29)
+    orders = []
+    for _ in range(12):
+        n = int(rng.integers(2, 6))
+        h = _fractional_hermitian(rng, n)
+        # eigenvalues 1 (n - 1 times) and -eps: e_k = C(n-1, k) - eps C(n-1, k-1)
+        # turns negative first at an order that grows as eps shrinks
+        eps = Fraction(1, int(rng.choice([1, 2, 5])))
+        u = rational_unitary(n, rng)
+        shifted = u @ Matrix.diagonal([1] * (n - 1) + [-eps]) @ u.adjoint()
+        for m in (h, h @ h, shifted):  # h @ h is PSD
+            assert m.numerators[2] > 1
+            order = _oracle_negative_minor_sum_order(m)
+            assert classify(m).witnesses.get("negative_minor_sum_order") == order
+            assert is_psd(m) == (order is None)
+            orders.append(order)
+    assert orders.count(None) >= 12 and {2, 3, 4} <= set(orders)
 
 
 def test_psd_float():

@@ -8,6 +8,7 @@ from abba import (
     BackendError,
     FLOAT,
     Matrix,
+    ShapeError,
     TolerancePolicy,
     characteristic_polynomial,
     condition_estimate,
@@ -86,6 +87,8 @@ def test_determinant_of_permutations():
     assert determinant(p) == GQ(1)
     swap = Matrix.exact([[0, 1], [1, 0]])
     assert determinant(swap) == GQ(-1)
+    det = determinant(swap.to_float())
+    assert isinstance(det, complex) and abs(det + 1) < 1e-12
 
 
 def test_nullspace_examples(hermitian_normal_pair_4x4):
@@ -115,6 +118,8 @@ def test_solve_examples():
     b = Matrix.exact([[2], [2]])
     x = solve_linear(a, b)
     assert (a @ x - b).is_zero()
+    with pytest.raises(ShapeError):
+        solve_linear(a, Matrix.exact([[1]]))
 
 
 def test_solve_consistency_matches_rank_test():
@@ -163,25 +168,29 @@ def test_charpoly_examples():
 
 
 def test_charpoly_against_oracle():
-    rng = np.random.default_rng(41)
-    for _ in range(15):
-        n = int(rng.integers(1, 5))
-        m = _random_exact(rng, n, n, span=3)
-        ours = characteristic_polynomial(m)
-        theirs = oracle_charpoly(m)
-        assert all(gq_equals_sympy(c, s) for c, s in zip(ours, theirs))
-    # entries over denominators 2..6, so the coefficients are not Gaussian integers
-    rng = np.random.default_rng(47)
-    fractional = 0
-    for _ in range(15):
-        n = int(rng.integers(1, 5))
-        m = Matrix.exact([[tuple(Fraction(int(rng.integers(-3, 4)), int(rng.integers(2, 7)))
-                                 for _ in range(2)) for _ in range(n)] for _ in range(n)])
-        ours = characteristic_polynomial(m)
-        theirs = oracle_charpoly(m)
-        assert all(gq_equals_sympy(c, s) for c, s in zip(ours, theirs))
-        fractional += any(c.re.denominator > 1 or c.im.denominator > 1 for c in ours)
-    assert fractional >= 10
+    def gaussian(rng, n):
+        return _random_exact(rng, n, n, span=3) if n else Matrix.zeros(0, 0)
+
+    def fractional(rng, n):  # entries over denominators 2..6: coefficients not Gaussian integers
+        if not n:
+            return Matrix.zeros(0, 0)
+        return Matrix.exact([[tuple(Fraction(int(rng.integers(-3, 4)), int(rng.integers(2, 7)))
+                                    for _ in range(2)) for _ in range(n)] for _ in range(n)])
+
+    for seed, draw in ((41, gaussian), (47, fractional)):
+        rng = np.random.default_rng(seed)
+        non_integral = 0
+        # 15 draws of order 1..4, then orders 0, 5 and 6
+        for trial in range(18):
+            n = int(rng.integers(1, 5)) if trial < 15 else (0, 5, 6)[trial - 15]
+            m = draw(rng, n)
+            ours = characteristic_polynomial(m)
+            theirs = oracle_charpoly(m)
+            assert len(ours) == len(theirs) == n + 1
+            assert all(gq_equals_sympy(c, s) for c, s in zip(ours, theirs))
+            non_integral += any(c.re.denominator > 1 or c.im.denominator > 1 for c in ours)
+        if draw is fractional:
+            assert non_integral >= 12
 
 
 def test_products_share_charpoly():
@@ -198,6 +207,7 @@ def test_charpoly_float_matches_exact():
     exact = [complex(c) for c in characteristic_polynomial(m)]
     approx = characteristic_polynomial(m.to_float())
     assert np.allclose(exact, approx, atol=1e-8)
+    assert characteristic_polynomial(Matrix.zeros(0, 0, FLOAT)) == [complex(1)]
 
 
 def test_invertible_and_condition():
@@ -205,6 +215,9 @@ def test_invertible_and_condition():
     assert not invertible(Matrix.zeros(2, 2))
     near_singular = Matrix.from_float([[1.0, 0.0], [0.0, 1e-12]])
     assert not invertible(near_singular, TolerancePolicy())
+    assert not invertible(Matrix.zeros(2, 3))
+    with pytest.raises(BackendError):
+        condition_estimate(Matrix.identity(2))
 
 
 def test_float_invertible_is_the_condition_ratio():

@@ -85,6 +85,7 @@ MALFORMED = {
     "float-inf-string": _one_entry("float", '"inf"'),
     "float-json-nan": _one_entry("float", "NaN"),
     "float-int-overflow": _one_entry("float", "1" + "0" * 400),
+    "json-nested-past-recursion-limit": "[" * 200000,
 }
 
 

@@ -167,6 +167,10 @@ def test_canonical_form_makes_equal_values_equal():
 def test_from_ints_reduces_over_its_denominator():
     assert Matrix.from_ints([[2, 4]], [[0, 6]], 4) == Matrix.exact([["1/2", (1, "3/2")]])
     assert Matrix.from_ints([[0, 0]], den=5) == Matrix.zeros(1, 2)
+    # fixed-width input, as an array or as scalars in lists, becomes Python
+    # ints, so products do not wrap
+    for big in (np.array([[2**40]], dtype=np.int64), [[np.int64(2**40)]]):
+        assert Matrix.from_ints(big) @ Matrix.from_ints(big) == Matrix.from_ints([[2**80]])
     for den in (0, -3):
         with pytest.raises(ValueError):
             Matrix.from_ints([[1]], den=den)

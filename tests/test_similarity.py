@@ -99,6 +99,8 @@ def test_find_intertwiner_flip_pair():
     cert = find_intertwiner(m1, m2, seed=1)
     assert cert is not None and cert.residual == 0.0 and cert.det
     assert verify_certificate(cert, m1, m2).ok
+    with pytest.raises(ValueError):
+        find_intertwiner(m1, m2, attempts=0)
 
 
 def test_find_intertwiner_none_for_4x4_products(hermitian_normal_pair_4x4):
