@@ -29,9 +29,23 @@ def hermitian_real_part(m: Matrix) -> Matrix:
     return (m + m.adjoint()) * _HALF
 
 
+def _at_unit_scale(m: Matrix) -> Matrix:
+    """A float m over the power of two that puts its largest entry part in
+    [0.5, 1), exact in binary; an exact m as it is.  At unit scale the float
+    tests' squares and products neither overflow nor underflow."""
+    if m.backend == EXACT:
+        return m
+    a = m.array
+    _, e = np.frexp(max(np.abs(a.real).max(initial=0.0), np.abs(a.imag).max(initial=0.0)))
+    scaled = np.empty_like(a)
+    scaled.real, scaled.imag = np.ldexp(a.real, -e), np.ldexp(a.imag, -e)
+    return Matrix.from_float(scaled)
+
+
 def is_hermitian(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> bool:
     if not m.is_square:
         raise ShapeError("predicate requires a square matrix")
+    m = _at_unit_scale(m)
     adj = m.adjoint()
     if m.backend == EXACT:
         return m == adj
@@ -41,6 +55,7 @@ def is_hermitian(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> bool:
 def is_normal(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> bool:
     if not m.is_square:
         raise ShapeError("predicate requires a square matrix")
+    m = _at_unit_scale(m)
     adj = m.adjoint()
     left, right = m @ adj, adj @ m
     if m.backend == EXACT:

@@ -37,7 +37,8 @@ _USAGE_ERRORS = (ValueError, KeyError, OSError)  # the abba input errors subclas
 
 
 def _policy(args) -> TolerancePolicy:
-    return TolerancePolicy(args.rank_rel_tol, args.residual_tol, args.max_condition)
+    return TolerancePolicy(*(getattr(args, f.name, getattr(DEFAULT_TOLERANCE, f.name))
+                             for f in dataclasses.fields(TolerancePolicy)))
 
 
 def _digest(path) -> dict:
@@ -162,12 +163,12 @@ def cmd_catalog_show(args) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # a command takes the tolerance flags when it passes a TolerancePolicy on,
-    # and --seed when it draws random numbers
-    tolerance = argparse.ArgumentParser(add_help=False)
-    tolerance.add_argument("--rank-rel-tol", type=float, default=DEFAULT_TOLERANCE.rank_rel_tol)
-    tolerance.add_argument("--residual-tol", type=float, default=DEFAULT_TOLERANCE.residual_tol)
-    tolerance.add_argument("--max-condition", type=float, default=DEFAULT_TOLERANCE.max_condition)
+    # a command takes the flag of each TolerancePolicy field that a path it runs
+    # reads, and --seed when it draws random numbers
+    rank_tol, residual_tol, max_condition = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    rank_tol.add_argument("--rank-rel-tol", type=float, default=DEFAULT_TOLERANCE.rank_rel_tol)
+    residual_tol.add_argument("--residual-tol", type=float, default=DEFAULT_TOLERANCE.residual_tol)
+    max_condition.add_argument("--max-condition", type=float, default=DEFAULT_TOLERANCE.max_condition)
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int, default=0)
 
@@ -177,15 +178,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", parents=[tolerance], help="structural predicates of one matrix")
+    p = sub.add_parser("classify", parents=[rank_tol, residual_tol],
+                       help="structural predicates of one matrix")
     p.add_argument("matrix")
     p.set_defaults(fn=cmd_classify)
 
-    p = sub.add_parser("rankseq", parents=[tolerance], help="rank sequence of one matrix")
+    p = sub.add_parser("rankseq", parents=[rank_tol], help="rank sequence of one matrix")
     p.add_argument("matrix")
     p.set_defaults(fn=cmd_rankseq)
 
-    p = sub.add_parser("decide", parents=[tolerance, seeded],
+    p = sub.add_parser("decide", parents=[rank_tol, residual_tol, max_condition, seeded],
                        help="similarity verdict for AB vs BA")
     p.add_argument("a")
     p.add_argument("b")
@@ -194,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attempts", type=int, default=32)
     p.set_defaults(fn=cmd_decide)
 
-    p = sub.add_parser("unitary", parents=[tolerance], help="unitary-similarity word screen")
+    p = sub.add_parser("unitary", parents=[residual_tol], help="unitary-similarity word screen")
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--max-word-len", type=int, default=6)

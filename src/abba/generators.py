@@ -2,7 +2,7 @@
 
 Float families: normal/Hermitian matrices are built as U D U* with U the
 Q factor of a complex Gaussian matrix, PSD as G* G, EP as U (C + 0) U*.
-Exact families replace U by a Cayley transform (I - S)(I + S)^(-1) of a
+Exact families replace U by a Cayley transform (I + S)^(-1)(I - S) of a
 small skew-Hermitian S, which is exactly unitary with Gaussian-rational
 entries.  Every generator is deterministic given its Generator instance.
 """
@@ -13,8 +13,7 @@ import numpy as np
 
 from .classes import is_normal
 from .linalg import rank as matrix_rank, solve_linear
-from .matrix import Matrix, block
-from .scalars import GQ
+from .matrix import EXACT, Matrix, block
 
 
 # -- float backend ------------------------------------------------------
@@ -98,78 +97,78 @@ def _int(rng: np.random.Generator, span: int) -> int:
     return int(rng.integers(-span, span + 1))
 
 
-def rational_skew_hermitian(n: int, rng: np.random.Generator, span: int = 1) -> Matrix:
+def _triangular_fill(n: int, rng: np.random.Generator, span: int, skew: bool) -> Matrix:
+    """Hermitian (skew-Hermitian when skew) Gaussian-integer matrix with parts
+    in [-span, span], drawn row by row over the diagonal and upper triangle."""
     re = np.zeros((n, n), dtype=object)
     im = np.zeros((n, n), dtype=object)
+    diagonal, sign = (im, -1) if skew else (re, 1)
     for i in range(n):
-        im[i, i] = _int(rng, span)
+        diagonal[i, i] = _int(rng, span)
         for j in range(i + 1, n):
             a, b = _int(rng, span), _int(rng, span)
             re[i, j], im[i, j] = a, b
-            re[j, i], im[j, i] = -a, b
-    return Matrix.from_ints(re, im)
+            re[j, i], im[j, i] = sign * a, -sign * b
+    return Matrix((re, im, 1), EXACT)
+
+
+def rational_skew_hermitian(n: int, rng: np.random.Generator, span: int = 1) -> Matrix:
+    return _triangular_fill(n, rng, span, skew=True)
 
 
 def rational_unitary(n: int, rng: np.random.Generator, span: int = 1) -> Matrix:
-    """Cayley transform (I - S)(I + S)^(-1) of a skew-Hermitian S; exactly
-    unitary because I + S is invertible and conjugation flips the factors."""
+    """Cayley transform (I + S)^(-1)(I - S) of a skew-Hermitian S: exactly
+    unitary, as I + S is invertible and commutes with I - S = (I + S)*."""
     s = rational_skew_hermitian(n, rng, span)
     eye = Matrix.identity(n)
-    inv = solve_linear(eye + s, eye)
-    assert inv is not None
-    return (eye - s) @ inv
+    u = solve_linear(eye + s, eye - s)
+    assert u is not None
+    return u
 
 
-def _rational_nonzero(rng: np.random.Generator) -> GQ:
+def _rational_nonzero(rng: np.random.Generator) -> tuple[int, int]:
     while True:
-        z = GQ(_int(rng, 2), _int(rng, 2))
-        if z:
+        z = _int(rng, 2), _int(rng, 2)
+        if z != (0, 0):
             return z
 
 
 def rational_diagonal(n: int, rng: np.random.Generator, nonzeros: int, real: bool = False) -> Matrix:
-    values = []
-    for i in range(n):
-        if i < nonzeros:
-            z = _rational_nonzero(rng)
-            values.append(GQ(z.re if z.re else 1, 0) if real else z)
-        else:
-            values.append(GQ(0))
-    perm = rng.permutation(n)
-    return Matrix.diagonal([values[int(p)] for p in perm])
+    values = [_rational_nonzero(rng) for _ in range(min(nonzeros, n))]
+    if real:
+        values = [(re or 1, 0) for re, _ in values]
+    values += [(0, 0)] * (n - len(values))
+    return Matrix.diagonal([values[p] for p in rng.permutation(n)])
+
+
+def _conjugated_diagonal(n: int, rng: np.random.Generator, r: int, real: bool) -> Matrix:
+    u = rational_unitary(n, rng)
+    return u @ rational_diagonal(n, rng, r, real) @ u.adjoint()
 
 
 def rational_normal(n: int, rng: np.random.Generator, rank: int | None = None) -> Matrix:
-    r = _pick_rank(n, rng, rank)
-    u = rational_unitary(n, rng)
-    d = rational_diagonal(n, rng, r)
-    return u @ d @ u.adjoint()
+    return _conjugated_diagonal(n, rng, _pick_rank(n, rng, rank), real=False)
 
 
 def rational_hermitian(n: int, rng: np.random.Generator, rank: int | None = None) -> Matrix:
     if rank is not None:
-        u = rational_unitary(n, rng)
-        d = rational_diagonal(n, rng, rank, real=True)
-        return u @ d @ u.adjoint()
-    re = np.zeros((n, n), dtype=object)
-    im = np.zeros((n, n), dtype=object)
-    for i in range(n):
-        re[i, i] = _int(rng, 2)
-        for j in range(i + 1, n):
-            a, b = _int(rng, 2), _int(rng, 2)
-            re[i, j], im[i, j] = a, b
-            re[j, i], im[j, i] = a, -b
-    return Matrix.from_ints(re, im)
+        return _conjugated_diagonal(n, rng, rank, real=True)
+    return _triangular_fill(n, rng, 2, skew=False)
+
+
+def _full_rank(rows: int, cols: int, rng: np.random.Generator) -> Matrix:
+    while True:
+        g = Matrix.exact([[(_int(rng, 2), _int(rng, 2)) for _ in range(cols)] for _ in range(rows)])
+        if matrix_rank(g) == rows:
+            return g
 
 
 def rational_psd(n: int, rng: np.random.Generator, rank: int | None = None) -> Matrix:
     r = _pick_rank(n, rng, rank)
     if r == 0:
         return Matrix.zeros(n, n)
-    while True:
-        g = Matrix.exact([[(_int(rng, 2), _int(rng, 2)) for _ in range(n)] for _ in range(r)])
-        if matrix_rank(g) == r:
-            return g.adjoint() @ g
+    g = _full_rank(r, n, rng)
+    return g.adjoint() @ g
 
 
 def rational_ep(n: int, rng: np.random.Generator, rank: int | None = None) -> Matrix:
@@ -177,10 +176,7 @@ def rational_ep(n: int, rng: np.random.Generator, rank: int | None = None) -> Ma
     u = rational_unitary(n, rng)
     if r == 0:
         return Matrix.zeros(n, n)
-    while True:
-        c = Matrix.exact([[(_int(rng, 2), _int(rng, 2)) for _ in range(r)] for _ in range(r)])
-        if matrix_rank(c) == r:
-            break
+    c = _full_rank(r, r, rng)
     core = block([[c, Matrix.zeros(r, n - r)], [Matrix.zeros(n - r, r), Matrix.zeros(n - r, n - r)]])
     return u @ core @ u.adjoint()
 

@@ -313,7 +313,8 @@ class Matrix:
         if self._backend == EXACT:
             re, im = self._re.ravel(), self._im.ravel()
             return (int(np.dot(re, re) + np.dot(im, im)) / self._den ** 2) ** 0.5
-        norm = float(np.linalg.norm(self._data))
+        with np.errstate(over="ignore"):  # an overflow is caught and recomputed below
+            norm = float(np.linalg.norm(self._data))
         if norm == math.inf:  # the squares overflowed; rescale the finite entries
             scale = float(max(np.abs(self._data.real).max(), np.abs(self._data.imag).max()))
             norm = scale * float(np.linalg.norm(self._data / scale))

@@ -47,6 +47,9 @@ def test_hermitian_float_tolerance():
     m = Matrix.from_float([[1.0, 1e-14], [0.0, 1.0]])
     assert is_hermitian(m)
     assert not is_hermitian(Matrix.from_float([[1.0, 1e-3], [0.0, 1.0]]))
+    # the same tests near the ends of the float range, where norms overflow
+    assert not is_hermitian(Matrix.from_float([[1.5e308, 1.5e308], [0.0, 1.5e308]]))
+    assert is_hermitian(Matrix.from_float([[1.5e308, 1e308], [1e308, -1.5e308]]))
 
 
 def test_normal_examples(hermitian_normal_pair_4x4):
@@ -54,6 +57,12 @@ def test_normal_examples(hermitian_normal_pair_4x4):
     rng = np.random.default_rng(2)
     assert is_normal(random_unitary(4, rng))
     assert not is_normal(J2)
+    # and where the products underflow to zero
+    tiny = Matrix.from_float([[1e-200, 1e-200], [0.0, 1e-200]])
+    assert not is_normal(tiny)
+    assert is_normal(Matrix.from_float([[1e-200, 1e-200], [-1e-200, 1e-200]]))
+    report = classify(tiny)
+    assert not report.normal and not report.hermitian
 
 
 def test_psd_examples(hermitian_normal_pair_4x4):

@@ -5,8 +5,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from abba import Matrix, catalog, save_matrix
-from abba.cli import _encode, main
+from abba import DEFAULT_TOLERANCE, Matrix, TolerancePolicy, catalog, save_matrix
+from abba.cli import _PARSER, _encode, _policy, main
 from abba.generators import random_normal, random_psd
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -250,6 +250,19 @@ def test_tol_flag_scales_policy(capsys, tmp_path):
     assert "--tol" in capsys.readouterr().err
 
 
+def test_policy_takes_each_flag_a_command_has_and_defaults_the_rest():
+    def policy(*argv):
+        return _policy(_PARSER.parse_args(argv))
+
+    assert policy("classify", "m") == DEFAULT_TOLERANCE
+    assert (policy("classify", "m", "--rank-rel-tol", "1e-3", "--residual-tol", "1e-4")
+            == TolerancePolicy(rank_rel_tol=1e-3, residual_tol=1e-4))
+    assert policy("rankseq", "m", "--rank-rel-tol", "1e-3") == TolerancePolicy(rank_rel_tol=1e-3)
+    assert policy("unitary", "a", "b", "--residual-tol", "1e-4") == TolerancePolicy(residual_tol=1e-4)
+    assert (policy("decide", "a", "b", "--rank-rel-tol", "1e-3", "--residual-tol", "1e-4",
+                   "--max-condition", "10") == TolerancePolicy(1e-3, 1e-4, 10.0))
+
+
 def test_encoder_rejects_unknown_objects():
     with pytest.raises(TypeError):
         _encode(object())
@@ -261,18 +274,30 @@ def test_overflowing_float_products_are_exit_2(capsys, tmp_path):
     big = tmp_path / "big.json"
     big.write_text(json.dumps({"scalar": "float", "rows": 2, "cols": 2,
                                "entries": [[["1e300", "0"], ["1e300", "0"]]] * 2}))
+    # a non-normal matrix as large overflows in the products of its witness
+    jordan = tmp_path / "jordan.json"
+    jordan.write_text(json.dumps({"scalar": "float", "rows": 2, "cols": 2,
+                                  "entries": [[["1e300", "0"], ["1e300", "0"]],
+                                              [["0", "0"], ["1e300", "0"]]]}))
     for argv in (["decide", big, big], ["decide", big, big, "--construct"],
-                 ["unitary", big, big], ["classify", big]):
+                 ["unitary", big, big], ["classify", jordan]):
         code = main([str(x) for x in argv])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "infinite or NaN" in captured.err
-    # the rank sequence never forms an overflowing product
+    # the rank sequence and the predicates, tested at unit scale, never form
+    # an overflowing product, and the norms recover from theirs without a warning
     assert _run_json(capsys, "rankseq", str(big))["result"]["rank_sequence"]["terms"] == [2, 1]
+    doc = _run_json(capsys, "classify", str(big))
+    assert doc["result"]["class_report"] == {
+        "hermitian": True, "normal": True, "psd": True, "ep": True,
+        "realpart_psd_same_rank": True, "rank": 1, "witnesses": {}}
+    assert doc["warnings"] == []
 
 
-# each flag belongs only to the commands that read it: tolerances to the four
-# that pass a TolerancePolicy on, --seed to the two that draw random numbers
+# each flag belongs only to the commands that read it: a tolerance flag to the
+# commands with a path that reads its TolerancePolicy field, --seed to the two
+# that draw random numbers
 FLAGS_WITHOUT_READER = {
     "catalog-list-rank-rel-tol": ["catalog", "list", "--rank-rel-tol", "1e-3"],
     "catalog-list-seed": ["catalog", "list", "--seed", "1"],
@@ -285,8 +310,13 @@ FLAGS_WITHOUT_READER = {
     "search-residual-tol": ["search", "--family", "normal", "--size", "2", "--trials", "1",
                             "--residual-tol", "1e-3"],
     "classify-seed": ["classify", "{a}", "--seed", "1"],
+    "classify-max-condition": ["classify", "{a}", "--max-condition", "10"],
     "rankseq-seed": ["rankseq", "{a}", "--seed", "1"],
+    "rankseq-residual-tol": ["rankseq", "{a}", "--residual-tol", "1e-3"],
+    "rankseq-max-condition": ["rankseq", "{a}", "--max-condition", "10"],
     "unitary-seed": ["unitary", "{ab}", "{ab}", "--seed", "1"],
+    "unitary-rank-rel-tol": ["unitary", "{ab}", "{ab}", "--rank-rel-tol", "1e-3"],
+    "unitary-max-condition": ["unitary", "{ab}", "{ab}", "--max-condition", "10"],
 }
 
 

@@ -1,7 +1,12 @@
+import hashlib
+import json
+
 import numpy as np
 
-from abba import Matrix, is_ep, is_hermitian, is_normal, is_psd, rank, realpart_psd_same_rank
+from abba import (Matrix, dump_matrix, is_ep, is_hermitian, is_normal, is_psd, rank,
+                  realpart_psd_same_rank)
 from abba import generators as gen
+from abba.catalog import FAMILIES, _draw
 
 
 def test_determinism():
@@ -11,6 +16,24 @@ def test_determinism():
     f1 = gen.random_normal(4, np.random.default_rng(9))
     f2 = gen.random_normal(4, np.random.default_rng(9))
     assert f1 == f2
+
+
+def test_exact_draws_are_pinned():
+    # every search family, size and rank: the bytes of each draw and the rng
+    # state it leaves behind, so a refactor of a generator cannot change a draw
+    digest = hashlib.sha256()
+    count = 0
+    for s, family in enumerate(FAMILIES):
+        for n in range(1, 6):
+            for r, rank_ in enumerate((None, *range(n + 1))):
+                for i in range(2):
+                    rng = np.random.default_rng([s, n, r, i])
+                    m = _draw(family, n, rng, rank_)
+                    record = [dump_matrix(m), rng.bit_generator.state]
+                    digest.update(json.dumps(record, sort_keys=True).encode())
+                    count += 1
+    assert count == 250
+    assert digest.hexdigest() == "e32a34fa17f2cb1d057531d453203fa1f5997bd881b8bba875d24329210d8121"
 
 
 def test_rational_unitary_is_exactly_unitary():

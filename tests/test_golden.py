@@ -62,50 +62,63 @@ def test_report_bytes_match_golden(case, capsys, monkeypatch):
     assert out == (STDOUT / f"{case}.out").read_text()
 
 
-def write_inputs() -> None:
-    """The input files: catalog pairs and the products of two of them,
-    seeded exact Hermitian pairs, a PSD x EP pair, a Cayley conjugate of
-    I_1 + J_3 whose entries have non-unit denominators, two float matrices
-    for classify (an indefinite Hermitian one and a unitary conjugate of
-    J_3, which is neither normal nor EP), and two pairs for the word
-    screen: an exact 3x3 matrix with a Cayley conjugate, which no word
-    tells apart, and a float 4x4 matrix with its transpose, which one does."""
-    INPUTS.mkdir(parents=True, exist_ok=True)
+def test_exact_inputs_regenerate_byte_for_byte(tmp_path):
+    # pins every exact draw behind the inputs; the float files are skipped,
+    # their low bits depend on the LAPACK build
+    write_inputs(tmp_path)
+    names = sorted(p.name for p in INPUTS.glob("*.json"))
+    assert sorted(p.name for p in tmp_path.glob("*.json")) == names
+    exact = [name for name in names if not name.startswith("float-")]
+    assert len(exact) == 21
+    for name in exact:
+        assert (tmp_path / name).read_bytes() == (INPUTS / name).read_bytes(), name
+
+
+def write_inputs(directory: Path = INPUTS) -> None:
+    """Write the input files into `directory`: catalog pairs and the
+    products of two of them, seeded exact Hermitian pairs, a PSD x EP pair,
+    a Cayley conjugate of I_1 + J_3 whose entries have non-unit
+    denominators, two float matrices for classify (an indefinite Hermitian
+    one and a unitary conjugate of J_3, which is neither normal nor EP),
+    and two pairs for the word screen: an exact 3x3 matrix with a Cayley
+    conjugate, which no word tells apart, and a float 4x4 matrix with its
+    transpose, which one does."""
+    directory.mkdir(parents=True, exist_ok=True)
     fixtures = {f.name: f.matrices for f in catalog()}
     for name in PAIRS[:3]:
         a, b = fixtures[name]["a"], fixtures[name]["b"]
-        save_matrix(a, INPUTS / f"{name}__a.json")
-        save_matrix(b, INPUTS / f"{name}__b.json")
+        save_matrix(a, directory / f"{name}__a.json")
+        save_matrix(b, directory / f"{name}__b.json")
     for name in ("hermitian-products-3x3", "hermitian-normal-4x4"):
         a, b = fixtures[name]["a"], fixtures[name]["b"]
-        save_matrix(a @ b, INPUTS / f"{name}__ab.json")
-        save_matrix(b @ a, INPUTS / f"{name}__ba.json")
+        save_matrix(a @ b, directory / f"{name}__ab.json")
+        save_matrix(b @ a, directory / f"{name}__ba.json")
     for n, seed in ((3, 3), (4, 4), (5, 5)):  # n = 5 certifies through a 25 x 25 kernel
         rng = np.random.default_rng(seed)
-        save_matrix(rational_hermitian(n, rng), INPUTS / f"hermitian-{n}-seed{seed}__a.json")
-        save_matrix(rational_hermitian(n, rng), INPUTS / f"hermitian-{n}-seed{seed}__b.json")
+        save_matrix(rational_hermitian(n, rng), directory / f"hermitian-{n}-seed{seed}__a.json")
+        save_matrix(rational_hermitian(n, rng), directory / f"hermitian-{n}-seed{seed}__b.json")
     rng = np.random.default_rng(5)
-    save_matrix(rational_psd(3, rng, rank=2), INPUTS / "psd-ep-3-seed5__a.json")
+    save_matrix(rational_psd(3, rng, rank=2), directory / "psd-ep-3-seed5__a.json")
     ep = Matrix.exact([["1/2", (0, 1), 0], [2, "-3/4", 0], [0, 0, 0]])
-    save_matrix(ep, INPUTS / "psd-ep-3-seed5__b.json")
+    save_matrix(ep, directory / "psd-ep-3-seed5__b.json")
     u = rational_unitary(4, np.random.default_rng(6))
     m = u @ realize_rank_sequence((4, 3, 2, 1)) @ u.adjoint()
     assert any(m[i, j].re.denominator > 1 for i in range(4) for j in range(4))
-    save_matrix(m, INPUTS / "rational-4.json")
+    save_matrix(m, directory / "rational-4.json")
     u = random_unitary(3, np.random.default_rng(7))
     h = u @ Matrix.from_float(np.diag([2.5, -1.25, 0.5])) @ u.adjoint()
-    save_matrix(h, INPUTS / "float-hermitian-3.json")
+    save_matrix(h, directory / "float-hermitian-3.json")
     u = random_unitary(3, np.random.default_rng(8))
     save_matrix(u @ realize_rank_sequence((3, 2, 1, 0)).to_float() @ u.adjoint(),
-                INPUTS / "float-nilpotent-3.json")
+                directory / "float-nilpotent-3.json")
     x = Matrix.exact([[1, 2, 0], [(0, 1), -1, 3], [0, "1/2", (1, -1)]])
     u = rational_unitary(3, np.random.default_rng(9))
-    save_matrix(x, INPUTS / "conjugate-3__x.json")
-    save_matrix(u @ x @ u.adjoint(), INPUTS / "conjugate-3__y.json")
+    save_matrix(x, directory / "conjugate-3__x.json")
+    save_matrix(u @ x @ u.adjoint(), directory / "conjugate-3__y.json")
     rng = np.random.default_rng(10)
     x = Matrix.from_float(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-    save_matrix(x, INPUTS / "float-transpose-4__x.json")
-    save_matrix(x.transpose(), INPUTS / "float-transpose-4__y.json")
+    save_matrix(x, directory / "float-transpose-4__x.json")
+    save_matrix(x.transpose(), directory / "float-transpose-4__y.json")
 
 
 if __name__ == "__main__":

@@ -4,13 +4,14 @@ Each property maps a pair (a, b) to a related pair whose products have
 known rank sequences: unitary conjugation and transposition keep them,
 a direct sum with invertible blocks shifts every term by the block size,
 and swapping the operands swaps seq_ab and seq_ba.  The two sequences of
-one pair also interlace, whatever the verdict.
+one pair also interlace, whatever the verdict.  On the float backend, the
+Hermitian and normal tests keep their verdicts under scaling.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from abba import Matrix, block, decide_product_similarity, rank_sequence
+from abba import Matrix, block, decide_product_similarity, is_hermitian, is_normal, rank_sequence
 from abba import generators as gen
 
 # mostly-zero Gaussian-integer entries make singular, nilpotent products common
@@ -90,3 +91,19 @@ def test_product_sequences_interlace(pair):
     length = a.rows + 2
     ab, ba = verdict.seq_ab.expand(length), verdict.seq_ba.expand(length)
     assert all(ba[k + 1] <= ab[k] and ab[k + 1] <= ba[k] for k in range(length - 1))
+
+
+@given(st.integers(1, 5), seeds)
+@settings(max_examples=100, deadline=None)
+def test_float_hermitian_and_normal_verdicts_ignore_scale(n, seed):
+    # scaling by 2^k is exact; at k = -600 the products of m underflow to zero
+    # and at k = 600 its squared norm overflows
+    rng = np.random.default_rng(seed)
+    herm, normal = gen.random_hermitian(n, rng), gen.random_normal(n, rng)
+    other = Matrix.from_float(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    assert is_hermitian(herm) and is_normal(herm) and is_normal(normal)
+    assert n == 1 or not is_normal(other)
+    for m in (herm, normal, other):
+        verdict = (is_hermitian(m), is_normal(m))
+        for k in (-600, -300, 300, 600):
+            assert (is_hermitian(m * 2.0 ** k), is_normal(m * 2.0 ** k)) == verdict, k
