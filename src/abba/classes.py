@@ -6,7 +6,8 @@ rank([m | m*]) = rank(m), which works on both backends.  ``_psd_violation``
 owns the PSD rule for a Hermitian matrix: the exact backend reads signs of
 principal-minor sums off the characteristic polynomial instead of computing
 (generally irrational) eigenvalues; the float backend compares the least
-eigenvalue with the residual tolerance.
+eigenvalue with the residual tolerance.  Float tests run at unit scale
+(``matrix._at_unit_scale``) and scale the min_eigenvalue witness back.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BackendError, HypothesisViolation, ShapeError
-from .linalg import invertible, principal_minor_sums, rank, solve_linear
-from .matrix import EXACT, Matrix, block, hstack
+from .linalg import _float_svd, invertible, principal_minor_sums, rank, solve_linear
+from .matrix import EXACT, Matrix, _at_unit_scale, block, hstack
 from .scalars import DEFAULT_TOLERANCE, TolerancePolicy
 
 _HALF = Fraction(1, 2)
@@ -29,23 +30,10 @@ def hermitian_real_part(m: Matrix) -> Matrix:
     return (m + m.adjoint()) * _HALF
 
 
-def _at_unit_scale(m: Matrix) -> Matrix:
-    """A float m over the power of two that puts its largest entry part in
-    [0.5, 1), exact in binary; an exact m as it is.  At unit scale the float
-    tests' squares and products neither overflow nor underflow."""
-    if m.backend == EXACT:
-        return m
-    a = m.array
-    _, e = np.frexp(max(np.abs(a.real).max(initial=0.0), np.abs(a.imag).max(initial=0.0)))
-    scaled = np.empty_like(a)
-    scaled.real, scaled.imag = np.ldexp(a.real, -e), np.ldexp(a.imag, -e)
-    return Matrix.from_float(scaled)
-
-
 def is_hermitian(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> bool:
     if not m.is_square:
         raise ShapeError("predicate requires a square matrix")
-    m = _at_unit_scale(m)
+    m = _at_unit_scale(m)[0]
     adj = m.adjoint()
     if m.backend == EXACT:
         return m == adj
@@ -55,7 +43,7 @@ def is_hermitian(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> bool:
 def is_normal(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> bool:
     if not m.is_square:
         raise ShapeError("predicate requires a square matrix")
-    m = _at_unit_scale(m)
+    m = _at_unit_scale(m)[0]
     adj = m.adjoint()
     left, right = m @ adj, adj @ m
     if m.backend == EXACT:
@@ -66,14 +54,15 @@ def is_normal(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> bool:
 def _psd_violation(m: Matrix, tol: TolerancePolicy) -> int | float | None:
     """None when the Hermitian matrix m is PSD, else the witness: the order of
     the first principal-minor sum that is not a nonnegative real (exact), or
-    the least eigenvalue of the Hermitian part (float)."""
+    the least eigenvalue of the Hermitian part (float, found at unit scale)."""
     if m.backend == EXACT:
         sums = principal_minor_sums(m)
         return next((k for k, e in enumerate(sums) if e.im != 0 or e.re < 0), None)
-    eigs = np.linalg.eigvalsh(hermitian_real_part(m).array)
-    if eigs.size == 0 or eigs[0] >= -tol.residual_tol * m.frobenius():
+    unit, e = _at_unit_scale(m)
+    eigs = np.linalg.eigvalsh(hermitian_real_part(unit).array)
+    if eigs.size == 0 or eigs[0] >= -tol.residual_tol * unit.frobenius():
         return None
-    return float(eigs[0])
+    return float(np.ldexp(eigs[0], e))
 
 
 def is_psd(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> bool:
@@ -95,6 +84,7 @@ def is_ep(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> bool:
 
 def realpart_psd_same_rank(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> bool:
     """(m + m*)/2 is PSD and has the same rank as m."""
+    m = _at_unit_scale(m)[0]
     h = hermitian_real_part(m)  # Hermitian by construction
     return _psd_violation(h, tol) is None and rank(h, tol) == rank(m, tol)
 
@@ -198,8 +188,7 @@ def ep_decomposition(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> EPD
                 "exact decomposition requires the matrix already in invertible-block-plus-zero form"
             )
         return EPDecomposition(v=Matrix.identity(n), c=lead, r=r, residual=0.0)
-    u, _, _ = np.linalg.svd(m.array)
-    v = Matrix.from_float(u)
+    v = Matrix.from_float(_float_svd(m, tol)[0])
     conj = v.adjoint() @ m @ v
     c = conj.block(0, r, 0, r)
     trailing = float(

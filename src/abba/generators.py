@@ -152,7 +152,7 @@ def rational_normal(n: int, rng: np.random.Generator, rank: int | None = None) -
 
 def rational_hermitian(n: int, rng: np.random.Generator, rank: int | None = None) -> Matrix:
     if rank is not None:
-        return _conjugated_diagonal(n, rng, rank, real=True)
+        return _conjugated_diagonal(n, rng, _pick_rank(n, rng, rank), real=True)
     return _triangular_fill(n, rng, 2, skew=False)
 
 

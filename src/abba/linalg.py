@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BackendError, ShapeError
-from .matrix import EXACT, FLOAT, Matrix, hstack
+from .matrix import EXACT, FLOAT, Matrix, _at_unit_scale, hstack
 from .scalars import DEFAULT_TOLERANCE, GQ, TolerancePolicy
 
 
@@ -108,12 +108,12 @@ def _over_pivot(re: np.ndarray, im: np.ndarray, pivot: tuple[int, int]) -> Matri
 
 
 def _float_svd(m: Matrix, tol: TolerancePolicy, norm: float | None = None):
-    """(u, s, vh, r): the full SVD of a float matrix and its numerical rank r,
-    the number of singular values above rank_rel_tol * norm * max(rows, cols).
-    norm defaults to the largest singular value of m."""
-    u, s, vh = np.linalg.svd(m.array)
-    if norm is None:
-        norm = s[0] if s.size else 0.0
+    """(u, s, vh, r): the full SVD of the float m / 2^e (matrix._at_unit_scale)
+    and its rank r, the number of singular values above rank_rel_tol * norm *
+    max(rows, cols).  norm is in the units of m (default: sigma_max of m)."""
+    unit, e = _at_unit_scale(m)
+    u, s, vh = np.linalg.svd(unit.array)
+    norm = (s[0] if s.size else 0.0) if norm is None else np.ldexp(norm, -e)
     return u, s, vh, int(np.count_nonzero(s > tol.rank_rel_tol * norm * max(m.rows, m.cols)))
 
 
@@ -162,10 +162,8 @@ def condition_estimate(m: Matrix) -> float:
         raise BackendError("condition estimates are a float-backend notion")
     if m.rows == 0 or m.cols == 0:
         return 1.0
-    s = np.linalg.svd(m.array, compute_uv=False)
-    if s[-1] == 0:
-        return float("inf")
-    return float(s[0] / s[-1])
+    s = np.linalg.svd(_at_unit_scale(m)[0].array, compute_uv=False)
+    return float(s[0] / s[-1]) if s[-1] else float("inf")
 
 
 def nullspace_basis(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> Matrix:
@@ -206,7 +204,7 @@ def solve_linear(a: Matrix, b: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE)
         return _over_pivot(xr, xi, d)
     x, *_ = np.linalg.lstsq(a.array, b.array, rcond=None)
     residual = float(np.linalg.norm(a.array @ x - b.array))
-    if residual > tol.residual_tol * max(float(np.linalg.norm(b.array)), 1e-300):
+    if residual > tol.residual_tol * b.frobenius():
         return None
     return Matrix.from_float(x)
 

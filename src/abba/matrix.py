@@ -9,7 +9,9 @@ runs on the int arrays (a product is four integer ``dot``s and one gcd
 pass); entries read one at a time (``m[i, j]``, ``trace``, ``array``)
 come back as :class:`GaussianRational`.  A float matrix wraps a
 complex128 array of finite entries: an operation whose result overflows
-raises :class:`BackendError` instead of returning inf or NaN.
+raises :class:`BackendError` instead of returning inf or NaN.  Float norms,
+ranks and tests run at unit scale (``_at_unit_scale``), so no verdict of
+theirs changes when the input is scaled by a power of two.
 
 Values are immutable after construction; every operation returns a new
 matrix.  Mixing backends in one operation raises :class:`BackendError`.
@@ -313,15 +315,25 @@ class Matrix:
         if self._backend == EXACT:
             re, im = self._re.ravel(), self._im.ravel()
             return (int(np.dot(re, re) + np.dot(im, im)) / self._den ** 2) ** 0.5
-        with np.errstate(over="ignore"):  # an overflow is caught and recomputed below
-            norm = float(np.linalg.norm(self._data))
-        if norm == math.inf:  # the squares overflowed; rescale the finite entries
-            scale = float(max(np.abs(self._data.real).max(), np.abs(self._data.imag).max()))
-            norm = scale * float(np.linalg.norm(self._data / scale))
-        return norm
+        unit, e = _at_unit_scale(self)
+        with np.errstate(over="ignore"):  # a norm past the float range is inf
+            return float(np.ldexp(np.linalg.norm(unit._data), e))
 
     def __repr__(self):
         return f"Matrix({self._backend}, {self.rows}x{self.cols})"
+
+
+def _at_unit_scale(m: Matrix) -> tuple[Matrix, int]:
+    """(m / 2^e, e), e putting the largest entry part of a float m / 2^e in
+    [0.5, 1), where squares and products neither overflow nor underflow;
+    (m, 0) for an exact m.  Dividing by a power of two is exact in binary."""
+    if m.backend == EXACT:
+        return m, 0
+    a = m._data
+    _, e = np.frexp(max(np.abs(a.real).max(initial=0.0), np.abs(a.imag).max(initial=0.0)))
+    scaled = np.empty_like(a)
+    scaled.real, scaled.imag = np.ldexp(a.real, -e), np.ldexp(a.imag, -e)
+    return Matrix(scaled, FLOAT), int(e)
 
 
 def _stack(mats: Iterable[Matrix], join, name: str) -> Matrix:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .linalg import _range_basis
-from .matrix import FLOAT, Matrix
+from .matrix import FLOAT, Matrix, _at_unit_scale
 from .scalars import DEFAULT_TOLERANCE, TolerancePolicy
 
 
@@ -83,6 +83,7 @@ def rank_sequence(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> RankSe
     """
     if not m.is_square:
         raise ShapeError("rank sequences require a square matrix")
+    m = _at_unit_scale(m)[0]  # ranks ignore scale, and m's products stay finite
     norm = np.linalg.norm(m.array, 2) if m.backend == FLOAT else None
     terms = [m.rows]
     basis = _range_basis(m, tol, norm)

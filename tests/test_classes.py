@@ -131,6 +131,20 @@ def test_psd_float():
     assert not is_psd(Matrix.from_float(np.diag([1.0, -1e-3])))
 
 
+def test_psd_and_ep_tests_ignore_the_ends_of_the_float_range():
+    # at 2^-600 the squares in a full-scale norm underflow to zero
+    h = random_psd(4, np.random.default_rng(31), rank=2)
+    assert classify(h).psd and classify(h * 2.0 ** -600) == classify(h)
+    # at 1.5e308, m + m* and the singular values of [m | m*] overflow
+    big = Matrix.from_float(np.diag([1.5e308, 1.5e308]))
+    rep = classify(big)
+    assert rep.psd and rep.ep and rep.realpart_psd_same_rank and rep.witnesses == {}
+    assert is_psd(big) and is_ep(big)
+    # the witness is found at unit scale and scaled back
+    rep = classify(Matrix.from_float(np.diag([1.5e308, -1.5e308])))
+    assert not rep.psd and rep.witnesses["min_eigenvalue"] == -1.5e308
+
+
 def test_ep_examples(hermitian_normal_pair_4x4):
     b = hermitian_normal_pair_4x4[1]
     assert is_ep(b) and rank(b) == 3

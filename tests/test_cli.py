@@ -295,6 +295,18 @@ def test_overflowing_float_products_are_exit_2(capsys, tmp_path):
     assert doc["warnings"] == []
 
 
+def test_float_range_edge_classify_is_exit_0(capsys, tmp_path):
+    # a PSD diagonal at 1.5e308: m + m* overflows at full scale, not at unit scale
+    edge = tmp_path / "edge.json"
+    edge.write_text(json.dumps({"scalar": "float", "rows": 2, "cols": 2,
+                                "entries": [[["1.5e308", "0"], ["0", "0"]],
+                                            [["0", "0"], ["1.5e308", "0"]]]}))
+    doc = _run_json(capsys, "classify", str(edge))
+    report = doc["result"]["class_report"]
+    assert report["psd"] and report["ep"] and report["witnesses"] == {}
+    assert doc["warnings"] == []
+
+
 # each flag belongs only to the commands that read it: a tolerance flag to the
 # commands with a path that reads its TolerancePolicy field, --seed to the two
 # that draw random numbers

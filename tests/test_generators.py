@@ -2,6 +2,7 @@ import hashlib
 import json
 
 import numpy as np
+import pytest
 
 from abba import (Matrix, dump_matrix, is_ep, is_hermitian, is_normal, is_psd, rank,
                   realpart_psd_same_rank)
@@ -57,6 +58,13 @@ def test_rational_families_have_prescribed_structure():
     assert is_ep(e) and rank(e) == 3
     assert gen.rational_psd(3, rng, rank=0).is_zero()
     assert gen.rational_ep(3, rng, rank=0).is_zero()
+
+
+def test_rational_hermitian_checks_its_rank():
+    rng = np.random.default_rng(21)
+    for rank_ in (5, -1):
+        with pytest.raises(ValueError):
+            gen.rational_hermitian(3, rng, rank=rank_)
 
 
 def test_zero_one_normal_structure():

@@ -141,13 +141,20 @@ def test_frobenius_survives_overflowing_squares():
 
 
 def test_frobenius_keeps_numpy_bits_when_finite():
+    # numpy's squares underflow at 1e-300 (its norm is 0.0) and at 1e-160 (about
+    # 1e-5 off); there the norm is numpy's on the data times 2^k, scaled back,
+    # which is exact in binary
     rng = np.random.default_rng(126)
-    for scale in (1e-300, 1e-160, 1e-8, 1.0, 1e8, 1e150):
+    for scale, k in ((1e-300, 1000), (1e-160, 530), (1e-8, 0), (1.0, 0), (1e8, 0), (1e150, 0)):
         for shape in ((1, 1), (2, 3), (4, 4), (6, 1)):
             data = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-            expected = float(np.linalg.norm(data))
-            assert np.isfinite(expected)
+            expected = float(np.linalg.norm(data * 2.0 ** k)) / 2.0 ** k
+            assert np.isfinite(expected) and expected > 0
             assert Matrix.from_float(data).frobenius() == expected
+    assert Matrix.from_float([[1e-300]]).frobenius() == 1e-300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # past the float range: inf, without a warning
+        assert Matrix.from_float([[1.5e308, 1.5e308]]).frobenius() == np.inf
 
 
 def test_numerators_expose_the_exact_layout():

@@ -4,14 +4,15 @@ Each property maps a pair (a, b) to a related pair whose products have
 known rank sequences: unitary conjugation and transposition keep them,
 a direct sum with invertible blocks shifts every term by the block size,
 and swapping the operands swaps seq_ab and seq_ba.  The two sequences of
-one pair also interlace, whatever the verdict.  On the float backend, the
-Hermitian and normal tests keep their verdicts under scaling.
+one pair also interlace, whatever the verdict.  On the float backend, every
+predicate, rank and rank sequence keeps its value under scaling by 2^k.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from abba import Matrix, block, decide_product_similarity, is_hermitian, is_normal, rank_sequence
+from abba import (Matrix, block, decide_product_similarity, is_ep, is_hermitian, is_normal, is_psd,
+                  rank, rank_sequence, realpart_psd_same_rank)
 from abba import generators as gen
 
 # mostly-zero Gaussian-integer entries make singular, nilpotent products common
@@ -93,17 +94,26 @@ def test_product_sequences_interlace(pair):
     assert all(ba[k + 1] <= ab[k] and ab[k + 1] <= ba[k] for k in range(length - 1))
 
 
+def _scale_free_verdicts(m: Matrix) -> tuple:
+    return (is_hermitian(m), is_normal(m), is_psd(m), is_ep(m), realpart_psd_same_rank(m),
+            rank(m), rank_sequence(m))
+
+
 @given(st.integers(1, 5), seeds)
 @settings(max_examples=100, deadline=None)
 def test_float_hermitian_and_normal_verdicts_ignore_scale(n, seed):
-    # scaling by 2^k is exact; at k = -600 the products of m underflow to zero
-    # and at k = 600 its squared norm overflows
+    # every float predicate, rank and rank sequence, not only the two named:
+    # scaling by 2^k is exact; at k = -600 the products of m and the squares in
+    # its norm underflow to zero, and at k = 600 its squared norm overflows
     rng = np.random.default_rng(seed)
     herm, normal = gen.random_hermitian(n, rng), gen.random_normal(n, rng)
     other = Matrix.from_float(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    psd, ep = gen.random_psd(n, rng), gen.random_ep(n, rng)
+    realpart = gen.random_realpart_psd(n, rng)
     assert is_hermitian(herm) and is_normal(herm) and is_normal(normal)
     assert n == 1 or not is_normal(other)
-    for m in (herm, normal, other):
-        verdict = (is_hermitian(m), is_normal(m))
+    assert is_psd(psd) and is_ep(ep) and realpart_psd_same_rank(realpart)
+    for m in (herm, normal, other, psd, ep, realpart):
+        verdicts = _scale_free_verdicts(m)
         for k in (-600, -300, 300, 600):
-            assert (is_hermitian(m * 2.0 ** k), is_normal(m * 2.0 ** k)) == verdict, k
+            assert _scale_free_verdicts(m * 2.0 ** k) == verdicts, k

@@ -13,6 +13,7 @@ from abba import (
     drops,
     enumerate_tail_sequences,
     is_valid_rank_sequence,
+    rank,
     rank_sequence,
     realize_rank_sequence,
 )
@@ -175,6 +176,13 @@ def test_exact_sequences_match_oracle_ranks_of_explicit_powers():
             expected = stabilize([oracle_rank(p) for p in powers])
             assert expected == stabilize(seq)
             assert rank_sequence(m).terms == expected
+
+
+def test_float_rank_and_sequence_past_the_float_range():
+    # sigma_max of m is 2e308, past the float range; m^2 is rank one as well
+    m = Matrix.from_float([[1e308, 1e308], [1e308, 1e308]])
+    assert rank(m) == 1
+    assert rank_sequence(m).terms == (2, 1)
 
 
 def test_no_spurious_warnings_on_clean_float_input():
