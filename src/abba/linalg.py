@@ -1,17 +1,19 @@
 """Rank, null spaces, solves, and characteristic polynomials on both backends.
 
-On the exact backend one routine, :func:`_eliminate`, does every
+On the exact backend one routine, :func:`_eliminate_rows`, does every
 elimination: fraction-free (Bareiss) elimination over the Gaussian
-integers, run on the integer numerators that :attr:`Matrix.numerators`
-exposes, so intermediate entries stay minors of the input.  It copies
-them to rows of Python ints and loops over lists, not numpy object
-arrays: on the small matrices the program eliminates, numpy's per-call
-overhead cost more than the arithmetic.  Rank and determinant read the
-forward pass; null spaces and solves let it clear the rows above each
-pivot as well, which yields the (unique) reduced row echelon form over
-one Gaussian-integer denominator.  A null space comes back as one matrix
-whose columns are the basis vectors.  The characteristic polynomial runs
-Faddeev-LeVerrier on the same numerators, where its divisions are exact.
+integers on rows of Python ints, so intermediate entries stay minors of
+the input.  :func:`_eliminate` feeds it the integer numerators that
+:attr:`Matrix.numerators` exposes, and exact rank sequences feed it their
+integer products directly, with no Matrix in between.  It loops over
+lists, not numpy object arrays: on the small matrices the program
+eliminates, numpy's per-call overhead cost more than the arithmetic.
+Rank and determinant read the forward pass; null spaces and solves let
+it clear the rows above each pivot as well, which yields the (unique)
+reduced row echelon form over one Gaussian-integer denominator.  A null
+space comes back as one matrix whose columns are the basis vectors.  The
+characteristic polynomial runs Faddeev-LeVerrier on the same numerators,
+where its divisions are exact.
 
 Every float-backend rank decision comes from one helper, :func:`_float_svd`,
 which counts the singular values with
@@ -19,7 +21,8 @@ which counts the singular values with
     sigma > rank_rel_tol * norm * max(rows, cols),
 
 where norm is sigma_max of the matrix itself unless the caller passes a
-reference norm (rank sequences pass ||m||_2 of the matrix they iterate).
+reference norm (float rank sequences pass ||m||_2 of the matrix they
+iterate to :func:`_range_basis`, which is float-only).
 A float matrix is invertible when its condition_estimate is at most max_condition.
 """
 
@@ -35,28 +38,34 @@ from .scalars import DEFAULT_TOLERANCE, GQ, TolerancePolicy
 
 
 def _eliminate(m: Matrix, reduce: bool = False):
-    """Fraction-free elimination over Z[i] on the numerators re + i im of the
-    exact matrix m, copied to rows of Python ints (numpy's per-call overhead
-    on small object arrays cost more than the arithmetic).
+    """_eliminate_rows on the numerators of the exact matrix m, copied to
+    rows of Python ints; the denominator is left to the caller."""
+    re, im, _ = m.numerators
+    return _eliminate_rows(re.tolist(), im.tolist(), reduce)
+
+
+def _eliminate_rows(re: list, im: list, reduce: bool = False):
+    """Fraction-free elimination over Z[i] on the rows re + i im of Python
+    ints, which it consumes.
 
     Pivots are the first nonzero entries of their columns.  Each update is
     (p * a - f * b) / prev, with p the current pivot and prev the one
     before it; the division is exact in Z[i] because every entry stays a
-    minor of the input.  It is a plain // when prev is real; otherwise p
-    and f are multiplied by conj(prev) and the division is by |prev|^2.
-    Forward elimination clears the rows below each pivot.  With
-    reduce=True the rows above are cleared as well (fraction-free
-    Gauss-Jordan), which leaves every pivot equal to the last one, d, so
-    the pivot rows hold d times the reduced row echelon form.  A cleared
-    pivot column is deleted from the rows, so no later update touches it.
+    minor of the input, and is skipped when it is by 1 (the first pivot).
+    It is a plain // when prev is real; otherwise p and f are multiplied
+    by conj(prev) and the division is by |prev|^2.  Forward elimination
+    clears the rows below each pivot.  With reduce=True the rows above are
+    cleared as well (fraction-free Gauss-Jordan), which leaves every pivot
+    equal to the last one, d, so the pivot rows hold d times the reduced
+    row echelon form.  A cleared pivot column is deleted from the rows, so
+    no later update touches it.
 
     Returns (re, im, pivot columns, row-swap sign, last pivot as (re, im)).
     With reduce=True, re and im are the rows of the echelon form on the
     non-pivot columns, in order; the forward pass leaves them partial.
     """
-    re, im, _ = m.numerators
-    rows, cols = re.shape
-    re, im = re.tolist(), im.tolist()
+    rows = len(re)
+    cols = len(re[0]) if rows else 0
     prev = (1, 0)
     sign = 1
     pivots: list[int] = []
@@ -65,8 +74,10 @@ def _eliminate(m: Matrix, reduce: bool = False):
         if r == rows:
             break
         k = c - r  # where column c sits once the r earlier pivot columns are deleted
-        hit = next((i for i in range(r, rows) if re[i][k] or im[i][k]), None)
-        if hit is None:
+        hit = r
+        while hit < rows and not (re[hit][k] or im[hit][k]):
+            hit += 1
+        if hit == rows:
             continue
         if hit != r:
             re[r], re[hit], im[r], im[hit] = re[hit], re[r], im[hit], im[r]
@@ -77,6 +88,7 @@ def _eliminate(m: Matrix, reduce: bool = False):
         div = qr
         if qi:
             pr, pi, div = pr * qr + pi * qi, pi * qr - pr * qi, qr * qr + qi * qi
+        tr, ti = br[k + 1:], bi[k + 1:]  # rows below are zero left of column c + 1
         for i in range(0 if reduce else r + 1, rows):
             if i == r:
                 continue
@@ -84,12 +96,13 @@ def _eliminate(m: Matrix, reduce: bool = False):
             fr, fi = ar[k], ai[k]
             if qi:
                 fr, fi = fr * qr + fi * qi, fi * qr - fr * qi
-            # rows r and i are both zero left of column c when i is below r
-            lo = k + 1 if i > r else 0
-            xr = [(pr * a - pi * b - fr * x + fi * y) // div
-                  for a, b, x, y in zip(ar[lo:], ai[lo:], br[lo:], bi[lo:])]
-            xi = [(pr * b + pi * a - fr * y - fi * x) // div
-                  for a, b, x, y in zip(ar[lo:], ai[lo:], br[lo:], bi[lo:])]
+            xs = (ar[k + 1:], ai[k + 1:], tr, ti) if i > r else (ar, ai, br, bi)
+            if div == 1:
+                xr = [pr * a - pi * b - fr * x + fi * y for a, b, x, y in zip(*xs)]
+                xi = [pr * b + pi * a - fr * y - fi * x for a, b, x, y in zip(*xs)]
+            else:
+                xr = [(pr * a - pi * b - fr * x + fi * y) // div for a, b, x, y in zip(*xs)]
+                xi = [(pr * b + pi * a - fr * y - fi * x) // div for a, b, x, y in zip(*xs)]
             if i > r:
                 ar[k:], ai[k:] = xr, xi
             else:
@@ -118,13 +131,8 @@ def _float_svd(m: Matrix, tol: TolerancePolicy, norm: float | None = None):
 
 
 def _range_basis(m: Matrix, tol: TolerancePolicy, norm: float | None = None) -> Matrix:
-    """rank(m) columns spanning range(m): the pivot columns of m (exact), or
-    its leading left singular vectors under the cutoff of _float_svd (float;
-    norm is ignored on the exact backend)."""
-    if m.backend == EXACT:
-        pivots = _eliminate(m)[2]
-        re, im, den = m.numerators
-        return Matrix((re[:, pivots], im[:, pivots], den), EXACT)
+    """An orthonormal basis of range(m) for a float m: its leading left
+    singular vectors under the cutoff of _float_svd."""
     u, _, _, r = _float_svd(m, tol, norm)
     return Matrix.from_float(u[:, :r])
 

@@ -5,11 +5,15 @@ nonincreasing), stabilizes within n steps, and determines the nilpotent
 Jordan structure: the j-th drop equals the number of Jordan blocks at
 eigenvalue zero of size at least j+1.  Sequences are stored only up to
 stabilization; the final term repeats forever.  Both backends compute
-them by range iteration (see rank_sequence), never forming a power.
+them by range iteration (see rank_sequence), never forming a power.  The
+exact branch runs on integer numerators, each product made primitive (divided
+by the gcd of its entries), and builds no Matrix per power; the float branch
+keeps orthonormal bases from linalg._range_basis, which is float-only.
 """
 
 from __future__ import annotations
 
+import math
 import warnings  # unused here; bench/tracing.py swaps in a ToleranceWarning counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -17,8 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ShapeError
-from .linalg import _range_basis
-from .matrix import FLOAT, Matrix, _at_unit_scale
+from .linalg import _eliminate_rows, _range_basis
+from .matrix import EXACT, Matrix, _at_unit_scale, _gauss
 from .scalars import DEFAULT_TOLERANCE, TolerancePolicy
 
 
@@ -76,16 +80,33 @@ def rank_sequence(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> RankSe
     Range iteration, one algorithm on both backends: when the columns of b
     span range(m^j), those of m b span range(m^(j+1)).  Each rank is read
     from an n x r_j product, no power of m is formed, and no rank can
-    exceed the one before.  The basis kept is the pivot columns (exact) or
-    the orthonormal leading left singular vectors (float) of the last
-    product; every float cutoff is relative to ||m||_2, so a power that is
-    zero up to rounding has rank 0.
+    exceed the one before.  The exact backend runs on the integer
+    numerators of m (ranks ignore the denominator) and builds no Matrix
+    between powers: b is the pivot columns of the last product, each
+    product divided by the gcd of its entries, which leaves its range as
+    it is and keeps the entries short.  The float backend keeps the
+    orthonormal leading left singular vectors of the last product; every
+    float cutoff is relative to ||m||_2, so a power that is zero up to
+    rounding has rank 0.
     """
     if not m.is_square:
         raise ShapeError("rank sequences require a square matrix")
-    m = _at_unit_scale(m)[0]  # ranks ignore scale, and m's products stay finite
-    norm = np.linalg.norm(m.array, 2) if m.backend == FLOAT else None
     terms = [m.rows]
+    if m.backend == EXACT:
+        re, im, _ = m.numerators
+        pivots = _eliminate_rows(re.tolist(), im.tolist())[2]
+        br, bi = re, im
+        while 0 < len(pivots) < terms[-1]:
+            terms.append(len(pivots))
+            br, bi = _gauss(np.dot, re, im, br[:, pivots], bi[:, pivots])
+            g = math.gcd(*br.flat, *bi.flat)
+            if g > 1:
+                br, bi = br // g, bi // g
+            pivots = _eliminate_rows(br.tolist(), bi.tolist())[2]
+        terms.append(len(pivots))
+        return RankSequence.from_terms(terms)
+    m = _at_unit_scale(m)[0]  # ranks ignore scale, and m's products stay finite
+    norm = np.linalg.norm(m.array, 2)
     basis = _range_basis(m, tol, norm)
     while 0 < basis.cols < terms[-1]:
         terms.append(basis.cols)

@@ -182,7 +182,8 @@ def construct_similarity_psd_ep(
         )
     v, c, r = dec.v, dec.c, dec.r
     n = a.rows
-    at = v.adjoint() @ a @ v
+    aligned = a.backend != EXACT  # the exact decomposition's v is the identity
+    at = v.adjoint() @ a @ v if aligned else a
     x = column_inclusion_factor(at, r, tol)
     if x is None:
         raise HypothesisViolation("column inclusion solve failed for a")
@@ -191,7 +192,7 @@ def construct_similarity_psd_ep(
         raise HypothesisViolation("row inclusion solve failed for a")
     eye = Matrix.identity(n - r, a.backend)
     s = block([[c + x @ y.adjoint(), -x], [-y.adjoint(), eye]])
-    t = v @ s @ v.adjoint()
+    t = v @ s @ v.adjoint() if aligned else s
     cert = certificate_for(t, a @ b, b @ a, tol)
     if not cert.ok:
         raise HypothesisViolation(

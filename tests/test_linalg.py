@@ -91,6 +91,41 @@ def test_determinant_of_permutations():
     assert isinstance(det, complex) and abs(det + 1) < 1e-12
 
 
+def test_determinant_is_the_characteristic_polynomial_constant_term():
+    """Two independent algorithms on seeded exact matrices, n <= 6: the
+    forward Bareiss pass (row-swap sign x last pivot) against
+    Faddeev-LeVerrier ((-1)^n x constant term).  Each size gets a unit
+    first pivot (the first two updates skip the division), a zero top-left
+    entry (a row swap), a last row dependent on the rows above (rank
+    deficiency), and a non-unit denominator; Gaussian-integer entries make
+    non-real pivots, so both exact divisions run."""
+    rng = np.random.default_rng(16)
+    swaps = nonreal = deficient = 0
+    for n in range(1, 7):
+        for variant in ("unit", "swap", "deficient", "rational"):
+            for _ in range(4):
+                re, im = rng.integers(-4, 5, (2, n, n))
+                den = int(rng.integers(2, 9)) if variant == "rational" else 1
+                if variant == "unit":
+                    re[0, 0], im[0, 0] = 1, 0
+                elif variant == "swap":
+                    re[0, 0] = im[0, 0] = 0
+                elif variant == "deficient":  # last row 2 row_0 - row_(n-2), zero when n = 1
+                    for x in (re, im):
+                        x[-1] = 2 * x[0] - x[-2] if n > 1 else 0
+                m = Matrix.from_ints(re, im, den)
+                *_, sign, (_, di) = _eliminate(m)
+                swaps += sign == -1
+                nonreal += di != 0
+                constant = characteristic_polynomial(m)[-1]
+                det = determinant(m)
+                assert det == (-constant if n % 2 else constant)
+                if variant == "deficient":
+                    deficient += 1
+                    assert det == 0
+    assert swaps and nonreal and deficient == 24
+
+
 def test_nullspace_examples(hermitian_normal_pair_4x4):
     assert nullspace_basis(Matrix.identity(3)).shape == (3, 0)
     assert nullspace_basis(Matrix.zeros(4, 4)) == Matrix.identity(4)

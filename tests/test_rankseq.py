@@ -178,6 +178,32 @@ def test_exact_sequences_match_oracle_ranks_of_explicit_powers():
             assert rank_sequence(m).terms == expected
 
 
+def test_exact_sequences_of_conjugated_chains_up_to_n12():
+    """Dense Cayley conjugates of single Jordan chains, n = 8..12, and of
+    sampled n = 8 patterns: each range-iteration product is divided by the
+    gcd of its entries, which must leave every rank as it is."""
+    rng = np.random.default_rng(16)
+    chains = [tuple(range(n, -1, -1)) for n in range(8, 13)]
+    patterns = enumerate_tail_sequences(8, 8)
+    sampled = [patterns[int(i)] for i in rng.choice(len(patterns), 6, replace=False)]
+    for seq in chains + sampled:
+        assert rank_sequence(_rational_with_nilpotent_part(seq, rng)).terms == stabilize(seq)
+
+
+_small_exact = st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=n, max_size=n),
+    min_size=n, max_size=n)).map(Matrix.exact)
+_nonzero_scalar = st.one_of(
+    st.tuples(st.integers(-30, 30), st.integers(-30, 30)).filter(any),
+    st.fractions(max_denominator=30).filter(bool))
+
+
+@given(_small_exact, _nonzero_scalar)
+@settings(max_examples=200)
+def test_exact_sequence_ignores_a_nonzero_scalar(m, k):
+    assert rank_sequence(m * k) == rank_sequence(m)
+
+
 def test_float_rank_and_sequence_past_the_float_range():
     # sigma_max of m is 2e308, past the float range; m^2 is rank one as well
     m = Matrix.from_float([[1e308, 1e308], [1e308, 1e308]])
