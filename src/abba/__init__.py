@@ -74,6 +74,7 @@ from .similarity import (
     hermitian_parts,
     intertwiner_space,
     normal_doubling,
+    unitary_intertwiner,
     verify_certificate,
 )
 from .unitary import (
@@ -83,7 +84,6 @@ from .unitary import (
     TraceWord,
     WordTraceReport,
     decide_unitary_2x2,
-    extend_isometry_to_unitary,
     rank_one_normal_unitary,
     trace_word,
     word_trace_screen,

@@ -207,7 +207,7 @@ def column_inclusion_factor(
 ) -> Matrix | None:
     """X with A11 X = A12 at split index r of a = [[A11, A12], [A21, A22]];
     None when range(A12) is not contained in range(A11).  A float X meets
-    solve_linear's bound ||A11 X - A12||_F <= residual_tol * ||A12||_F."""
+    solve_linear's bound ||A11 X - A12||_F <= residual_tol * max(||A12||_F, ||A11||_F)."""
     if not a.is_square:
         raise ShapeError("column inclusion requires a square matrix")
     n = a.rows

@@ -21,8 +21,8 @@ which counts the singular values with
     sigma > rank_rel_tol * norm * max(rows, cols),
 
 where norm is sigma_max of the matrix itself unless the caller passes a
-reference norm (float rank sequences pass ||m||_2 of the matrix they
-iterate to :func:`_range_basis`, which is float-only).
+reference norm (rank sequences pass ||m||_2 to :func:`orthonormal_range_basis`,
+Sylvester systems ||m1||_2 + ||m2||_2 to :func:`nullspace_basis`).
 A float matrix is invertible when its condition_estimate is at most max_condition.
 """
 
@@ -130,13 +130,6 @@ def _float_svd(m: Matrix, tol: TolerancePolicy, norm: float | None = None):
     return u, s, vh, int(np.count_nonzero(s > tol.rank_rel_tol * norm * max(m.rows, m.cols)))
 
 
-def _range_basis(m: Matrix, tol: TolerancePolicy, norm: float | None = None) -> Matrix:
-    """An orthonormal basis of range(m) for a float m: its leading left
-    singular vectors under the cutoff of _float_svd."""
-    u, _, _, r = _float_svd(m, tol, norm)
-    return Matrix.from_float(u[:, :r])
-
-
 def rank(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> int:
     """Rank over the complex field (exact) or numerical rank (float)."""
     if m.backend == EXACT:
@@ -174,9 +167,9 @@ def condition_estimate(m: Matrix) -> float:
     return float(s[0] / s[-1]) if s[-1] else float("inf")
 
 
-def nullspace_basis(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> Matrix:
-    """The cols x (cols - rank(m)) matrix whose columns are a basis of ker(m): the
-    reduced-row-echelon basis (exact) or trailing right singular vectors (float)."""
+def nullspace_basis(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE, norm=None) -> Matrix:
+    """The cols x (cols - rank(m)) matrix whose columns are a basis of ker(m): the reduced-row-
+    echelon basis (exact) or the right singular vectors past _float_svd's rank (float)."""
     if m.backend == EXACT:
         re, im, pivots, _, d = _eliminate(m, reduce=True)
         free = [j for j in range(m.cols) if j not in pivots]
@@ -187,7 +180,7 @@ def nullspace_basis(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> Matr
         for c, row_r, row_i in zip(pivots, re, im):  # the pivot rows, on the free columns
             vr[c], vi[c] = [-x for x in row_r], [-y for y in row_i]
         return _over_pivot(vr, vi, d)
-    _, _, vh, r = _float_svd(m, tol)
+    _, _, vh, r = _float_svd(m, tol, norm)
     return Matrix.from_float(vh.conj().T[:, r:])
 
 
@@ -195,7 +188,7 @@ def solve_linear(a: Matrix, b: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE)
     """Any X with a X = b, or None when the system is inconsistent.
 
     Exact: consistency is decided exactly.  Float: least-squares solution,
-    accepted when the residual is at most residual_tol * ||b||.
+    accepted when ||a X - b||_F is at most residual_tol * max(||b||_F, ||a||_F).
     """
     a._check_same_backend(b)
     if a.rows != b.rows:
@@ -212,17 +205,18 @@ def solve_linear(a: Matrix, b: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE)
         return _over_pivot(xr, xi, d)
     x, *_ = np.linalg.lstsq(a.array, b.array, rcond=None)
     residual = float(np.linalg.norm(a.array @ x - b.array))
-    if residual > tol.residual_tol * b.frobenius():
+    if residual > tol.residual_tol * max(b.frobenius(), a.frobenius()):
         return None
     return Matrix.from_float(x)
 
 
-def orthonormal_range_basis(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> Matrix:
-    """Columns forming an orthonormal basis of range(m).  Float backend only:
-    orthonormalization leaves the Gaussian-rational field."""
+def orthonormal_range_basis(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE, norm=None) -> Matrix:
+    """An orthonormal basis of range(m): its leading left singular vectors under the cutoff
+    of _float_svd.  Float backend only: orthonormalization leaves the Gaussian-rational field."""
     if m.backend == EXACT:
         raise BackendError("orthonormal bases require the float backend")
-    return _range_basis(m, tol)
+    u, _, _, r = _float_svd(m, tol, norm)
+    return Matrix.from_float(u[:, :r])
 
 
 def characteristic_polynomial(m: Matrix) -> list:

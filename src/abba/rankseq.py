@@ -8,7 +8,7 @@ stabilization; the final term repeats forever.  Both backends compute
 them by range iteration (see rank_sequence), never forming a power.  The
 exact branch runs on integer numerators, each product made primitive (divided
 by the gcd of its entries), and builds no Matrix per power; the float branch
-keeps orthonormal bases from linalg._range_basis, which is float-only.
+keeps orthonormal bases from linalg.orthonormal_range_basis.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ShapeError
-from .linalg import _eliminate_rows, _range_basis
+from .linalg import _eliminate_rows, orthonormal_range_basis
 from .matrix import EXACT, Matrix, _at_unit_scale, _gauss
 from .scalars import DEFAULT_TOLERANCE, TolerancePolicy
 
@@ -107,10 +107,10 @@ def rank_sequence(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> RankSe
         return RankSequence.from_terms(terms)
     m = _at_unit_scale(m)[0]  # ranks ignore scale, and m's products stay finite
     norm = np.linalg.norm(m.array, 2)
-    basis = _range_basis(m, tol, norm)
+    basis = orthonormal_range_basis(m, tol, norm)
     while 0 < basis.cols < terms[-1]:
         terms.append(basis.cols)
-        basis = _range_basis(m @ basis, tol, norm)
+        basis = orthonormal_range_basis(m @ basis, tol, norm)
     terms.append(basis.cols)
     return RankSequence.from_terms(terms)
 

@@ -6,7 +6,8 @@ sound and complete for product pairs.  Constructions:
 * Sylvester null-space sampling: the intertwiner space {S : S M1 = M2 S}
   is the kernel of an n^2 x n^2 linear map; random combinations of a
   kernel basis are invertible generically whenever any invertible
-  intertwiner exists.
+  intertwiner exists.  Adding the block for S M1* = M2* S and taking the
+  polar factor of a sample gives a unitary intertwiner.
 * The positive-semidefinite / EP transform: after aligning the range of
   b, solve the column-inclusion systems and assemble the explicit block
   matrix [[C + X Y*, -X], [-Y*, I]]; for Hermitian a the two solves
@@ -32,7 +33,7 @@ from .classes import (
 )
 from .errors import HypothesisViolation, IntertwinerNotFound, ShapeError
 from .linalg import condition_estimate, determinant, nullspace_basis
-from .matrix import EXACT, Matrix, block, kron
+from .matrix import EXACT, Matrix, block, kron, vstack
 from .rankseq import RankSequence, rank_sequence
 from .scalars import DEFAULT_TOLERANCE, GQ, TolerancePolicy
 
@@ -102,20 +103,41 @@ def decide_product_similarity(
     return SimilarityVerdict(similar=similar, reason=reason, seq_ab=seq_ab, seq_ba=seq_ba)
 
 
-def intertwiner_space(m1: Matrix, m2: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> list[Matrix]:
-    """Basis of {s : s m1 = m2 s}, via the kernel of m1^T (x) I - I (x) m2."""
+def _kernel_matrices(system: Matrix, m1: Matrix, m2: Matrix, tol: TolerancePolicy) -> list[Matrix]:
+    """The s with vec(s) in ker(system), a stack of Sylvester blocks of m1 and m2.  A float
+    cutoff is set against ||m1||_2 + ||m2||_2: the system's own norm is noise when m1 ~ m2."""
     n = m1.rows
-    eye = Matrix.identity(n, m1.backend)
-    sylvester = kron(m1.transpose(), eye) - kron(eye, m2)
-    kernel = nullspace_basis(sylvester, tol)
+    norm = None if m1.backend == EXACT else sum(np.linalg.norm(m.array, 2) for m in (m1, m2))
+    kernel = nullspace_basis(system, tol, norm)
     # column i of the kernel is vec(s_i), which stacks the columns of s_i
     if kernel.backend == EXACT:
         re, im, den = kernel.numerators
-        return [Matrix((re[:, i].reshape((n, n), order="F"),
-                        im[:, i].reshape((n, n), order="F"), den), EXACT)
-                for i in range(kernel.cols)]
-    return [Matrix.from_float(kernel.array[:, i].reshape((n, n), order="F"))
-            for i in range(kernel.cols)]
+        return [Matrix((cr.reshape((n, n), order="F"), ci.reshape((n, n), order="F"), den), EXACT)
+                for cr, ci in zip(re.T, im.T)]
+    return [Matrix.from_float(v.reshape((n, n), order="F")) for v in kernel.array.T]
+
+
+def intertwiner_space(m1: Matrix, m2: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> list[Matrix]:
+    """Basis of {s : s m1 = m2 s}, via the kernel of m1^T (x) I - I (x) m2."""
+    eye = Matrix.identity(m1.rows, m1.backend)
+    return _kernel_matrices(kron(m1.transpose(), eye) - kron(eye, m2), m1, m2, tol)
+
+
+def _sample_invertible(basis, m1, m2, seed, attempts, tol) -> SimilarityCertificate | None:
+    """The first random combination of basis that certificate_for accepts (find_intertwiner)."""
+    if not basis:
+        return None
+    n, k, rng = m1.rows, max(9, m1.rows), np.random.default_rng(seed)
+    for _ in range(attempts):
+        if m1.backend == EXACT:
+            coeffs = [int(c) for c in rng.integers(-k, k + 1, size=len(basis))]
+        else:
+            coeffs = list(rng.standard_normal(len(basis)))
+        t = sum((s * c for c, s in zip(coeffs, basis)), Matrix.zeros(n, n, m1.backend))
+        cert = certificate_for(t, m1, m2, tol)
+        if cert.ok:
+            return cert
+    return None
 
 
 def find_intertwiner(
@@ -141,24 +163,27 @@ def find_intertwiner(
     m1._check_operand_pair(m2)
     if attempts < 1:
         raise ValueError("attempts must be positive")
-    basis = intertwiner_space(m1, m2, tol)
-    if not basis:
+    return _sample_invertible(intertwiner_space(m1, m2, tol), m1, m2, seed, attempts, tol)
+
+
+def unitary_intertwiner(m1: Matrix, m2: Matrix,
+                        tol: TolerancePolicy = DEFAULT_TOLERANCE) -> SimilarityCertificate | None:
+    """A float certificate for a unitary u with u m1 = m2 u, or None (advisory).
+
+    Samples an invertible t with t m1 = m2 t and t m1* = m2* t (seed 0, 32
+    attempts, exactly on exact input).  Then t* t commutes with m1, so the
+    polar factor u = t (t* t)^(-1/2), w vh of the SVD t = w s vh, intertwines.
+    """
+    m1._check_operand_pair(m2)
+    eye = Matrix.identity(m1.rows, m1.backend)
+    system = vstack([kron(x.transpose(), eye) - kron(eye, y)
+                     for x, y in ((m1, m2), (m1.adjoint(), m2.adjoint()))])
+    cert = _sample_invertible(_kernel_matrices(system, m1, m2, tol), m1, m2, 0, 32, tol)
+    if cert is None:
         return None
-    n = m1.rows
-    rng = np.random.default_rng(seed)
-    k = max(9, n)
-    for _ in range(attempts):
-        if m1.backend == EXACT:
-            coeffs = [int(c) for c in rng.integers(-k, k + 1, size=len(basis))]
-        else:
-            coeffs = list(rng.standard_normal(len(basis)))
-        t = Matrix.zeros(n, n, m1.backend)
-        for c, s in zip(coeffs, basis):
-            t = t + s * c
-        cert = certificate_for(t, m1, m2, tol)
-        if cert.ok:
-            return cert
-    return None
+    w, _, vh = np.linalg.svd(cert.t.to_float().array)
+    cert = certificate_for(Matrix.from_float(w @ vh), m1.to_float(), m2.to_float(), tol)
+    return cert if cert.ok else None
 
 
 def construct_similarity_psd_ep(

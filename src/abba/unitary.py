@@ -8,6 +8,7 @@ for n = 2 the triple (tr X, tr X^2, tr X*X) is a complete invariant.
 Words that are rotations of each other or of each other's adjoint (the
 word reversed, x and x* swapped) form a class whose traces are equal or
 conjugate, so the screen evaluates one word per class, on a prefix tree.
+Float traces are compared with both matrices over one common power of two.
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ import numpy as np
 
 from .classes import is_normal
 from .errors import BackendError, HypothesisViolation, ShapeError
-from .linalg import _float_svd
-from .matrix import EXACT, FLOAT, Matrix, hstack
+from .linalg import rank
+from .matrix import EXACT, FLOAT, Matrix, _at_unit_scale, hstack
 from .scalars import DEFAULT_TOLERANCE, TolerancePolicy
+from .similarity import unitary_intertwiner
 
 _LETTERS = ("x", "x*")
 
@@ -108,11 +110,22 @@ def _screen_words(max_len: int) -> tuple[TraceWord, ...]:
     return tuple(words)
 
 
-def _traces_differ(t1, t2, backend: str, tol: TolerancePolicy) -> bool:
-    if backend == EXACT:
+def _at_common_unit_scale(m1: Matrix, m2: Matrix):
+    """(x1, x2, e, ||[x1 x2]||_F): float m1 and m2 over the power of two 2^e that puts the
+    largest entry part of both in [0.5, 1); exact ones as they are, with e = 0 and no norm."""
+    if m1.backend == EXACT:
+        return m1, m2, 0, None
+    n = m1.rows
+    unit, e = _at_unit_scale(hstack([m1, m2]))
+    return unit.block(0, n, 0, n), unit.block(0, n, n, 2 * n), e, unit.frobenius()
+
+
+def _traces_differ(t1, t2, length: int, norm, tol: TolerancePolicy) -> bool:
+    """Exact traces differ unless equal; float traces of a word of this length, at unit
+    scale, by more than residual_tol * norm**length, which bounds the traces themselves."""
+    if norm is None:
         return t1 != t2
-    scale = max(1.0, abs(t1), abs(t2))
-    return abs(t1 - t2) > tol.residual_tol * scale
+    return abs(t1 - t2) > tol.residual_tol * norm ** length
 
 
 def word_trace_screen(
@@ -133,10 +146,14 @@ def word_trace_screen(
     m1._check_operand_pair(m2)
     if max_len < 1:
         raise ValueError("max_len must be positive")
-    products1, products2 = _word_products(m1), _word_products(m2)
+    x1, x2, e, norm = _at_common_unit_scale(m1, m2)
+    products1, products2 = _word_products(x1), _word_products(x2)
     for w in _screen_words(max_len):
         t1, t2 = products1(w.letters).trace(), products2(w.letters).trace()
-        if _traces_differ(t1, t2, m1.backend, tol):
+        if _traces_differ(t1, t2, len(w), norm, tol):
+            if norm is not None:  # back to the input's scale, exactly unless out of range
+                t1, t2 = (complex(np.ldexp(t.real, e * len(w)), np.ldexp(t.imag, e * len(w)))
+                          for t in (t1, t2))
             return WordTraceReport(distinguished=True, max_len=max_len, word=w, traces=(t1, t2))
     return WordTraceReport(distinguished=False, max_len=max_len)
 
@@ -146,12 +163,9 @@ def decide_unitary_2x2(m1: Matrix, m2: Matrix, tol: TolerancePolicy = DEFAULT_TO
     if m1.shape != (2, 2) or m2.shape != (2, 2):
         raise ShapeError("the triple invariant applies to 2x2 matrices only")
     m1._check_operand_pair(m2)
-
-    def triple(m: Matrix):
-        return (m.trace(), (m @ m).trace(), (m.adjoint() @ m).trace())
-
-    pairs = zip(triple(m1), triple(m2))
-    return all(not _traces_differ(t1, t2, m1.backend, tol) for t1, t2 in pairs)
+    x1, x2, _, norm = _at_common_unit_scale(m1, m2)
+    triples = [(m.trace(), (m @ m).trace(), (m.adjoint() @ m).trace()) for m in (x1, x2)]
+    return not any(_traces_differ(t1, t2, k, norm, tol) for t1, t2, k in zip(*triples, (1, 2, 2)))
 
 
 class Commuting:
@@ -164,80 +178,24 @@ class Commuting:
 COMMUTING = Commuting()
 
 
-def extend_isometry_to_unitary(
-    domain_vectors: list[Matrix],
-    image_vectors: list[Matrix],
-    n: int | None = None,
-    tol: TolerancePolicy = DEFAULT_TOLERANCE,
-) -> Matrix:
-    """A unitary agreeing with the map domain_vectors[j] -> image_vectors[j].
-
-    Requires the two Gram matrices to agree (the map extends to an
-    isometry exactly then).  With the SVD d = P S Q* of the domain, the
-    columns of P whose singular values exceed sqrt(residual_tol) * max(1,
-    sigma_max) span the domain and map to the orthonormal columns
-    im Q S^-1; directions below the cutoff are dependent prescriptions,
-    already consistent by the Gram check.  The rest of P maps onto the
-    orthogonal complement of those images, read off their own SVD.
-    """
-    if len(domain_vectors) != len(image_vectors):
-        raise ShapeError("domain and image lists must have equal length")
-    if domain_vectors:
-        n = domain_vectors[0].rows
-    if n is None:
-        raise ValueError("ambient dimension required when the lists are empty")
-    if not domain_vectors:
-        return Matrix.identity(n, FLOAT)
-    if any(v.backend != FLOAT for v in domain_vectors + image_vectors):
-        raise BackendError("isometry extension is float-backend only")
-
-    d = hstack(domain_vectors).array
-    im = hstack(image_vectors).array
-    gram_d = d.conj().T @ d
-    gram_i = im.conj().T @ im
-    if np.linalg.norm(gram_d - gram_i) > tol.residual_tol * max(1.0, np.linalg.norm(gram_d)):
-        raise HypothesisViolation("inner products of the two vector lists disagree")
-
-    p, s, qh = np.linalg.svd(d)
-    r = int(np.count_nonzero(s > tol.residual_tol ** 0.5 * max(1.0, s[0])))
-    qi = im @ qh[:r].conj().T / s[:r]
-    full_i = np.hstack([qi, np.linalg.svd(qi)[0][:, r:]])
-    u = full_i @ p.conj().T
-    unitarity = np.linalg.norm(u.conj().T @ u - np.eye(n))
-    mapping = np.linalg.norm(u @ d - im)
-    scale = max(1.0, float(np.linalg.norm(d)))
-    if unitarity > tol.residual_tol * n or mapping > tol.residual_tol * scale * n:
-        raise HypothesisViolation("extension failed the unitarity or mapping check")
-    return Matrix.from_float(u)
-
-
 def rank_one_normal_unitary(
     a: Matrix, b: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE
 ) -> Matrix | Commuting:
     """Unitary U with (ba) U = U (ab) for normal a of rank at most one and
-    normal b; COMMUTING when both products are zero."""
+    normal b, from :func:`abba.similarity.unitary_intertwiner`; COMMUTING when
+    both products are zero."""
     if a.backend != FLOAT or b.backend != FLOAT:
         raise BackendError("the rank-one construction is float-backend only")
     a._check_operand_pair(b)
     if not is_normal(a, tol) or not is_normal(b, tol):
         raise HypothesisViolation("both matrices must be normal")
-    _, _, vh, r = _float_svd(a, tol)
-    if r > 1:
+    if rank(a, tol) > 1:
         raise HypothesisViolation("a must have rank at most one")
-    if r == 0:
+    ab = a @ b
+    if ab.frobenius() <= tol.residual_tol * a.frobenius() * b.frobenius():
+        # ab = 0 gives a* b = 0 (a normal), so range(a) lies in ker(b*) = ker(b): ba = 0
         return COMMUTING
-    v = vh.conj().T[:, :1]
-    bv = b.array @ v
-    c = float(np.linalg.norm(bv))
-    if c <= tol.residual_tol * max(1.0, b.frobenius()):
-        # b kills the range of a; by normality b* does too, so ab = ba = 0
-        return COMMUTING
-    bsv = b.adjoint().array @ v
-    domain = [Matrix.from_float(v), Matrix.from_float(bsv / c)]
-    images = [Matrix.from_float(bv / c), Matrix.from_float(v)]
-    u = extend_isometry_to_unitary(domain, images, tol=tol)
-    residual = ((b @ a) @ u - u @ (a @ b)).frobenius()
-    scale = max(1.0, a.frobenius() * b.frobenius())
-    if residual > tol.residual_tol * scale:
-        raise HypothesisViolation("constructed unitary failed the defining relation")
-    return u
+    cert = unitary_intertwiner(ab, b @ a, tol)
+    if cert is None:
+        raise HypothesisViolation("no unitary intertwiner found for the products")
+    return cert.t

@@ -279,15 +279,17 @@ def test_overflowing_float_products_are_exit_2(capsys, tmp_path):
     jordan.write_text(json.dumps({"scalar": "float", "rows": 2, "cols": 2,
                                   "entries": [[["1e300", "0"], ["1e300", "0"]],
                                               [["0", "0"], ["1e300", "0"]]]}))
-    for argv in (["decide", big, big], ["decide", big, big, "--construct"],
-                 ["unitary", big, big], ["classify", jordan]):
+    for argv in (["decide", big, big], ["decide", big, big, "--construct"], ["classify", jordan]):
         code = main([str(x) for x in argv])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "infinite or NaN" in captured.err
-    # the rank sequence and the predicates, tested at unit scale, never form
-    # an overflowing product, and the norms recover from theirs without a warning
+    # the rank sequence, the word screen and the predicates, run at unit scale, never
+    # form an overflowing product, and the norms recover from theirs without a warning
     assert _run_json(capsys, "rankseq", str(big))["result"]["rank_sequence"]["terms"] == [2, 1]
+    assert _run_json(capsys, "unitary", str(big), str(big))["result"] == {
+        "triple_invariant_equal": True,
+        "word_screen": {"traces": None, "verdict": "indistinguishable-up-to-length-6", "word": None}}
     doc = _run_json(capsys, "classify", str(big))
     assert doc["result"]["class_report"] == {
         "hermitian": True, "normal": True, "psd": True, "ep": True,

@@ -14,6 +14,7 @@ from abba import (
     doubling_conjugator,
     doubling_product_similarity,
     find_intertwiner,
+    get_fixture,
     hermitian_parts,
     intertwiner_space,
     is_hermitian,
@@ -22,6 +23,7 @@ from abba import (
     normal_doubling,
     rank_one_normal_unitary,
     realpart_psd_same_rank,
+    unitary_intertwiner,
     verify_certificate,
     word_trace_screen,
 )
@@ -67,7 +69,7 @@ def test_decide_errors(nilpotent_pair):
     square of one size first, then one backend."""
     a, _ = nilpotent_pair
     for entry in (decide_product_similarity, find_intertwiner, construct_similarity_psd_ep,
-                  doubling_product_similarity, word_trace_screen):
+                  doubling_product_similarity, word_trace_screen, unitary_intertwiner):
         with pytest.raises(ShapeError, match="operands must be square and of equal size"):
             entry(a, Matrix.identity(3))
         with pytest.raises(ShapeError, match="operands must be square and of equal size"):
@@ -137,6 +139,95 @@ def test_find_intertwiner_skips_a_zero_draw():
     assert certificate_for(Matrix.zeros(1, 1), m, m).ok is False
     cert = find_intertwiner(m, m, seed=seed)
     assert cert == certificate_for(Matrix.exact([[second]]), m, m)
+
+
+def test_find_intertwiner_float_conjugates_including_1x1(hermitian_normal_pair_4x4):
+    """The float kernel cutoff is measured against the operands, so a pair that
+    differs by rounding alone (1x1: x against u x u*) keeps its intertwiners."""
+    rng = np.random.default_rng(131)
+    ones = 0
+    for trial in range(200):
+        n = int(rng.integers(1, 6))
+        ones += n == 1
+        m = Matrix.from_float(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        u = gen.random_unitary(n, rng)
+        cert = find_intertwiner(m, u @ m @ u.adjoint(), seed=trial)
+        assert cert is not None and cert.residual <= 1e-10
+    assert ones > 0
+    a, b = (m.to_float() for m in hermitian_normal_pair_4x4)
+    assert find_intertwiner(a @ b, b @ a) is None  # not similar
+
+
+# -- unitary intertwiner -----------------------------------------------------
+
+
+def _not_unitarily_similar_catalog_pairs():
+    pairs = []
+    for name in ("hermitian-products-3x3", "hermitian-normal-4x4"):
+        mats = get_fixture(name).matrices
+        pairs.append((mats["a"] @ mats["b"], mats["b"] @ mats["a"]))
+    at = get_fixture("transpose-3x3").matrices["a"]
+    return pairs + [(at, at.transpose())]
+
+
+def test_unitary_intertwiner_none_on_catalog_pairs():
+    for m1, m2 in _not_unitarily_similar_catalog_pairs():
+        for x, y in ((m1, m2), (m1.to_float(), m2.to_float())):
+            assert word_trace_screen(x, y, 6).distinguished
+            assert unitary_intertwiner(x, y) is None
+
+
+def _assert_unitary_certificate(cert, m1, m2):
+    n = m1.rows
+    assert cert is not None and cert.ok and cert.t.backend == "float"
+    assert np.allclose(cert.t.array.conj().T @ cert.t.array, np.eye(n), rtol=0, atol=1e-10)
+    assert verify_certificate(cert, m1.to_float(), m2.to_float()).ok
+
+
+def test_unitary_intertwiner_certifies_exact_cayley_conjugates():
+    rng = np.random.default_rng(151)
+    for trial in range(12):
+        n = int(rng.integers(1, 5))
+        x = _random_exact(rng, n, 2)
+        u = gen.rational_unitary(n, rng)
+        y = u @ x @ u.adjoint()
+        _assert_unitary_certificate(unitary_intertwiner(x, y), x, y)
+
+
+def test_unitary_intertwiner_certifies_float_haar_conjugates():
+    rng = np.random.default_rng(157)
+    for n in range(1, 7):
+        for _ in range(4):
+            x = Matrix.from_float(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            u = gen.random_unitary(n, rng)
+            y = u @ x @ u.adjoint()
+            _assert_unitary_certificate(unitary_intertwiner(x, y), x, y)
+
+
+def test_construct_haar_conjugated_chain_atoms_float():
+    """x = diag(1, .., 1, 0) (+) I (PSD) against a cyclic shift (+) 0 (EP),
+    conjugated by a Haar unitary; the column-inclusion solve is accepted
+    against ||A11||_F as well as ||A12||_F, so rounding in A11 does not
+    refuse a consistent system."""
+    def chain(k, zeros):
+        n = k + zeros
+        x = np.eye(n, dtype=complex)
+        x[k - 1, k - 1] = 0
+        y = np.zeros((n, n), dtype=complex)
+        for j in range(k):
+            y[(j + 1) % k, j] = 1
+        return x, y
+
+    certified = 0
+    for seed in range(20):
+        for k, zeros in ((6, 2), (8, 24)):
+            x, y = chain(k, zeros)
+            u = gen.random_unitary(k + zeros, np.random.default_rng(seed)).array
+            a = Matrix.from_float(u @ x @ u.conj().T)
+            b = Matrix.from_float(u @ y @ u.conj().T)
+            cert = construct_similarity_psd_ep(a, b)
+            certified += cert.ok and verify_certificate(cert, a @ b, b @ a).ok
+    assert certified == 40
 
 
 def test_certificates_returned_are_always_sound():

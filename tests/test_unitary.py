@@ -14,7 +14,6 @@ from abba import (
     Matrix,
     TraceWord,
     decide_unitary_2x2,
-    extend_isometry_to_unitary,
     rank_one_normal_unitary,
     trace_word,
     word_trace_screen,
@@ -83,6 +82,25 @@ def test_screen_transpose_fixture(transpose_matrix):
     assert rep.distinguished
     assert rep.word.letters == ("x", "x", "x*", "x", "x*", "x*")
     assert rep.traces == (GQ(16), GQ(4))
+
+
+def test_float_screen_ignores_power_of_two_scale(transpose_matrix):
+    """Float traces are compared at one common unit scale and reported at the
+    input's scale: exactly while they are in the float range, as 0 or inf past it."""
+    x = transpose_matrix.to_float()
+    for k in (-300, -20, 0, 20, 300):
+        scaled = x * 2.0 ** k
+        with np.errstate(over="ignore"):
+            rep = word_trace_screen(scaled, scaled.transpose(), 6)
+        assert rep.distinguished and rep.word.letters == ("x", "x", "x*", "x", "x*", "x*")
+        if abs(k) <= 20:
+            assert rep.traces == (16 * 2.0 ** (6 * k), 4 * 2.0 ** (6 * k))
+    # the 2x2 triple: tr X*X is 1 against 4, at every scale
+    e12 = Matrix.from_float([[0.0, 1.0], [0.0, 0.0]])
+    u = gen.random_unitary(2, np.random.default_rng(5))
+    for k in (-300, -20, 0, 20, 300):
+        assert not decide_unitary_2x2(e12 * 2.0 ** k, e12 * 2.0 ** (k + 1))
+        assert decide_unitary_2x2(e12 * 2.0 ** k, u @ (e12 * 2.0 ** k) @ u.adjoint())
 
 
 def test_unitary_conjugates_indistinguishable():
@@ -193,60 +211,6 @@ def test_decide_unitary_2x2():
         decide_unitary_2x2(Matrix.identity(3, "float"), Matrix.identity(3, "float"))
 
 
-def test_extend_isometry_empty_gives_identity():
-    assert extend_isometry_to_unitary([], [], n=3) == Matrix.identity(3, "float")
-    with pytest.raises(ValueError):
-        extend_isometry_to_unitary([], [])
-
-
-def test_extend_isometry_basis_swap():
-    e1 = Matrix.from_float([[1.0], [0.0]])
-    e2 = Matrix.from_float([[0.0], [1.0]])
-    u = extend_isometry_to_unitary([e1], [e2])
-    assert np.allclose(u.array[:, 0], [0.0, 1.0])
-    assert np.allclose(u.array.conj().T @ u.array, np.eye(2), atol=1e-12)
-
-
-def test_extend_isometry_gram_mismatch():
-    e1 = Matrix.from_float([[1.0], [0.0]])
-    doubled = Matrix.from_float([[0.0], [2.0]])
-    with pytest.raises(HypothesisViolation):
-        extend_isometry_to_unitary([e1], [doubled])
-
-
-def test_extend_isometry_dependent_domain():
-    """Repeated and combined domain vectors are dependent prescriptions: the
-    rank cutoff drops them, and the mapping check still covers them."""
-    rng = np.random.default_rng(139)
-    for n in (2, 3, 5):
-        w = gen.random_unitary(n, rng).array
-        v1 = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
-        v2 = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
-        vecs = [v1, v1, v2, (1 - 2j) * v1 + v2] if n > 2 else [v1, v1]
-        u = extend_isometry_to_unitary([Matrix.from_float(v) for v in vecs],
-                                       [Matrix.from_float(w @ v) for v in vecs])
-        assert np.allclose(u.array.conj().T @ u.array, np.eye(n), atol=1e-12)
-        for v in vecs:
-            assert np.allclose(u.array @ v, w @ v, atol=1e-10)
-
-
-def test_extend_isometry_on_proof_pair():
-    rng = np.random.default_rng(79)
-    for _ in range(10):
-        n = int(rng.integers(2, 6))
-        b = gen.random_normal(n, rng, rank=n)
-        v = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
-        v /= np.linalg.norm(v)
-        bv = b.array @ v
-        c = np.linalg.norm(bv)
-        bsv = b.adjoint().array @ v
-        domain = [Matrix.from_float(v), Matrix.from_float(bsv / c)]
-        images = [Matrix.from_float(bv / c), Matrix.from_float(v)]
-        u = extend_isometry_to_unitary(domain, images)
-        assert np.allclose(u.array @ v, bv / c, atol=1e-10)
-        assert np.allclose(u.array @ (bsv / c), v, atol=1e-10)
-
-
 def test_rank_one_commuting_branch():
     a = Matrix.from_float([[1.0, 0.0], [0.0, 0.0]])
     b = Matrix.from_float([[0.0, 0.0], [0.0, 1.0]])
@@ -275,6 +239,23 @@ def test_rank_one_random_pairs():
             scale = max(1.0, a.frobenius() * b.frobenius())
             assert ((b @ a) @ res - res @ (a @ b)).frobenius() <= 1e-10 * scale
             assert np.allclose(res.array.conj().T @ res.array, np.eye(n), atol=1e-10)
+
+
+def test_rank_one_pairs_certify_at_any_scale():
+    """The zero-product test is relative to ||a|| ||b||, so scaling either
+    matrix by 2^k neither fakes COMMUTING nor spoils the witness."""
+    rng = np.random.default_rng(101)
+    for _ in range(8):
+        n = int(rng.integers(2, 6))
+        a = gen.random_rank_one_normal(n, rng)
+        b = gen.random_normal(n, rng, rank=n)
+        for k in (-40, 0, 40):
+            for x, y in ((a * 2.0 ** k, b), (a, b * 2.0 ** k)):
+                u = rank_one_normal_unitary(x, y)
+                assert isinstance(u, Matrix)
+                assert np.allclose(u.array.conj().T @ u.array, np.eye(n), rtol=0, atol=1e-10)
+                residual = ((y @ x) @ u - u @ (x @ y)).frobenius()
+                assert residual <= 1e-10 * x.frobenius() * y.frobenius()
 
 
 def test_rank_one_parallel_degenerate_case():
