@@ -8,12 +8,13 @@ the input.  :func:`_eliminate` feeds it the integer numerators that
 integer products directly, with no Matrix in between.  It loops over
 lists, not numpy object arrays: on the small matrices the program
 eliminates, numpy's per-call overhead cost more than the arithmetic.
-Rank and determinant read the forward pass; null spaces and solves let
-it clear the rows above each pivot as well, which yields the (unique)
-reduced row echelon form over one Gaussian-integer denominator.  A null
-space comes back as one matrix whose columns are the basis vectors.  The
-characteristic polynomial runs Faddeev-LeVerrier on the same numerators,
-where its divisions are exact.
+Rank and determinant read its forward pass; null spaces and solves go on
+by fraction-free back-substitution to the (unique) reduced row echelon
+form over the last pivot d, where every division is exact because d times
+each entry is a minor of the input (Cramer's rule).  A null space comes
+back as one matrix whose columns are the basis vectors.  The characteristic
+polynomial runs Faddeev-LeVerrier on the same numerators, where its
+divisions are exact.
 
 Every float-backend rank decision comes from one helper, :func:`_float_svd`,
 which counts the singular values with
@@ -28,41 +29,37 @@ A float matrix is invertible when its condition_estimate is at most max_conditio
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import BackendError, ShapeError
-from .matrix import EXACT, FLOAT, Matrix, _at_unit_scale, hstack
+from .matrix import EXACT, FLOAT, Matrix, _at_unit_scale
 from .scalars import DEFAULT_TOLERANCE, GQ, TolerancePolicy
 
 
-def _eliminate(m: Matrix, reduce: bool = False):
+def _eliminate(m: Matrix):
     """_eliminate_rows on the numerators of the exact matrix m, copied to
     rows of Python ints; the denominator is left to the caller."""
     re, im, _ = m.numerators
-    return _eliminate_rows(re.tolist(), im.tolist(), reduce)
+    return _eliminate_rows(re.tolist(), im.tolist())
 
 
-def _eliminate_rows(re: list, im: list, reduce: bool = False):
-    """Fraction-free elimination over Z[i] on the rows re + i im of Python
-    ints, which it consumes.
+def _eliminate_rows(re: list, im: list):
+    """Fraction-free forward elimination over Z[i] on the rows re + i im of
+    Python ints, which it consumes.
 
     Pivots are the first nonzero entries of their columns.  Each update is
     (p * a - f * b) / prev, with p the current pivot and prev the one
     before it; the division is exact in Z[i] because every entry stays a
     minor of the input, and is skipped when it is by 1 (the first pivot).
     It is a plain // when prev is real; otherwise p and f are multiplied
-    by conj(prev) and the division is by |prev|^2.  Forward elimination
-    clears the rows below each pivot.  With reduce=True the rows above are
-    cleared as well (fraction-free Gauss-Jordan), which leaves every pivot
-    equal to the last one, d, so the pivot rows hold d times the reduced
-    row echelon form.  A cleared pivot column is deleted from the rows, so
-    no later update touches it.
+    by conj(prev) and the division is by |prev|^2.  The rows below a pivot
+    drop its (now zero) column, so pivot row k holds the columns not in
+    pivots[:k], column c at index c - k from its pivot on.
 
     Returns (re, im, pivot columns, row-swap sign, last pivot as (re, im)).
-    With reduce=True, re and im are the rows of the echelon form on the
-    non-pivot columns, in order; the forward pass leaves them partial.
     """
     rows = len(re)
     cols = len(re[0]) if rows else 0
@@ -82,36 +79,56 @@ def _eliminate_rows(re: list, im: list, reduce: bool = False):
         if hit != r:
             re[r], re[hit], im[r], im[hit] = re[hit], re[r], im[hit], im[r]
             sign = -sign
-        br, bi = re[r], im[r]
         qr, qi = prev
-        pr, pi = prev = br[k], bi[k]
+        pr, pi = prev = re[r][k], im[r][k]
         div = qr
         if qi:
             pr, pi, div = pr * qr + pi * qi, pi * qr - pr * qi, qr * qr + qi * qi
-        tr, ti = br[k + 1:], bi[k + 1:]  # rows below are zero left of column c + 1
-        for i in range(0 if reduce else r + 1, rows):
-            if i == r:
-                continue
+        tr, ti = re[r][k + 1:], im[r][k + 1:]  # rows below are zero left of column c + 1
+        for i in range(r + 1, rows):
             ar, ai = re[i], im[i]
             fr, fi = ar[k], ai[k]
             if qi:
                 fr, fi = fr * qr + fi * qi, fi * qr - fr * qi
-            xs = (ar[k + 1:], ai[k + 1:], tr, ti) if i > r else (ar, ai, br, bi)
+            xs = (ar[k + 1:], ai[k + 1:], tr, ti)
             if div == 1:
-                xr = [pr * a - pi * b - fr * x + fi * y for a, b, x, y in zip(*xs)]
-                xi = [pr * b + pi * a - fr * y - fi * x for a, b, x, y in zip(*xs)]
+                ar[k:] = [pr * a - pi * b - fr * x + fi * y for a, b, x, y in zip(*xs)]
+                ai[k:] = [pr * b + pi * a - fr * y - fi * x for a, b, x, y in zip(*xs)]
             else:
-                xr = [(pr * a - pi * b - fr * x + fi * y) // div for a, b, x, y in zip(*xs)]
-                xi = [(pr * b + pi * a - fr * y - fi * x) // div for a, b, x, y in zip(*xs)]
-            if i > r:
-                ar[k:], ai[k:] = xr, xi
-            else:
-                del xr[k], xi[k]
-                re[i], im[i] = xr, xi
-        if reduce:
-            del br[k], bi[k]
+                ar[k:] = [(pr * a - pi * b - fr * x + fi * y) // div for a, b, x, y in zip(*xs)]
+                ai[k:] = [(pr * b + pi * a - fr * y - fi * x) // div for a, b, x, y in zip(*xs)]
         pivots.append(c)
     return re, im, pivots, sign, prev
+
+
+def _back_substitute(re: list, im: list, pivots: list, d: tuple, targets) -> np.ndarray:
+    """The integer object array z, z[0, k, j] + i z[1, k, j] = -d * rref[k][targets[j]]
+    for every pivot row k, from the rows _eliminate_rows leaves and its last pivot d.
+    d * rref[k][f] is an r x r minor of the input (Cramer's rule), so each step, from
+    the last pivot row up, divides exactly in Z[i] by the pivot q of row k: by // when
+    q is real, else by |q|^2 after multiplying by conj(q)."""
+    dr, di = d
+    zr = [[0] * len(targets) for _ in pivots]
+    zi = [[0] * len(targets) for _ in pivots]
+    for k in reversed(range(len(pivots))):
+        ur, ui, p = re[k], im[k], pivots[k]
+        qr, qi = ur[p - k], ui[p - k]
+        div = qr * qr + qi * qi if qi else qr
+        # row k's nonzero entries in the later pivot columns, with those rows' results
+        later = [(ur[c - k], ui[c - k], zr[j], zi[j]) for j, c in enumerate(pivots[k + 1:], k + 1)
+                 if ur[c - k] or ui[c - k]]
+        for t, f in enumerate(targets):
+            if f < p:  # rref[k] is zero left of its pivot, where f - k is not column f's index
+                continue
+            xr, xi = di * ui[f - k] - dr * ur[f - k], -dr * ui[f - k] - di * ur[f - k]
+            for cr, ci, sr, si in later:
+                yr, yi = sr[t], si[t]
+                xr -= cr * yr - ci * yi
+                xi -= cr * yi + ci * yr
+            if qi:
+                xr, xi = xr * qr + xi * qi, xi * qr - xr * qi
+            zr[k][t], zi[k][t] = xr // div, xi // div
+    return np.array([zr, zi], dtype=object).reshape(2, len(pivots), len(targets))
 
 
 def _over_pivot(re: np.ndarray, im: np.ndarray, pivot: tuple[int, int]) -> Matrix:
@@ -171,15 +188,13 @@ def nullspace_basis(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE, norm=No
     """The cols x (cols - rank(m)) matrix whose columns are a basis of ker(m): the reduced-row-
     echelon basis (exact) or the right singular vectors past _float_svd's rank (float)."""
     if m.backend == EXACT:
-        re, im, pivots, _, d = _eliminate(m, reduce=True)
+        re, im, pivots, _, d = _eliminate(m)
         free = [j for j in range(m.cols) if j not in pivots]
         # v_f = e_f - sum_k rref[k, f] e_{pivots[k]}, over the common denominator d
-        vr = np.zeros((m.cols, len(free)), dtype=object)
-        vi = np.zeros((m.cols, len(free)), dtype=object)
-        vr[free, range(len(free))], vi[free, range(len(free))] = d
-        for c, row_r, row_i in zip(pivots, re, im):  # the pivot rows, on the free columns
-            vr[c], vi[c] = [-x for x in row_r], [-y for y in row_i]
-        return _over_pivot(vr, vi, d)
+        v = np.zeros((2, m.cols, len(free)), dtype=object)  # re | im
+        v[0, free, range(len(free))], v[1, free, range(len(free))] = d
+        v[:, pivots] = _back_substitute(re, im, pivots, d, free)
+        return _over_pivot(*v, d)
     _, _, vh, r = _float_svd(m, tol, norm)
     return Matrix.from_float(vh.conj().T[:, r:])
 
@@ -194,15 +209,16 @@ def solve_linear(a: Matrix, b: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE)
     if a.rows != b.rows:
         raise ShapeError("a and b must have the same number of rows")
     if a.backend == EXACT:
-        # one common denominator scales both sides alike and leaves X unchanged
-        re, im, pivots, _, d = _eliminate(hstack([a, b]), reduce=True)
+        (ar, ai, da), (br, bi, db) = a.numerators, b.numerators
+        den = math.lcm(da, db)  # one denominator scales both sides alike and leaves X unchanged
+        rows = [[x + y for x, y in zip((p * (den // da)).tolist(), (q * (den // db)).tolist())]
+                for p, q in ((ar, br), (ai, bi))]  # re and im of [a | b]
+        re, im, pivots, _, d = _eliminate_rows(*rows)
         if pivots and pivots[-1] >= a.cols:
             return None
-        xr = np.zeros((a.cols, b.cols), dtype=object)
-        xi = np.zeros((a.cols, b.cols), dtype=object)
-        for c, row_r, row_i in zip(pivots, re, im):  # b's columns follow a's free ones
-            xr[c], xi[c] = row_r[a.cols - len(pivots):], row_i[a.cols - len(pivots):]
-        return _over_pivot(xr, xi, d)
+        x = np.zeros((2, a.cols, b.cols), dtype=object)  # re | im
+        x[:, pivots] = _back_substitute(re, im, pivots, d, range(a.cols, a.cols + b.cols))
+        return _over_pivot(*x, (-d[0], -d[1]))  # x_k = rref[k][b's columns]
     x, *_ = np.linalg.lstsq(a.array, b.array, rcond=None)
     residual = float(np.linalg.norm(a.array @ x - b.array))
     if residual > tol.residual_tol * max(b.frobenius(), a.frobenius()):

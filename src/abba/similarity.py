@@ -7,7 +7,8 @@ sound and complete for product pairs.  Constructions:
   is the kernel of an n^2 x n^2 linear map; random combinations of a
   kernel basis are invertible generically whenever any invertible
   intertwiner exists.  Adding the block for S M1* = M2* S and taking the
-  polar factor of a sample gives a unitary intertwiner.
+  polar factor of a sample gives a unitary intertwiner.  Exact systems
+  are written entry by entry from the numerators, with no Kronecker product.
 * The positive-semidefinite / EP transform: after aligning the range of
   b, solve the column-inclusion systems and assemble the explicit block
   matrix [[C + X Y*, -X], [-Y*, I]]; for Hermitian a the two solves
@@ -18,6 +19,7 @@ sound and complete for product pairs.  Constructions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -117,10 +119,29 @@ def _kernel_matrices(system: Matrix, m1: Matrix, m2: Matrix, tol: TolerancePolic
     return [Matrix.from_float(v.reshape((n, n), order="F")) for v in kernel.array.T]
 
 
+def _sylvester(x: Matrix, y: Matrix) -> Matrix:
+    """x^T (x) I - I (x) y, whose kernel is vec of {s : s x = y s}.  Exact: entry
+    ((l, i), (j, i')) is x[j, l] [i = i'] - y[i, i'] [j = l], written into an
+    (n, n, n, n) grid of numerators over lcm(den_x, den_y).  Float: two krons,
+    since writing 0.0 * x entries could flip signed zeros that the SVD reads."""
+    n = x.rows
+    if x.backend != EXACT:
+        eye = Matrix.identity(n, x.backend)
+        return kron(x.transpose(), eye) - kron(eye, y)
+    (xr, xi, dx), (yr, yi, dy) = x.numerators, y.numerators
+    den = math.lcm(dx, dy)
+    xs, ys = np.stack([xr.T, xi.T]) * (den // dx), np.stack([yr, yi]) * (den // dy)
+    grid = np.zeros((2, n, n, n, n), dtype=object)  # (re | im, l, i, j, i')
+    for i in range(n):
+        grid[:, :, i, :, i] = xs
+    for j in range(n):
+        grid[:, j, :, j, :] -= ys
+    return Matrix((*grid.reshape(2, n * n, n * n), den), EXACT)
+
+
 def intertwiner_space(m1: Matrix, m2: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> list[Matrix]:
     """Basis of {s : s m1 = m2 s}, via the kernel of m1^T (x) I - I (x) m2."""
-    eye = Matrix.identity(m1.rows, m1.backend)
-    return _kernel_matrices(kron(m1.transpose(), eye) - kron(eye, m2), m1, m2, tol)
+    return _kernel_matrices(_sylvester(m1, m2), m1, m2, tol)
 
 
 def _sample_invertible(basis, m1, m2, seed, attempts, tol) -> SimilarityCertificate | None:
@@ -128,12 +149,16 @@ def _sample_invertible(basis, m1, m2, seed, attempts, tol) -> SimilarityCertific
     if not basis:
         return None
     n, k, rng = m1.rows, max(9, m1.rows), np.random.default_rng(seed)
+    if m1.backend == EXACT:  # (basis, re | im, n, n) numerators over one denominator
+        den = math.lcm(*(s.numerators[2] for s in basis))
+        nums = np.stack([np.stack(s.numerators[:2]) * (den // s.numerators[2]) for s in basis])
     for _ in range(attempts):
         if m1.backend == EXACT:
-            coeffs = [int(c) for c in rng.integers(-k, k + 1, size=len(basis))]
+            coeffs = np.array(rng.integers(-k, k + 1, size=len(basis)).tolist(), dtype=object)
+            t = Matrix((*np.tensordot(coeffs, nums, 1), den), EXACT)
         else:
             coeffs = list(rng.standard_normal(len(basis)))
-        t = sum((s * c for c, s in zip(coeffs, basis)), Matrix.zeros(n, n, m1.backend))
+            t = sum((s * c for c, s in zip(coeffs, basis)), Matrix.zeros(n, n, m1.backend))
         cert = certificate_for(t, m1, m2, tol)
         if cert.ok:
             return cert
@@ -175,9 +200,7 @@ def unitary_intertwiner(m1: Matrix, m2: Matrix,
     polar factor u = t (t* t)^(-1/2), w vh of the SVD t = w s vh, intertwines.
     """
     m1._check_operand_pair(m2)
-    eye = Matrix.identity(m1.rows, m1.backend)
-    system = vstack([kron(x.transpose(), eye) - kron(eye, y)
-                     for x, y in ((m1, m2), (m1.adjoint(), m2.adjoint()))])
+    system = vstack([_sylvester(m1, m2), _sylvester(m1.adjoint(), m2.adjoint())])
     cert = _sample_invertible(_kernel_matrices(system, m1, m2, tol), m1, m2, 0, 32, tol)
     if cert is None:
         return None

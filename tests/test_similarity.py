@@ -20,14 +20,17 @@ from abba import (
     is_hermitian,
     is_normal,
     is_psd,
+    kron,
     normal_doubling,
     rank_one_normal_unitary,
     realpart_psd_same_rank,
     unitary_intertwiner,
     verify_certificate,
+    vstack,
     word_trace_screen,
 )
 from abba import generators as gen
+from abba import similarity
 from abba.linalg import principal_minor_sums
 from abba.scalars import GQ
 
@@ -139,6 +142,65 @@ def test_find_intertwiner_skips_a_zero_draw():
     assert certificate_for(Matrix.zeros(1, 1), m, m).ok is False
     cert = find_intertwiner(m, m, seed=seed)
     assert cert == certificate_for(Matrix.exact([[second]]), m, m)
+
+
+def _kron_sylvester(x: Matrix, y: Matrix) -> Matrix:
+    eye = Matrix.identity(x.rows)
+    return kron(x.transpose(), eye) - kron(eye, y)
+
+
+def _fractional_pair(rng, n):
+    """Two n x n matrices with non-real entries over distinct non-unit denominators."""
+    def draw(den):
+        return Matrix.from_ints(rng.integers(-4, 5, (n, n)), rng.integers(-4, 5, (n, n)), den)
+
+    return draw(6), draw(35)
+
+
+def test_exact_sylvester_system_is_the_kron_form():
+    """The entrywise exact Sylvester system equals kron(x^T, I) - kron(I, y), and
+    the *-system behind unitary_intertwiner equals the vstack of both kron forms."""
+    rng = np.random.default_rng(163)
+    for n in range(1, 5):
+        for _ in range(3):
+            x, y = _fractional_pair(rng, n)
+            assert x.numerators[2] != 1 and y.numerators[2] != x.numerators[2]
+            assert similarity._sylvester(x, y) == _kron_sylvester(x, y)
+            assert similarity._sylvester(y, y) == _kron_sylvester(y, y)
+
+
+def test_unitary_intertwiner_stacks_the_kron_forms(monkeypatch):
+    systems, nullspace_basis = [], similarity.nullspace_basis
+
+    def recording(m, *args):
+        systems.append(m)
+        return nullspace_basis(m, *args)
+
+    monkeypatch.setattr(similarity, "nullspace_basis", recording)
+    rng = np.random.default_rng(167)
+    for n in range(1, 5):
+        x, y = _fractional_pair(rng, n)
+        unitary_intertwiner(x, y)
+        assert systems.pop() == vstack([_kron_sylvester(x, y),
+                                        _kron_sylvester(x.adjoint(), y.adjoint())])
+
+
+def test_find_intertwiner_is_the_seeded_combination_of_the_basis():
+    """The exact sample is sum c_i S_i over intertwiner_space, the c_i drawn from
+    default_rng(seed) in [-9, 9] until certificate_for accepts; seeds 0 and 48
+    reject their first one and two draws."""
+    x = Matrix.exact([[1, 0, 0], [0, 2, 0], [0, 0, (0, 3)]])
+    u = gen.rational_unitary(3, np.random.default_rng(3))
+    y = u @ x @ u.adjoint()
+    basis = intertwiner_space(x, y)
+    assert sorted(s.numerators[2] for s in basis) == [2, 5, 10]
+    for seed, rejected in ((0, 1), (48, 2), (5, 0)):
+        rng = np.random.default_rng(seed)
+        for draw in range(rejected + 1):
+            coeffs = [int(c) for c in rng.integers(-9, 10, size=len(basis))]
+            t = sum((s * c for c, s in zip(coeffs, basis)), Matrix.zeros(3, 3))
+            assert certificate_for(t, x, y).ok == (draw == rejected)
+        assert find_intertwiner(x, y, seed=seed).t == t
 
 
 def test_find_intertwiner_float_conjugates_including_1x1(hermitian_normal_pair_4x4):
