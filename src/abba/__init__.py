@@ -78,13 +78,10 @@ from .similarity import (
     verify_certificate,
 )
 from .unitary import (
-    COMMUTING,
-    Commuting,
     DEGREE_SIX_PROBE,
     TraceWord,
     WordTraceReport,
     decide_unitary_2x2,
-    rank_one_normal_unitary,
     trace_word,
     word_trace_screen,
 )

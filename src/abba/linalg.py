@@ -10,11 +10,12 @@ lists, not numpy object arrays: on the small matrices the program
 eliminates, numpy's per-call overhead cost more than the arithmetic.
 Rank and determinant read its forward pass; null spaces and solves go on
 by fraction-free back-substitution to the (unique) reduced row echelon
-form over the last pivot d, where every division is exact because d times
-each entry is a minor of the input (Cramer's rule).  A null space comes
-back as one matrix whose columns are the basis vectors.  The characteristic
-polynomial runs Faddeev-LeVerrier on the same numerators, where its
-divisions are exact.
+form over the positive integer s = |d|, or |d|^2 when the last pivot d is
+not real.  Every division is exact because d times each entry is a minor
+of the input (Cramer's rule) and s is a multiple of d in Z[i].  A null
+space comes back as one matrix whose columns are the basis vectors.  The
+characteristic polynomial runs Faddeev-LeVerrier on the same numerators,
+where its divisions are exact.
 
 Every float-backend rank decision comes from one helper, :func:`_float_svd`,
 which counts the singular values with
@@ -101,13 +102,16 @@ def _eliminate_rows(re: list, im: list):
     return re, im, pivots, sign, prev
 
 
-def _back_substitute(re: list, im: list, pivots: list, d: tuple, targets) -> np.ndarray:
-    """The integer object array z, z[0, k, j] + i z[1, k, j] = -d * rref[k][targets[j]]
-    for every pivot row k, from the rows _eliminate_rows leaves and its last pivot d.
-    d * rref[k][f] is an r x r minor of the input (Cramer's rule), so each step, from
+def _back_substitute(re: list, im: list, pivots: list, d: tuple, targets):
+    """(z, s) from the rows _eliminate_rows leaves and its last pivot d: s = |d| when d
+    is real and |d|^2 when not, a positive multiple of d in Z[i], and the integer
+    object array z, z[0, k, j] + i z[1, k, j] = -s * rref[k][targets[j]] for every
+    pivot row k.  d * rref[k][f] is an r x r minor of the input (Cramer's rule), so
+    s * rref[k][f] = (s / d) * d * rref[k][f] is a Gaussian integer and each step, from
     the last pivot row up, divides exactly in Z[i] by the pivot q of row k: by // when
     q is real, else by |q|^2 after multiplying by conj(q)."""
     dr, di = d
+    s = dr * dr + di * di if di else abs(dr)
     zr = [[0] * len(targets) for _ in pivots]
     zi = [[0] * len(targets) for _ in pivots]
     for k in reversed(range(len(pivots))):
@@ -120,7 +124,7 @@ def _back_substitute(re: list, im: list, pivots: list, d: tuple, targets) -> np.
         for t, f in enumerate(targets):
             if f < p:  # rref[k] is zero left of its pivot, where f - k is not column f's index
                 continue
-            xr, xi = di * ui[f - k] - dr * ur[f - k], -dr * ui[f - k] - di * ur[f - k]
+            xr, xi = -s * ur[f - k], -s * ui[f - k]
             for cr, ci, sr, si in later:
                 yr, yi = sr[t], si[t]
                 xr -= cr * yr - ci * yi
@@ -128,13 +132,7 @@ def _back_substitute(re: list, im: list, pivots: list, d: tuple, targets) -> np.
             if qi:
                 xr, xi = xr * qr + xi * qi, xi * qr - xr * qi
             zr[k][t], zi[k][t] = xr // div, xi // div
-    return np.array([zr, zi], dtype=object).reshape(2, len(pivots), len(targets))
-
-
-def _over_pivot(re: np.ndarray, im: np.ndarray, pivot: tuple[int, int]) -> Matrix:
-    """The exact matrix (re + i im) / pivot, for a nonzero Gaussian-integer pivot."""
-    dr, di = pivot
-    return Matrix((re * dr + im * di, im * dr - re * di, dr * dr + di * di), EXACT)
+    return np.array([zr, zi], dtype=object).reshape(2, len(pivots), len(targets)), s
 
 
 def _float_svd(m: Matrix, tol: TolerancePolicy, norm: float | None = None):
@@ -190,11 +188,12 @@ def nullspace_basis(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE, norm=No
     if m.backend == EXACT:
         re, im, pivots, _, d = _eliminate(m)
         free = [j for j in range(m.cols) if j not in pivots]
-        # v_f = e_f - sum_k rref[k, f] e_{pivots[k]}, over the common denominator d
+        # v_f = e_f - sum_k rref[k, f] e_{pivots[k]}, over the positive integer s
+        z, s = _back_substitute(re, im, pivots, d, free)
         v = np.zeros((2, m.cols, len(free)), dtype=object)  # re | im
-        v[0, free, range(len(free))], v[1, free, range(len(free))] = d
-        v[:, pivots] = _back_substitute(re, im, pivots, d, free)
-        return _over_pivot(*v, d)
+        v[0, free, range(len(free))] = s
+        v[:, pivots] = z
+        return Matrix((*v, s), EXACT)
     _, _, vh, r = _float_svd(m, tol, norm)
     return Matrix.from_float(vh.conj().T[:, r:])
 
@@ -216,9 +215,10 @@ def solve_linear(a: Matrix, b: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE)
         re, im, pivots, _, d = _eliminate_rows(*rows)
         if pivots and pivots[-1] >= a.cols:
             return None
+        z, s = _back_substitute(re, im, pivots, d, range(a.cols, a.cols + b.cols))
         x = np.zeros((2, a.cols, b.cols), dtype=object)  # re | im
-        x[:, pivots] = _back_substitute(re, im, pivots, d, range(a.cols, a.cols + b.cols))
-        return _over_pivot(*x, (-d[0], -d[1]))  # x_k = rref[k][b's columns]
+        x[:, pivots] = -z  # x_k = rref[k][b's columns]
+        return Matrix((*x, s), EXACT)
     x, *_ = np.linalg.lstsq(a.array, b.array, rcond=None)
     residual = float(np.linalg.norm(a.array @ x - b.array))
     if residual > tol.residual_tol * max(b.frobenius(), a.frobenius()):

@@ -1,9 +1,11 @@
-"""Unitary-similarity screens and constructive witnesses.
+"""Unitary-similarity invariants: the trace-word screen and the 2x2 triple.
 
 Trace words are invariant under unitary similarity, so a differing word
 trace proves the matrices are not unitarily similar.  The screen is
 one-sided for n >= 3: "indistinguishable" is inconclusive there, while
 for n = 2 the triple (tr X, tr X^2, tr X*X) is a complete invariant.
+This module exhibits no witnesses; a unitary intertwiner comes from
+:func:`abba.similarity.unitary_intertwiner`.
 
 Words that are rotations of each other or of each other's adjoint (the
 word reversed, x and x* swapped) form a class whose traces are equal or
@@ -19,12 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classes import is_normal
-from .errors import BackendError, HypothesisViolation, ShapeError
-from .linalg import rank
-from .matrix import EXACT, FLOAT, Matrix, _at_unit_scale, hstack
+from .errors import ShapeError
+from .matrix import EXACT, Matrix, _at_unit_scale, hstack
 from .scalars import DEFAULT_TOLERANCE, TolerancePolicy
-from .similarity import unitary_intertwiner
 
 _LETTERS = ("x", "x*")
 
@@ -166,36 +165,3 @@ def decide_unitary_2x2(m1: Matrix, m2: Matrix, tol: TolerancePolicy = DEFAULT_TO
     x1, x2, _, norm = _at_common_unit_scale(m1, m2)
     triples = [(m.trace(), (m @ m).trace(), (m.adjoint() @ m).trace()) for m in (x1, x2)]
     return not any(_traces_differ(t1, t2, k, norm, tol) for t1, t2, k in zip(*triples, (1, 2, 2)))
-
-
-class Commuting:
-    """Marker: the two products are equal (both zero), so every unitary works."""
-
-    def __repr__(self):
-        return "COMMUTING"
-
-
-COMMUTING = Commuting()
-
-
-def rank_one_normal_unitary(
-    a: Matrix, b: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE
-) -> Matrix | Commuting:
-    """Unitary U with (ba) U = U (ab) for normal a of rank at most one and
-    normal b, from :func:`abba.similarity.unitary_intertwiner`; COMMUTING when
-    both products are zero."""
-    if a.backend != FLOAT or b.backend != FLOAT:
-        raise BackendError("the rank-one construction is float-backend only")
-    a._check_operand_pair(b)
-    if not is_normal(a, tol) or not is_normal(b, tol):
-        raise HypothesisViolation("both matrices must be normal")
-    if rank(a, tol) > 1:
-        raise HypothesisViolation("a must have rank at most one")
-    ab = a @ b
-    if ab.frobenius() <= tol.residual_tol * a.frobenius() * b.frobenius():
-        # ab = 0 gives a* b = 0 (a normal), so range(a) lies in ker(b*) = ker(b): ba = 0
-        return COMMUTING
-    cert = unitary_intertwiner(ab, b @ a, tol)
-    if cert is None:
-        raise HypothesisViolation("no unitary intertwiner found for the products")
-    return cert.t

@@ -8,7 +8,7 @@ the stated bounds (residual 1e-10, condition 1e8).
 import numpy as np
 
 from abba import (
-    COMMUTING,
+    DEFAULT_TOLERANCE,
     DEGREE_SIX_PROBE,
     Matrix,
     SearchSpec,
@@ -25,11 +25,11 @@ from abba import (
     normal_doubling,
     nullspace_basis,
     rank,
-    rank_one_normal_unitary,
     rank_sequence,
     realize_rank_sequence,
     search_counterexample,
     trace_word,
+    unitary_intertwiner,
     verify_certificate,
     word_trace_screen,
 )
@@ -210,13 +210,17 @@ def test_two_by_two_normal_unitary_suite():
 
 
 def test_rank_one_normal_unitary_suite():
+    """Rank-one normal a, normal b: ab and ba are unitarily similar.  A zero
+    product ab (relative to ||a|| ||b||) forces ba = 0, since a normal gives
+    a* b = 0 and so range(a) lies in ker(b*) = ker(b); otherwise
+    unitary_intertwiner(ab, ba) certifies a unitary witness."""
     rng = np.random.default_rng(349)
     commuting_seen = 0
     unitary_seen = 0
     for trial in range(200):
         n = int(rng.integers(2, 7))
         if trial % 8 == 0:
-            # force the kernel branch: a projects onto a null vector of b
+            # force a zero product: a projects onto a null vector of b
             b = gen.random_normal(n, rng, rank=int(rng.integers(0, n)))
             null = nullspace_basis(b)
             v = null.array[:, :1]
@@ -224,16 +228,18 @@ def test_rank_one_normal_unitary_suite():
         else:
             a = gen.random_rank_one_normal(n, rng)
             b = gen.random_normal(n, rng)
-        res = rank_one_normal_unitary(a, b)
-        if res is COMMUTING:
+        if (a @ b).frobenius() <= DEFAULT_TOLERANCE.residual_tol * a.frobenius() * b.frobenius():
             commuting_seen += 1
             assert (a @ b).frobenius() <= RESIDUAL_BOUND * 10
             assert (b @ a).frobenius() <= RESIDUAL_BOUND * 10
         else:
             unitary_seen += 1
+            cert = unitary_intertwiner(a @ b, b @ a)
+            assert cert is not None and cert.ok
+            u = cert.t
             scale = max(1.0, a.frobenius() * b.frobenius())
-            assert ((b @ a) @ res - res @ (a @ b)).frobenius() <= RESIDUAL_BOUND * scale
-            assert np.allclose(res.array.conj().T @ res.array, np.eye(n), atol=1e-10)
+            assert ((b @ a) @ u - u @ (a @ b)).frobenius() <= RESIDUAL_BOUND * scale
+            assert np.allclose(u.array.conj().T @ u.array, np.eye(n), atol=1e-10)
     assert commuting_seen > 0 and unitary_seen > 0
     _ok(
         f"200/200 rank-one witnesses within 1e-10 "

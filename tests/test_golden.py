@@ -43,6 +43,7 @@ CASES = {
     "unitary-exact-conjugate-3": ["unitary", "conjugate-3__x.json", "conjugate-3__y.json"],
     "unitary-float-transpose-4": ["unitary", "float-transpose-4__x.json",
                                   "float-transpose-4__y.json"],
+    "unitary-nilpotent-2x2": ["unitary", "nilpotent-2x2__a.json", "nilpotent-2x2__b.json"],
     "rankseq-rational-4": ["rankseq", "rational-4.json"],
     "classify-rational-4": ["classify", "rational-4.json"],
     "classify-hermitian-4-seed4": ["classify", "hermitian-4-seed4__a.json"],

@@ -358,7 +358,9 @@ def test_elimination_branches_against_oracle():
     and 2i after one swap (sign -1).  Each is checked square with a
     right-hand side, and with a dependent column inserted after its second
     column, so that the null space is not trivial and the reduced form
-    updates a free column left of later pivots."""
+    updates a free column left of later pivots.  The last pivots, -13 and
+    -10i, give back-substitution both of its denominators: |d| for a real
+    last pivot d and |d|^2 for a non-real one."""
     real = Matrix.exact([[0, 0, 1, 2], [3, 1, 0, 2], [0, 2, 5, 1], [1, 0, 2, 4]])
     cplx = Matrix.exact([[(1, 2), 1, 3, 0], [(2, 4), 2, 1, (0, 1)], [1, 1, 0, 2], [0, 0, 0, 1]])
     for m, sign, leading in ((real, 1, [(3, 0), (6, 0), (6, 0)]),

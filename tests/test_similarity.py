@@ -22,7 +22,6 @@ from abba import (
     is_psd,
     kron,
     normal_doubling,
-    rank_one_normal_unitary,
     realpart_psd_same_rank,
     unitary_intertwiner,
     verify_certificate,
@@ -79,11 +78,9 @@ def test_decide_errors(nilpotent_pair):
             entry(a, Matrix.zeros(2, 3, "float"))
         with pytest.raises(BackendError, match="operands must share a backend"):
             entry(a, Matrix.identity(2, "float"))
-    # each of these checks one half of the contract itself first
+    # the 2x2 triple checks its shape itself first
     with pytest.raises(BackendError, match="operands must share a backend"):
         decide_unitary_2x2(a, Matrix.identity(2, "float"))
-    with pytest.raises(ShapeError, match="operands must be square and of equal size"):
-        rank_one_normal_unitary(a.to_float(), Matrix.identity(3, "float"))
 
 
 def test_verdict_similar_iff_sequences_equal():

@@ -6,16 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from abba import (
-    COMMUTING,
     DEGREE_SIX_PROBE,
     DEFAULT_TOLERANCE,
-    BackendError,
-    HypothesisViolation,
     Matrix,
     TraceWord,
     decide_unitary_2x2,
-    rank_one_normal_unitary,
     trace_word,
+    unitary_intertwiner,
     word_trace_screen,
 )
 from abba import generators as gen
@@ -211,18 +208,37 @@ def test_decide_unitary_2x2():
         decide_unitary_2x2(Matrix.identity(3, "float"), Matrix.identity(3, "float"))
 
 
+def _product_witness(a, b):
+    """The float unitary u with u (ab) = (ba) u that unitary_intertwiner(ab, ba) certifies."""
+    cert = unitary_intertwiner(a @ b, b @ a)
+    assert cert is not None and cert.ok and cert.t.backend == "float"
+    return cert.t
+
+
+def _is_unitary(u):
+    return np.allclose(u.array.conj().T @ u.array, np.eye(u.rows), rtol=0, atol=1e-10)
+
+
+def _is_zero_product(a, b):
+    """||ab||_F <= residual_tol ||a||_F ||b||_F: for normal a, ab = 0 gives a* b = 0, so
+    range(a) lies in ker(b*) = ker(b), and ba = 0 as well."""
+    return (a @ b).frobenius() <= DEFAULT_TOLERANCE.residual_tol * a.frobenius() * b.frobenius()
+
+
 def test_rank_one_commuting_branch():
+    """Exactly zero products: every unitary intertwines them, and one is certified."""
     a = Matrix.from_float([[1.0, 0.0], [0.0, 0.0]])
     b = Matrix.from_float([[0.0, 0.0], [0.0, 1.0]])
-    assert rank_one_normal_unitary(a, b) is COMMUTING
-    assert rank_one_normal_unitary(Matrix.zeros(2, 2, "float"), b) is COMMUTING
+    for x in (a, Matrix.zeros(2, 2, "float")):
+        assert _is_zero_product(x, b) and (b @ x).frobenius() == 0.0
+        assert _is_unitary(_product_witness(x, b))
 
 
 def test_rank_one_swap_case():
     a = Matrix.from_float([[1.0, 0.0], [0.0, 0.0]])
     b = Matrix.from_float([[0.0, 1.0], [1.0, 0.0]])
-    u = rank_one_normal_unitary(a, b)
-    assert isinstance(u, Matrix)
+    u = _product_witness(a, b)
+    assert _is_unitary(u)
     assert ((b @ a) @ u - u @ (a @ b)).frobenius() <= 1e-10
 
 
@@ -232,18 +248,18 @@ def test_rank_one_random_pairs():
         n = int(rng.integers(2, 6))
         a = gen.random_rank_one_normal(n, rng)
         b = gen.random_normal(n, rng)
-        res = rank_one_normal_unitary(a, b)
-        if res is COMMUTING:
+        if _is_zero_product(a, b):
             assert (a @ b).frobenius() <= 1e-9 and (b @ a).frobenius() <= 1e-9
         else:
+            u = _product_witness(a, b)
             scale = max(1.0, a.frobenius() * b.frobenius())
-            assert ((b @ a) @ res - res @ (a @ b)).frobenius() <= 1e-10 * scale
-            assert np.allclose(res.array.conj().T @ res.array, np.eye(n), atol=1e-10)
+            assert ((b @ a) @ u - u @ (a @ b)).frobenius() <= 1e-10 * scale
+            assert _is_unitary(u)
 
 
 def test_rank_one_pairs_certify_at_any_scale():
-    """The zero-product test is relative to ||a|| ||b||, so scaling either
-    matrix by 2^k neither fakes COMMUTING nor spoils the witness."""
+    """The zero-product test is relative to ||a|| ||b|| and the witness is found
+    at any scale, so scaling either matrix by 2^k changes neither."""
     rng = np.random.default_rng(101)
     for _ in range(8):
         n = int(rng.integers(2, 6))
@@ -251,19 +267,19 @@ def test_rank_one_pairs_certify_at_any_scale():
         b = gen.random_normal(n, rng, rank=n)
         for k in (-40, 0, 40):
             for x, y in ((a * 2.0 ** k, b), (a, b * 2.0 ** k)):
-                u = rank_one_normal_unitary(x, y)
-                assert isinstance(u, Matrix)
-                assert np.allclose(u.array.conj().T @ u.array, np.eye(n), rtol=0, atol=1e-10)
+                assert not _is_zero_product(x, y)
+                u = _product_witness(x, y)
+                assert _is_unitary(u)
                 residual = ((y @ x) @ u - u @ (x @ y)).frobenius()
                 assert residual <= 1e-10 * x.frobenius() * y.frobenius()
 
 
 def test_rank_one_parallel_degenerate_case():
-    # b* fixes the rank-one direction, so the prescribed vectors are dependent
+    # b* fixes the rank-one direction, so ab and ba are equal and nonzero
     a = Matrix.from_float([[1.0, 0.0], [0.0, 0.0]])
     b = Matrix.from_float([[2j, 0.0], [0.0, 3.0]])
-    u = rank_one_normal_unitary(a, b)
-    assert isinstance(u, Matrix)
+    u = _product_witness(a, b)
+    assert _is_unitary(u)
     assert ((b @ a) @ u - u @ (a @ b)).frobenius() <= 1e-10
 
 
@@ -271,23 +287,31 @@ def test_rank_one_unitary_b():
     rng = np.random.default_rng(89)
     a = gen.random_rank_one_normal(4, rng)
     b = gen.random_unitary(4, rng)
-    u = rank_one_normal_unitary(a, b)
+    u = _product_witness(a, b)
     scale = max(1.0, a.frobenius() * b.frobenius())
+    assert _is_unitary(u)
     assert ((b @ a) @ u - u @ (a @ b)).frobenius() <= 1e-10 * scale
 
 
-def test_rank_one_hypothesis_checks():
-    rng = np.random.default_rng(97)
-    with pytest.raises(BackendError):
-        rank_one_normal_unitary(Matrix.identity(2), Matrix.identity(2))
-    with pytest.raises(HypothesisViolation):
-        rank_one_normal_unitary(
-            gen.random_normal(3, rng, rank=2), gen.random_normal(3, rng)
-        )
-    with pytest.raises(HypothesisViolation):
-        rank_one_normal_unitary(
-            Matrix.from_float([[0.0, 1.0], [0.0, 0.0]]), Matrix.identity(2, "float")
-        )
+def _gaussian_integer(rng, n):
+    return Matrix.from_ints(rng.integers(-2, 3, (n, n)), rng.integers(-2, 3, (n, n)))
+
+
+def test_2x2_invariants_agree_with_the_witness_search():
+    """On exact 2x2 pairs the complete triple, the word screen and the search for a
+    unitary intertwiner decide unitary similarity alike: x against its Cayley
+    conjugate, its transpose and its adjoint."""
+    rng = np.random.default_rng(179)
+    similar = 0
+    for _ in range(60):
+        x = _gaussian_integer(rng, 2)
+        u = gen.rational_unitary(2, rng)
+        for y in (u @ x @ u.adjoint(), x.transpose(), x.adjoint()):
+            verdict = decide_unitary_2x2(x, y)
+            assert word_trace_screen(x, y, 2).distinguished != verdict
+            assert (unitary_intertwiner(x, y) is not None) == verdict
+            similar += verdict
+    assert (similar, 180 - similar) == (120, 60)
 
 
 def test_similar_to_transpose(transpose_matrix):
