@@ -2,6 +2,8 @@
 
 Reports are JSON on stdout, written from the objects the library returns
 by one encoder, ``_encode``; no other module knows the report format.
+``matio._json_text`` writes them as ``json.dumps(indent=2, sort_keys=True)``
+does.  Every input file is read once, before any is parsed.
 Exit codes: 0 for a completed run (verdicts live in the payload, never in
 the exit code), 2 for invalid input or usage, 1 for internal errors.
 """
@@ -11,7 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import json
 import sys
 import warnings
 from pathlib import Path
@@ -19,7 +20,7 @@ from pathlib import Path
 from .catalog import FAMILIES, SearchSpec, catalog, get_fixture, search_counterexample
 from .classes import classify
 from .errors import BackendError, HypothesisViolation, MatrixFormatError
-from .matio import dump_matrix, load_matrix, save_matrix
+from .matio import _json_text, _read_matrix, dump_matrix, save_matrix
 from .matrix import Matrix
 from .rankseq import rank_sequence
 from .scalars import DEFAULT_TOLERANCE, GaussianRational, TolerancePolicy
@@ -39,11 +40,6 @@ _USAGE_ERRORS = (ValueError, KeyError, OSError)  # the abba input errors subclas
 def _policy(args) -> TolerancePolicy:
     return TolerancePolicy(*(getattr(args, f.name, getattr(DEFAULT_TOLERANCE, f.name))
                              for f in dataclasses.fields(TolerancePolicy)))
-
-
-def _digest(path) -> dict:
-    data = Path(path).read_bytes()
-    return {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()[:16]}
 
 
 def _report(command: str, inputs: dict, result: dict, caught) -> dict:
@@ -74,8 +70,9 @@ def _encode(obj):
     raise TypeError(f"no report form for {type(obj).__name__}")
 
 
-def _load_square(path) -> Matrix:
-    m = load_matrix(path)
+def _load_square(args, attr: str) -> Matrix:
+    path = getattr(args, attr)
+    m = _read_matrix(args.data[path], path)
     if not m.is_square:
         raise MatrixFormatError(f"{path}: expected a square matrix, got {m.rows}x{m.cols}")
     return m
@@ -83,14 +80,14 @@ def _load_square(path) -> Matrix:
 
 def cmd_classify(args) -> dict:
     tol = _policy(args)
-    m = _load_square(args.matrix)
+    m = _load_square(args, "matrix")
     report = classify(m, tol)
     return {"class_report": report}
 
 
 def cmd_rankseq(args) -> dict:
     tol = _policy(args)
-    m = _load_square(args.matrix)
+    m = _load_square(args, "matrix")
     return {"rank_sequence": rank_sequence(m, tol)}
 
 
@@ -98,8 +95,8 @@ def cmd_decide(args) -> dict:
     tol = _policy(args)
     if args.attempts < 1:
         raise ValueError("attempts must be positive")
-    a = _load_square(args.a)
-    b = _load_square(args.b)
+    a = _load_square(args, "a")
+    b = _load_square(args, "b")
     verdict = decide_product_similarity(a, b, tol)
     result = {"verdict": verdict}
     if args.construct:
@@ -119,8 +116,8 @@ def cmd_decide(args) -> dict:
 
 def cmd_unitary(args) -> dict:
     tol = _policy(args)
-    a = _load_square(args.a)
-    b = _load_square(args.b)
+    a = _load_square(args, "a")
+    b = _load_square(args, "b")
     screen = word_trace_screen(a, b, max_len=args.max_word_len, tol=tol)
     # the screen has checked that a and b have one shape
     triple = decide_unitary_2x2(a, b, tol) if a.shape == (2, 2) else None
@@ -224,11 +221,12 @@ _PARSER = build_parser()  # built once per process; main() only parses with it
 
 
 def _gather_inputs(args) -> dict:
-    inputs: dict = {}
-    for attr in ("matrix", "a", "b"):
-        path = getattr(args, attr, None)
-        if path is not None:
-            inputs[attr] = _digest(path)
+    """The report's inputs.  Reads each input file once, into args.data by path."""
+    paths = {attr: path for attr in ("matrix", "a", "b")
+             if (path := getattr(args, attr, None)) is not None}
+    args.data = {path: Path(path).read_bytes() for path in dict.fromkeys(paths.values())}
+    inputs = {attr: {"path": str(path), "sha256": hashlib.sha256(args.data[path]).hexdigest()[:16]}
+              for attr, path in paths.items()}
     if args.command == "search":
         inputs["spec"] = _search_spec(args)
     if args.command == "catalog":
@@ -245,8 +243,7 @@ def main(argv=None) -> int:
             warnings.simplefilter("always")
             inputs = _gather_inputs(args)
             result = args.fn(args)
-        text = json.dumps(_report(args.command, inputs, result, caught),
-                          indent=2, sort_keys=True, default=_encode)
+        text = _json_text(_report(args.command, inputs, result, caught), 2, _encode)
     except _USAGE_ERRORS as exc:
         print(f"abba: error: {exc}", file=sys.stderr)
         return 2

@@ -4,16 +4,17 @@ Float families: normal/Hermitian matrices are built as U D U* with U the
 Q factor of a complex Gaussian matrix, PSD as G* G, EP as U (C + 0) U*.
 Exact families replace U by a Cayley transform (I + S)^(-1)(I - S) of a
 small skew-Hermitian S, which is exactly unitary with Gaussian-rational
-entries.  Every generator is deterministic given its Generator instance.
+entries.  Each exact candidate draws its integer parts in one ``rng.integers``
+call, straight into numerator arrays.  Every generator is deterministic
+given its Generator instance.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .classes import is_normal
 from .linalg import rank as matrix_rank, solve_linear
-from .matrix import EXACT, Matrix, block
+from .matrix import EXACT, Matrix, _gauss
 
 
 # -- float backend ------------------------------------------------------
@@ -93,20 +94,21 @@ def random_rank_one_normal(n: int, rng: np.random.Generator) -> Matrix:
 # -- exact backend -------------------------------------------------------
 
 
-def _int(rng: np.random.Generator, span: int) -> int:
-    return int(rng.integers(-span, span + 1))
+def _ints(rng: np.random.Generator, span: int, size) -> np.ndarray:
+    """Parts in [-span, span], from one call: the values and state of as many scalar calls."""
+    return rng.integers(-span, span + 1, size=size).astype(object)
 
 
 def _triangular_fill(n: int, rng: np.random.Generator, span: int, skew: bool) -> Matrix:
     """Hermitian (skew-Hermitian when skew) Gaussian-integer matrix with parts
     in [-span, span], drawn row by row over the diagonal and upper triangle."""
-    re = np.zeros((n, n), dtype=object)
-    im = np.zeros((n, n), dtype=object)
+    draws = iter(_ints(rng, span, n * n).tolist())
+    re, im = np.zeros((2, n, n), dtype=object)
     diagonal, sign = (im, -1) if skew else (re, 1)
     for i in range(n):
-        diagonal[i, i] = _int(rng, span)
+        diagonal[i, i] = next(draws)
         for j in range(i + 1, n):
-            a, b = _int(rng, span), _int(rng, span)
+            a, b = next(draws), next(draws)
             re[i, j], im[i, j] = a, b
             re[j, i], im[j, i] = sign * a, -sign * b
     return Matrix((re, im, 1), EXACT)
@@ -119,16 +121,16 @@ def rational_skew_hermitian(n: int, rng: np.random.Generator, span: int = 1) -> 
 def rational_unitary(n: int, rng: np.random.Generator, span: int = 1) -> Matrix:
     """Cayley transform (I + S)^(-1)(I - S) of a skew-Hermitian S: exactly
     unitary, as I + S is invertible and commutes with I - S = (I + S)*."""
-    s = rational_skew_hermitian(n, rng, span)
-    eye = Matrix.identity(n)
-    u = solve_linear(eye + s, eye - s)
+    s_re, s_im, _ = rational_skew_hermitian(n, rng, span).numerators  # over den 1
+    eye = np.eye(n, dtype=object)
+    u = solve_linear(Matrix((eye + s_re, s_im, 1), EXACT), Matrix((eye - s_re, -s_im, 1), EXACT))
     assert u is not None
     return u
 
 
 def _rational_nonzero(rng: np.random.Generator) -> tuple[int, int]:
     while True:
-        z = _int(rng, 2), _int(rng, 2)
+        z = tuple(_ints(rng, 2, 2))
         if z != (0, 0):
             return z
 
@@ -138,12 +140,18 @@ def rational_diagonal(n: int, rng: np.random.Generator, nonzeros: int, real: boo
     if real:
         values = [(re or 1, 0) for re, _ in values]
     values += [(0, 0)] * (n - len(values))
-    return Matrix.diagonal([values[p] for p in rng.permutation(n)])
+    perm = rng.permutation(n).tolist()
+    re, im = (np.diag(np.array([values[p][k] for p in perm], dtype=object)) for k in (0, 1))
+    return Matrix((re, im, 1), EXACT)
 
 
 def _conjugated_diagonal(n: int, rng: np.random.Generator, r: int, real: bool) -> Matrix:
+    """u d u*, with u d formed by scaling the columns of u by the diagonal of d."""
     u = rational_unitary(n, rng)
-    return u @ rational_diagonal(n, rng, r, real) @ u.adjoint()
+    d_re, d_im, _ = rational_diagonal(n, rng, r, real).numerators  # over den 1
+    u_re, u_im, u_den = u.numerators
+    ud = _gauss(np.multiply, u_re, u_im, d_re.diagonal(), d_im.diagonal())
+    return Matrix((*ud, u_den), EXACT) @ u.adjoint()
 
 
 def rational_normal(n: int, rng: np.random.Generator, rank: int | None = None) -> Matrix:
@@ -158,7 +166,8 @@ def rational_hermitian(n: int, rng: np.random.Generator, rank: int | None = None
 
 def _full_rank(rows: int, cols: int, rng: np.random.Generator) -> Matrix:
     while True:
-        g = Matrix.exact([[(_int(rng, 2), _int(rng, 2)) for _ in range(cols)] for _ in range(rows)])
+        parts = _ints(rng, 2, (rows, cols, 2))  # (re, im) entry by entry, row-major
+        g = Matrix((parts[..., 0], parts[..., 1], 1), EXACT)
         if matrix_rank(g) == rows:
             return g
 
@@ -177,19 +186,18 @@ def rational_ep(n: int, rng: np.random.Generator, rank: int | None = None) -> Ma
     if r == 0:
         return Matrix.zeros(n, n)
     c = _full_rank(r, r, rng)
-    core = block([[c, Matrix.zeros(r, n - r)], [Matrix.zeros(n - r, r), Matrix.zeros(n - r, n - r)]])
-    return u @ core @ u.adjoint()
+    u_r = u.block(0, n, 0, r)  # u (c + 0) u* = u_r c u_r*
+    return u_r @ c @ u_r.adjoint()
 
 
 def zero_one_normal(n: int, rng: np.random.Generator, rank: int | None = None) -> Matrix:
-    """Random 0-1 partial permutation matrix, rejection-filtered by is_normal."""
+    """Random normal 0-1 partial permutation matrix P, by rejection: P P* and P* P
+    project onto the row and the column support of P, so P is normal iff they agree."""
     while True:
         k = _pick_rank(n, rng, rank)
         rows = rng.choice(n, size=k, replace=False)
         cols = rng.choice(n, size=k, replace=False)
-        arr = np.zeros((n, n), dtype=object)
-        for i, j in zip(rows, cols):
-            arr[int(i), int(j)] = 1
-        m = Matrix.from_ints(arr)
-        if is_normal(m):
-            return m
+        if set(rows.tolist()) == set(cols.tolist()):
+            re, im = np.zeros((2, n, n), dtype=object)
+            re[rows, cols] = 1
+            return Matrix((re, im, 1), EXACT)

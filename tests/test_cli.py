@@ -1,13 +1,21 @@
+import dataclasses
 import json
+import math
+import types
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from abba import DEFAULT_TOLERANCE, Matrix, TolerancePolicy, catalog, save_matrix
+from abba import (DEFAULT_TOLERANCE, FAMILIES, GaussianRational, Matrix, SearchSpec,
+                  SimilarityCertificate, TolerancePolicy, catalog, save_matrix)
+from abba import cli
 from abba.cli import _PARSER, _encode, _policy, main
 from abba.generators import random_normal, random_psd
+from abba.matio import _json_text
+from abba.unitary import TraceWord, WordTraceReport
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -268,6 +276,75 @@ def test_encoder_rejects_unknown_objects():
         _encode(object())
     with pytest.raises(TypeError):
         json.dumps({"x": {1, 2}}, default=_encode)
+
+
+@dataclasses.dataclass
+class _Record:
+    name: object
+    value: object
+
+
+_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_floats = (st.floats() | st.floats().map(np.float64)
+           | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310]))
+_texts = (st.text(st.characters(blacklist_categories=()), max_size=6)
+          | st.sampled_from(['"', "\\", "\x00\x1f\x7f\n\t", "é€𝄞", "\ud800", "\u2028"]))
+_exact_matrices = st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.lists(st.tuples(_fractions, _fractions), min_size=n, max_size=n),
+                       min_size=1, max_size=3)).map(Matrix.exact)
+_float_matrices = st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.lists(st.builds(complex, _finite, _finite), min_size=n, max_size=n),
+                       min_size=1, max_size=3)).map(Matrix.from_float)
+_gqs = st.builds(GaussianRational, _fractions, _fractions)
+_library_values = st.one_of(
+    _exact_matrices, _float_matrices, _gqs, st.complex_numbers(),
+    st.builds(SimilarityCertificate, t=_exact_matrices | _float_matrices, residual=_floats,
+              det=st.none() | _gqs, condition=st.none() | _floats),
+    st.builds(WordTraceReport, distinguished=st.booleans(), max_len=st.integers(0, 6),
+              word=st.none() | st.sampled_from([TraceWord(("x",)), TraceWord(("x", "x*"))]),
+              traces=st.none() | st.tuples(_gqs, st.complex_numbers())),
+    st.builds(SearchSpec, family=st.sampled_from(FAMILIES), size=st.integers(1, 5),
+              rank=st.none() | st.integers(0, 1), trials=st.integers(1, 9), seed=st.integers()),
+)
+_leaves = st.one_of(st.none(), st.booleans(), st.integers(), st.integers(2**64, 2**80),
+                    st.integers(-2**80, -2**64), _floats, _texts, _library_values)
+_trees = st.recursive(
+    _leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_texts, children, max_size=4),
+        st.dictionaries(st.integers() | _finite | st.booleans(), children, max_size=4),
+        st.dictionaries(st.none() | st.floats(), children, max_size=2),
+        st.dictionaries(st.one_of(st.none(), st.integers(), _texts), children, max_size=3),
+        st.builds(_Record, children, children),
+    ),
+    max_leaves=24,
+)
+
+
+def _text_or_error(write, obj):
+    try:
+        return write(obj)
+    except Exception as exc:  # mixed dict keys, or a value _encode rejects
+        return type(exc), str(exc)
+
+
+@given(_trees)
+@settings(max_examples=300, deadline=None)
+def test_report_writer_equals_json_dumps(tree):
+    want = _text_or_error(lambda o: json.dumps(o, indent=2, sort_keys=True, default=_encode), tree)
+    assert _text_or_error(lambda o: _json_text(o, 2, _encode), tree) == want
+
+
+def test_report_writer_rejects_what_encode_rejects(capsys, monkeypatch):
+    with pytest.raises(TypeError):
+        _json_text({"x": {1, 2}}, 2, _encode)
+    monkeypatch.setattr(cli, "catalog", lambda: [types.SimpleNamespace(name="x", description={1})])
+    assert main(["catalog", "list"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("abba: internal error: ")
 
 
 def test_overflowing_float_products_are_exit_2(capsys, tmp_path):

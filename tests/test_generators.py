@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -77,6 +78,39 @@ def test_zero_one_normal_structure():
         for i in range(4):  # partial permutation: at most one 1 per row/column
             assert sum(1 for j in range(4) if m[i, j] == 1) <= 1
             assert sum(1 for j in range(4) if m[j, i] == 1) <= 1
+
+
+def _partial_permutations(n):
+    for k in range(n + 1):
+        for rows in itertools.combinations(range(n), k):
+            for cols in itertools.permutations(range(n), k):
+                arr = np.zeros((n, n), dtype=int)
+                arr[list(rows), list(cols)] = 1
+                yield set(rows), set(cols), Matrix.from_ints(arr)
+
+
+def test_partial_permutation_is_normal_exactly_when_supports_agree():
+    # the acceptance rule of zero_one_normal: P P* and P* P project onto the
+    # row and the column support of P
+    for n in range(1, 5):
+        count = 0
+        for rows, cols, p in _partial_permutations(n):
+            assert is_normal(p) == (rows == cols)
+            count += 1
+        assert count == {1: 2, 2: 7, 3: 34, 4: 209}[n]
+
+
+@pytest.mark.parametrize("span", [1, 2, 9])
+def test_batched_draws_equal_scalar_draws(span):
+    # the exact generators draw each candidate's parts in one rng.integers call
+    for k in (0, 1, 2, 16, 32):
+        for offset in (0, 1, 3):  # start at several positions of a buffered 32-bit draw
+            one, many = np.random.default_rng([span, k]), np.random.default_rng([span, k])
+            one.integers(0, 7, size=offset)
+            many.integers(0, 7, size=offset)
+            scalar = [int(one.integers(-span, span + 1)) for _ in range(k)]
+            assert many.integers(-span, span + 1, size=k).tolist() == scalar
+            assert many.bit_generator.state == one.bit_generator.state
 
 
 def test_float_families():
