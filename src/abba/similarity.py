@@ -35,7 +35,7 @@ from .classes import (
 )
 from .errors import HypothesisViolation, IntertwinerNotFound, ShapeError
 from .linalg import condition_estimate, determinant, nullspace_basis
-from .matrix import EXACT, Matrix, block, kron, vstack
+from .matrix import EXACT, Matrix, _at_unit_scale, block, kron, vstack
 from .rankseq import RankSequence, rank_sequence
 from .scalars import DEFAULT_TOLERANCE, GQ, TolerancePolicy
 
@@ -94,12 +94,18 @@ def verify_certificate(
 def decide_product_similarity(
     a: Matrix, b: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE
 ) -> SimilarityVerdict:
-    """AB is similar to BA iff their rank sequences agree."""
+    """AB is similar to BA iff their rank sequences agree.  Float ranks of both
+    products are cut on one scale, ||a||_2 ||b||_2, which a product that is
+    zero up to rounding cannot set."""
     a._check_operand_pair(b)
     ab = a @ b
     ba = b @ a
-    seq_ab = rank_sequence(ab, tol)
-    seq_ba = rank_sequence(ba, tol)
+    ref = None
+    if a.backend != EXACT:  # (v, k) with ||a||_2 ||b||_2 = v * 2^k, which cannot overflow
+        (ua, ea), (ub, eb) = _at_unit_scale(a), _at_unit_scale(b)
+        ref = (np.linalg.norm(ua.array, 2) * np.linalg.norm(ub.array, 2), ea + eb)
+    seq_ab = rank_sequence(ab, tol, _ref_norm=ref)
+    seq_ba = rank_sequence(ba, tol, _ref_norm=ref)
     similar = seq_ab.terms == seq_ba.terms
     reason = "rank-sequence-equal" if similar else "rank-sequence-differ"
     return SimilarityVerdict(similar=similar, reason=reason, seq_ab=seq_ab, seq_ba=seq_ba)

@@ -11,19 +11,25 @@ Words that are rotations of each other or of each other's adjoint (the
 word reversed, x and x* swapped) form a class whose traces are equal or
 conjugate, so the screen evaluates one word per class, on a prefix tree.
 Float traces are compared with both matrices over one common power of two.
+Exact ones never leave the integers: prefix products are numerator pairs
+over den^len, a word's trace pairs its prefix product with its last letter
+in O(n^2), two traces over den1^L and den2^L are compared by
+cross-multiplying, and only the reported pair becomes GaussianRational.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import ShapeError
-from .matrix import EXACT, Matrix, _at_unit_scale, hstack
-from .scalars import DEFAULT_TOLERANCE, TolerancePolicy
+from .matrix import EXACT, Matrix, _at_unit_scale, _gauss, hstack
+from .scalars import DEFAULT_TOLERANCE, GQ, TolerancePolicy
 
 _LETTERS = ("x", "x*")
 
@@ -60,24 +66,53 @@ class TraceWord:
 DEGREE_SIX_PROBE = TraceWord(("x*", "x", "x", "x*", "x*", "x"))
 
 
-def _word_products(m: Matrix):
-    """Memoized letters -> word product (x = m, x* = m*), left to right from I."""
+def trace_word(m: Matrix, w: TraceWord):
+    """Trace of the word with x = m and x* = adjoint(m), from its Matrix product."""
     if not m.is_square:
         raise ShapeError("trace words require a square matrix")
     factor = {"x": m, "x*": m.adjoint()}
-    memo = {(): Matrix.identity(m.rows, m.backend)}
+    return functools.reduce(operator.matmul, (factor[l] for l in w.letters),
+                            Matrix.identity(m.rows, m.backend)).trace()
 
-    def product(letters: tuple[str, ...]) -> Matrix:
+
+def _times(p, f):
+    """The exact prefix step: the numerator pair p of a prefix product times that of a letter."""
+    return _gauss(np.dot, *p, *f)
+
+
+def _word_traces(m: Matrix):
+    """letters -> trace of the word (x = m, x* = m*), on memoized prefix products.
+
+    Exact: the trace as integers (re, im, den^len), worth (re + i im) / den^len.  Prefix
+    products are numerator pairs over den^len, and a word's trace pairs its prefix
+    product P with its last letter F, sum P[i, j] F[j, i], so a word's product is formed
+    only when it is the prefix of a longer word.  Float: the trace of the product P @ F,
+    all of it formed from I, which fixes the bits of the reported traces."""
+    n = m.rows
+    if m.backend == EXACT:
+        re, im, den = m.numerators
+        factor = {"x": (re, im), "x*": (re.T, -im.T)}
+        transposed = {l: (fr.T.ravel(), fi.T.ravel()) for l, (fr, fi) in factor.items()}
+        memo = {(): (np.eye(n, dtype=object), np.zeros((n, n), dtype=object)),
+                **{(l,): f for l, f in factor.items()}}
+        extend = lambda p, l: _times(p, factor[l])
+
+        def read(letters):
+            pr, pi = product(letters[:-1])
+            return (*_gauss(np.dot, pr.ravel(), pi.ravel(), *transposed[letters[-1]]),
+                    den ** len(letters))
+    else:
+        factor = {"x": m, "x*": m.adjoint()}
+        memo = {(): Matrix.identity(n, m.backend)}
+        extend = lambda p, l: p @ factor[l]
+        read = lambda letters: product(letters).trace()
+
+    def product(letters: tuple[str, ...]):
         if letters not in memo:
-            memo[letters] = product(letters[:-1]) @ factor[letters[-1]]
+            memo[letters] = extend(product(letters[:-1]), letters[-1])
         return memo[letters]
 
-    return product
-
-
-def trace_word(m: Matrix, w: TraceWord):
-    """Trace of the word with x = m and x* = adjoint(m)."""
-    return _word_products(m)(w.letters).trace()
+    return read
 
 
 @dataclass(frozen=True)
@@ -120,10 +155,12 @@ def _at_common_unit_scale(m1: Matrix, m2: Matrix):
 
 
 def _traces_differ(t1, t2, length: int, norm, tol: TolerancePolicy) -> bool:
-    """Exact traces differ unless equal; float traces of a word of this length, at unit
-    scale, by more than residual_tol * norm**length, which bounds the traces themselves."""
+    """Exact traces (re, im, den) differ unless equal as integers after cross-multiplying
+    by the other's den; float traces of a word of this length, at unit scale, by more than
+    residual_tol * norm**length, which bounds the traces themselves."""
     if norm is None:
-        return t1 != t2
+        (r1, i1, d1), (r2, i2, d2) = t1, t2
+        return r1 * d2 != r2 * d1 or i1 * d2 != i2 * d1
     return abs(t1 - t2) > tol.residual_tol * norm ** length
 
 
@@ -146,11 +183,13 @@ def word_trace_screen(
     if max_len < 1:
         raise ValueError("max_len must be positive")
     x1, x2, e, norm = _at_common_unit_scale(m1, m2)
-    products1, products2 = _word_products(x1), _word_products(x2)
+    traces1, traces2 = _word_traces(x1), _word_traces(x2)
     for w in _screen_words(max_len):
-        t1, t2 = products1(w.letters).trace(), products2(w.letters).trace()
+        t1, t2 = traces1(w.letters), traces2(w.letters)
         if _traces_differ(t1, t2, len(w), norm, tol):
-            if norm is not None:  # back to the input's scale, exactly unless out of range
+            if norm is None:  # only the reported pair becomes Gaussian rationals
+                t1, t2 = (GQ(Fraction(r, d), Fraction(i, d)) for r, i, d in (t1, t2))
+            else:  # back to the input's scale, exactly unless out of range
                 t1, t2 = (complex(np.ldexp(t.real, e * len(w)), np.ldexp(t.imag, e * len(w)))
                           for t in (t1, t2))
             return WordTraceReport(distinguished=True, max_len=max_len, word=w, traces=(t1, t2))
@@ -163,5 +202,6 @@ def decide_unitary_2x2(m1: Matrix, m2: Matrix, tol: TolerancePolicy = DEFAULT_TO
         raise ShapeError("the triple invariant applies to 2x2 matrices only")
     m1._check_operand_pair(m2)
     x1, x2, _, norm = _at_common_unit_scale(m1, m2)
-    triples = [(m.trace(), (m @ m).trace(), (m.adjoint() @ m).trace()) for m in (x1, x2)]
-    return not any(_traces_differ(t1, t2, k, norm, tol) for t1, t2, k in zip(*triples, (1, 2, 2)))
+    traces1, traces2 = _word_traces(x1), _word_traces(x2)
+    return not any(_traces_differ(traces1(w), traces2(w), len(w), norm, tol)
+                   for w in (("x",), ("x", "x"), ("x*", "x")))

@@ -92,6 +92,21 @@ def test_verdict_similar_iff_sequences_equal():
         assert v.seq_ab.limit == v.seq_ba.limit
 
 
+def test_float_decide_cuts_both_products_on_one_scale():
+    """nil2 = (E12, E22) summed 32 times: ab is 32 copies of E12 and ba = 0.  Under a
+    random unitary, ba is rounding noise; cut against its own norm that noise read as
+    rank 64, and cut against ||a||_2 ||b||_2 it is rank 0."""
+    x, y = np.zeros((64, 64)), np.zeros((64, 64))
+    for k in range(0, 64, 2):
+        x[k, k + 1] = y[k + 1, k + 1] = 1.0
+    for seed in range(5):
+        u = gen.random_unitary(64, np.random.default_rng(seed))
+        a, b = (u @ Matrix.from_float(m) @ u.adjoint() for m in (x, y))
+        v = decide_product_similarity(a, b)
+        assert (v.seq_ab.terms, v.seq_ba.terms) == ((64, 32, 0), (64, 0))
+        assert not v.similar
+
+
 # -- intertwiner search ----------------------------------------------------
 
 

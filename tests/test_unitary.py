@@ -1,5 +1,6 @@
 import itertools
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from abba import (
     word_trace_screen,
 )
 from abba import generators as gen
+from abba import unitary
 from abba.cli import _encode
 from abba.scalars import GQ
 from abba.unitary import WordTraceReport, _screen_words
@@ -128,8 +130,11 @@ def _brute_force_screen(m1, m2, max_len):
     return WordTraceReport(distinguished=False, max_len=max_len)
 
 
-# mostly small Gaussian integers, so traces of random pairs often agree on short words
-_ENTRY = st.tuples(st.sampled_from([0, 0, 1, -1, 2]), st.sampled_from([0, 0, 1, -1]))
+# mostly small Gaussian integers over small denominators, so traces of random pairs
+# often agree on short words
+_ENTRY = st.builds(lambda re, im, den: (Fraction(re, den), Fraction(im, den)),
+                   st.sampled_from([0, 0, 1, -1, 2]), st.sampled_from([0, 0, 1, -1]),
+                   st.sampled_from([1, 1, 2, 3]))
 
 
 @st.composite
@@ -137,9 +142,12 @@ def _screen_pairs(draw, backend):
     n = draw(st.integers(1, 3 if backend == "exact" else 4))
     square = st.lists(st.lists(_ENTRY, min_size=n, max_size=n), min_size=n, max_size=n)
     x = Matrix.exact(draw(square))
-    relation = draw(st.sampled_from(["conjugate", "transpose", "random"]))
+    relation = draw(st.sampled_from(["conjugate", "transpose", "random", "scaled"]))
     if relation == "random":
         y = Matrix.exact(draw(square))
+    elif relation == "scaled":  # y = q x: two denominators above 1 that differ, unless x = 0
+        x = x * Fraction(1, draw(st.sampled_from([2, 3])))
+        y = x * Fraction(draw(st.sampled_from([-1, 1, 2, 3])), draw(st.sampled_from([5, 7])))
     elif relation == "transpose":
         y = x.transpose()
     else:
@@ -175,21 +183,29 @@ def test_screen_words_are_the_smallest_of_each_class():
 
 
 def test_full_exact_screen_matmul_count(monkeypatch):
+    """Exact products are formed only for prefixes of longer words, by unitary._times:
+    18 per matrix up to length 6 and 53 up to length 8, never for a word's last letter."""
     x = Matrix.exact([[1, 2, 0], [(0, 1), -1, 3], [0, "1/2", (1, -1)]])
     u = gen.rational_unitary(3, np.random.default_rng(9))
     y = u @ x @ u.adjoint()
-    matmul = Matrix.__matmul__
+    times = unitary._times
     calls = []
 
-    def counted(a, b):
+    def counted(p, f):
         calls.append(1)
-        return matmul(a, b)
+        return times(p, f)
 
-    monkeypatch.setattr(Matrix, "__matmul__", counted)
-    for max_len, bound in ((6, 56), (8, 154)):
+    monkeypatch.setattr(unitary, "_times", counted)
+    for max_len, bound in ((6, 36), (8, 106)):
         calls.clear()
         assert not word_trace_screen(x, y, max_len).distinguished
         assert len(calls) <= bound
+    traces = unitary._word_traces(x)
+    calls.clear()
+    traces(("x", "x*", "x*"))  # forms its prefix (x, x*) only
+    traces(("x", "x*", "x"))  # reuses that prefix and forms nothing of its own
+    traces(("x*", "x"))  # a one-letter prefix is the letter itself
+    assert len(calls) == 1
 
 
 def test_decide_unitary_2x2():
