@@ -2,11 +2,13 @@
 
 Each rule has one owner, read by the predicates, by :func:`classify` and
 by :func:`ep_decomposition` alike.  ``_ep_ranks`` owns the EP test
-rank([m | m*]) = rank(m), which works on both backends.  ``_psd_violation``
-owns the PSD rule for a Hermitian matrix: the exact backend reads signs of
-principal-minor sums off the characteristic polynomial instead of computing
-(generally irrational) eigenvalues; the float backend compares the least
-eigenvalue with the residual tolerance.  Float tests run at unit scale
+rank([m | m*]) = rank(m), which works on both backends; ``_ep_rank`` owns the
+exact block-form rule, where one elimination and a zero test accept c + 0.
+``_psd_violation`` owns the PSD rule for a Hermitian matrix: the exact backend
+reads the signs of principal-minor sums e_k = (-1)^k c_k(N) / den^k off the
+integer charpoly of its numerators N instead of computing (generally
+irrational) eigenvalues; the float backend compares the least eigenvalue with
+the residual tolerance.  Float tests run at unit scale
 (``matrix._at_unit_scale``) and scale the min_eigenvalue witness back.
 """
 
@@ -18,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BackendError, HypothesisViolation, ShapeError
-from .linalg import _float_svd, invertible, principal_minor_sums, rank, solve_linear
+from .linalg import _charpoly_numerators, _float_svd, _solve_rows, invertible, rank, solve_linear
 from .matrix import EXACT, Matrix, _at_unit_scale, block, hstack
 from .scalars import DEFAULT_TOLERANCE, TolerancePolicy
 
@@ -33,11 +35,11 @@ def hermitian_real_part(m: Matrix) -> Matrix:
 def is_hermitian(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> bool:
     if not m.is_square:
         raise ShapeError("predicate requires a square matrix")
-    m = _at_unit_scale(m)[0]
-    adj = m.adjoint()
     if m.backend == EXACT:
-        return m == adj
-    return (m - adj).frobenius() <= tol.residual_tol * m.frobenius()
+        re, im, _ = m.numerators
+        return np.array_equal(re, re.T) and np.array_equal(im, -im.T)
+    m = _at_unit_scale(m)[0]
+    return (m - m.adjoint()).frobenius() <= tol.residual_tol * m.frobenius()
 
 
 def is_normal(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> bool:
@@ -52,12 +54,12 @@ def is_normal(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> bool:
 
 
 def _psd_violation(m: Matrix, tol: TolerancePolicy) -> int | float | None:
-    """None when the Hermitian matrix m is PSD, else the witness: the order of
-    the first principal-minor sum that is not a nonnegative real (exact), or
-    the least eigenvalue of the Hermitian part (float, found at unit scale)."""
+    """None when the Hermitian matrix m is PSD, else the witness: the order k of
+    the first e_k that is not a nonnegative real, read off the integer charpoly
+    (exact), or the least eigenvalue of the Hermitian part (float, at unit scale)."""
     if m.backend == EXACT:
-        sums = principal_minor_sums(m)
-        return next((k for k, e in enumerate(sums) if e.im != 0 or e.re < 0), None)
+        cs = _charpoly_numerators(*m.numerators[:2])
+        return next((k for k, (re, im) in enumerate(cs) if im or (-re if k % 2 else re) < 0), None)
     unit, e = _at_unit_scale(m)
     eigs = np.linalg.eigvalsh(hermitian_real_part(unit).array)
     if eigs.size == 0 or eigs[0] >= -tol.residual_tol * unit.frobenius():
@@ -74,6 +76,23 @@ def _ep_ranks(m: Matrix, tol: TolerancePolicy) -> tuple[int, int]:
     if not m.is_square:
         raise ShapeError("predicate requires a square matrix")
     return rank(m, tol), rank(hstack([m, m.adjoint()]), tol)
+
+
+def _ep_rank(m: Matrix, tol: TolerancePolicy) -> int:
+    """rank(m) of an EP m, else HypothesisViolation; an exact m must be c + 0 with c of size
+    rank(m), else BackendError.  That form makes m EP, so _ep_ranks runs only to pick the error."""
+    if m.backend == EXACT and m.is_square:
+        (re, im, _), r = m.numerators, rank(m)
+        if not (re[r:].any() or im[r:].any() or re[:, r:].any() or im[:, r:].any()):
+            return r
+    r, r_joint = _ep_ranks(m, tol)
+    if r_joint != r:
+        raise HypothesisViolation("matrix is not EP (range differs from adjoint range)")
+    if m.backend == EXACT:
+        raise BackendError(
+            "exact decomposition requires the matrix already in invertible-block-plus-zero form"
+        )
+    return r
 
 
 def is_ep(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> bool:
@@ -177,17 +196,9 @@ def ep_decomposition(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> EPD
     inputs already in block form (leading block of size rank(m), zero
     elsewhere, hence invertible), since unitary alignment needs square roots.
     """
-    r, r_joint = _ep_ranks(m, tol)
-    if r_joint != r:
-        raise HypothesisViolation("matrix is not EP (range differs from adjoint range)")
+    r = _ep_rank(m, tol)
     if m.backend == EXACT:
-        n = m.rows
-        lead = m.block(0, r, 0, r)
-        if not (m.block(0, r, r, n).is_zero() and m.block(r, n, 0, n).is_zero()):
-            raise BackendError(
-                "exact decomposition requires the matrix already in invertible-block-plus-zero form"
-            )
-        return EPDecomposition(v=Matrix.identity(n), c=lead, r=r, residual=0.0)
+        return EPDecomposition(v=Matrix.identity(m.rows), c=m.block(0, r, 0, r), r=r, residual=0.0)
     v = Matrix.from_float(_float_svd(m, tol)[0])
     conj = v.adjoint() @ m @ v
     c = conj.block(0, r, 0, r)
@@ -213,4 +224,6 @@ def column_inclusion_factor(
     n = a.rows
     if not 0 <= r <= n:
         raise ValueError(f"split index {r} out of range 0..{n}")
+    if a.backend == EXACT:
+        return _solve_rows(*(p[:r].tolist() for p in a.numerators[:2]), r, n)
     return solve_linear(a.block(0, r, 0, r), a.block(0, r, r, n), tol)

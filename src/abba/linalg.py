@@ -36,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BackendError, ShapeError
-from .matrix import EXACT, FLOAT, Matrix, _at_unit_scale
+from .matrix import EXACT, FLOAT, Matrix, _at_unit_scale, _gauss
 from .scalars import DEFAULT_TOLERANCE, GQ, TolerancePolicy
 
 
@@ -135,6 +135,18 @@ def _back_substitute(re: list, im: list, pivots: list, d: tuple, targets):
     return np.array([zr, zi], dtype=object).reshape(2, len(pivots), len(targets)), s
 
 
+def _solve_rows(re: list, im: list, k: int, cols: int) -> Matrix | None:
+    """Any exact X with A X = B, or None, for the rows re + i im of Python ints (consumed)
+    of [A | B]: k columns in A and cols in all, eliminated once and back-substituted."""
+    re, im, pivots, _, d = _eliminate_rows(re, im)
+    if pivots and pivots[-1] >= k:
+        return None
+    z, s = _back_substitute(re, im, pivots, d, range(k, cols))
+    x = np.zeros((2, k, cols - k), dtype=object)  # re | im
+    x[:, pivots] = -z  # x_k = rref[k][B's columns]
+    return Matrix((*x, s), EXACT)
+
+
 def _float_svd(m: Matrix, tol: TolerancePolicy, norm: float | None = None):
     """(u, s, vh, r): the full SVD of the float m / 2^e (matrix._at_unit_scale)
     and its rank r, the number of singular values above rank_rel_tol * norm *
@@ -212,13 +224,7 @@ def solve_linear(a: Matrix, b: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE)
         den = math.lcm(da, db)  # one denominator scales both sides alike and leaves X unchanged
         rows = [[x + y for x, y in zip((p * (den // da)).tolist(), (q * (den // db)).tolist())]
                 for p, q in ((ar, br), (ai, bi))]  # re and im of [a | b]
-        re, im, pivots, _, d = _eliminate_rows(*rows)
-        if pivots and pivots[-1] >= a.cols:
-            return None
-        z, s = _back_substitute(re, im, pivots, d, range(a.cols, a.cols + b.cols))
-        x = np.zeros((2, a.cols, b.cols), dtype=object)  # re | im
-        x[:, pivots] = -z  # x_k = rref[k][b's columns]
-        return Matrix((*x, s), EXACT)
+        return _solve_rows(*rows, a.cols, a.cols + b.cols)
     x, *_ = np.linalg.lstsq(a.array, b.array, rcond=None)
     residual = float(np.linalg.norm(a.array @ x - b.array))
     if residual > tol.residual_tol * max(b.frobenius(), a.frobenius()):
@@ -252,19 +258,20 @@ def characteristic_polynomial(m: Matrix) -> list:
         eigs = np.linalg.eigvals(m.array)
         return [complex(c) for c in np.poly(eigs)]
     nr, ni, den = m.numerators
+    return [GQ(Fraction(cr, den ** k), Fraction(ci, den ** k))
+            for k, (cr, ci) in enumerate(_charpoly_numerators(nr, ni))]
+
+
+def _charpoly_numerators(nr: np.ndarray, ni: np.ndarray) -> list:
+    """[(re, im) of c_k(N)] for k = 0..n, by the Faddeev-LeVerrier recursion of
+    characteristic_polynomial on the Gaussian-integer matrix N = nr + i ni."""
+    n = len(nr)
     ar, ai = np.eye(n, dtype=object), np.zeros((n, n), dtype=object)
-    coeffs = [GQ(1)]
+    coeffs = [(1, 0)]
     for k in range(1, n + 1):
-        ar, ai = nr.dot(ar) - ni.dot(ai), nr.dot(ai) + ni.dot(ar)
+        ar, ai = _gauss(np.dot, nr, ni, ar, ai)
         cr, ci = -sum(ar.diagonal()) // k, -sum(ai.diagonal()) // k
-        coeffs.append(GQ(Fraction(cr, den ** k), Fraction(ci, den ** k)))
+        coeffs.append((cr, ci))
         ar.flat[::n + 1] += cr  # the diagonal
         ai.flat[::n + 1] += ci
     return coeffs
-
-
-def principal_minor_sums(m: Matrix) -> list:
-    """e_k = sum of k x k principal minors, k = 0..n, from the characteristic
-    polynomial: p(t) = sum_k (-1)^k e_k t^(n-k)."""
-    coeffs = characteristic_polynomial(m)
-    return [c if k % 2 == 0 else -c for k, c in enumerate(coeffs)]

@@ -12,7 +12,9 @@ sound and complete for product pairs.  Constructions:
 * The positive-semidefinite / EP transform: after aligning the range of
   b, solve the column-inclusion systems and assemble the explicit block
   matrix [[C + X Y*, -X], [-Y*, I]]; for Hermitian a the two solves
-  coincide (Y = X).
+  coincide (Y = X).  An exact b must already be C + 0; the exact path runs
+  on numerators (one elimination for b's hypothesis, integer charpoly signs
+  for a's, one per system) and writes S over one denominator.
 * The doubling map x -> [[x, x*], [x*, x]], always normal, whose products
   become block-diagonal Hermitian products after a rational conjugation.
 """
@@ -26,6 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .classes import (
+    _ep_rank,
     _psd_violation,
     column_inclusion_factor,
     ep_decomposition,
@@ -35,7 +38,7 @@ from .classes import (
 )
 from .errors import HypothesisViolation, IntertwinerNotFound, ShapeError
 from .linalg import condition_estimate, determinant, nullspace_basis
-from .matrix import EXACT, Matrix, _at_unit_scale, block, kron, vstack
+from .matrix import EXACT, FLOAT, Matrix, _at_unit_scale, _gauss, block, kron, vstack
 from .rankseq import RankSequence, rank_sequence
 from .scalars import DEFAULT_TOLERANCE, GQ, TolerancePolicy
 
@@ -68,12 +71,20 @@ def certificate_for(
 
     The acceptance rule: t invertible (nonzero det, or condition at most
     max_condition) and residual zero (exact) or at most residual_tol (float).
+    Exact products stay integer numerators: t m1 = L / (den_t den_1) and
+    m2 t = R / (den_2 den_t) agree when L den_2 = R den_1.
     """
-    lhs, rhs = t @ m1, m2 @ t
+    exact = t.backend == m1.backend == m2.backend == EXACT
+    if exact and m1.shape == (t.cols, t.cols) and m2.shape == (t.rows, t.rows):
+        (tr, ti, dt), (pr, pi, d1), (qr, qi, d2) = t.numerators, m1.numerators, m2.numerators
+        (lr, li), (rr, ri) = _gauss(np.dot, tr, ti, pr, pi), _gauss(np.dot, qr, qi, tr, ti)
+        gap = Matrix((lr * d2 - rr * d1, li * d2 - ri * d1, dt * d1 * d2), EXACT)
+    else:  # float, or operands that t @ m1 and m2 @ t reject
+        gap = t @ m1 - m2 @ t
     residual = 0.0
-    if lhs != rhs:
+    if not gap.is_zero():
         denom = t.frobenius() * max(m1.frobenius(), m2.frobenius())
-        residual = (lhs - rhs).frobenius() / denom if denom else float("inf")
+        residual = gap.frobenius() / denom if denom else float("inf")
     if t.backend == EXACT:
         det = determinant(t)
         return SimilarityCertificate(t=t, residual=residual, det=det, invertible=bool(det),
@@ -221,32 +232,41 @@ def construct_similarity_psd_ep(
     """Explicit T with T(ab) = (ba)T when a is PSD (or has a PSD real part
     of full comparative rank) and b is EP.
 
-    Aligns range(b) by a unitary V, solves the column-inclusion systems
-    A11 X = A12 and A11* Y = A21* in the aligned frame, and conjugates
-    S = [[C + X Y*, -X], [-Y*, I]] back.  Hermitian a gives Y = X and
-    reduces S to its classical positive-semidefinite form.
+    Aligns range(b) by a unitary V (V = I for an exact b, which must be in
+    block form), solves A11 X = A12 and A11* Y = A21* in the aligned frame,
+    and conjugates S = [[C + X Y*, -X], [-Y*, I]] back.  Hermitian a gives
+    Y = X and reduces S to its classical positive-semidefinite form.
     b is tested before a, so when both fail the error is b's.
     """
     a._check_operand_pair(b)
-    dec = ep_decomposition(b, tol)
+    n, exact = a.rows, a.backend == EXACT
+    dec = None if exact else ep_decomposition(b, tol)
+    r = _ep_rank(b, tol) if exact else dec.r
     hermitian_a = is_hermitian(a, tol)
     if not (_psd_violation(a, tol) is None if hermitian_a else realpart_psd_same_rank(a, tol)):
         raise HypothesisViolation(
             "a must be positive semidefinite or have a PSD real part of equal rank"
         )
-    v, c, r = dec.v, dec.c, dec.r
-    n = a.rows
-    aligned = a.backend != EXACT  # the exact decomposition's v is the identity
-    at = v.adjoint() @ a @ v if aligned else a
+    at = a if exact else dec.v.adjoint() @ a @ dec.v
     x = column_inclusion_factor(at, r, tol)
     if x is None:
         raise HypothesisViolation("column inclusion solve failed for a")
     y = x if hermitian_a else column_inclusion_factor(at.adjoint(), r, tol)
     if y is None:
         raise HypothesisViolation("row inclusion solve failed for a")
-    eye = Matrix.identity(n - r, a.backend)
-    s = block([[c + x @ y.adjoint(), -x], [-y.adjoint(), eye]])
-    t = v @ s @ v.adjoint() if aligned else s
+    if exact:  # S over lcm(den_b, den_x den_y)
+        (xr, xi, dx), (yr, yi, dy), (br, bi, db) = x.numerators, y.numerators, b.numerators
+        den = math.lcm(db, dx * dy)
+        s = np.zeros((2, n, n), dtype=object)  # re | im
+        s[:, :r, :r] = (np.stack(_gauss(np.dot, xr, xi, yr.T, -yi.T)) * (den // (dx * dy))
+                        + np.stack([br, bi])[:, :r, :r] * (den // db))
+        s[0, :r, r:], s[1, :r, r:] = xr * -(den // dx), xi * -(den // dx)
+        s[0, r:, :r], s[1, r:, :r] = yr.T * -(den // dy), yi.T * (den // dy)
+        s[0, range(r, n), range(r, n)] = den
+        t = Matrix((*s, den), EXACT)
+    else:
+        eye = Matrix.identity(n - r, FLOAT)
+        t = dec.v @ block([[dec.c + x @ y.adjoint(), -x], [-y.adjoint(), eye]]) @ dec.v.adjoint()
     cert = certificate_for(t, a @ b, b @ a, tol)
     if not cert.ok:
         raise HypothesisViolation(

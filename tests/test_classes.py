@@ -30,7 +30,7 @@ from abba.generators import (
     rational_psd,
     rational_unitary,
 )
-from abba.linalg import principal_minor_sums
+from abba.linalg import _charpoly_numerators
 
 from .oracle import oracle_eigenvalues, to_sympy
 
@@ -220,19 +220,20 @@ def test_classify_witnesses():
 
 def test_classify_exact_hermitian_reads_minor_sums_once(monkeypatch):
     """An exact Hermitian matrix is its own real part: classify reads its
-    principal-minor sums once and agrees with the separate predicates."""
+    principal-minor sums (the integer charpoly coefficients that _psd_violation
+    reads) once and agrees with the separate predicates."""
     from abba import classes
 
     calls = []
 
-    def counted(m):
-        calls.append(m.shape)
-        return principal_minor_sums(m)
+    def counted(re, im):
+        calls.append(re.shape)
+        return _charpoly_numerators(re, im)
 
     rng = np.random.default_rng(151)
     pool = [rational_psd(3, rng), rational_psd(4, rng, rank=2), rational_hermitian(3, rng),
             rational_hermitian(4, rng, rank=2), Matrix.exact([[0, 1], [1, 0]]), -rational_psd(2, rng)]
-    monkeypatch.setattr(classes, "principal_minor_sums", counted)
+    monkeypatch.setattr(classes, "_charpoly_numerators", counted)
     reports = []
     for m in pool:
         calls.clear()

@@ -29,7 +29,7 @@ FIXTURES = ("nilpotent-2x2", "hermitian-products-3x3", "transpose-3x3",
             "hermitian-normal-4x4", "doubling-conjugator")
 PAIRS = ("nilpotent-2x2", "hermitian-products-3x3", "hermitian-normal-4x4",
          "hermitian-3-seed3", "hermitian-4-seed4", "hermitian-5-seed5", "psd-ep-3-seed5",
-         "psd-normal-4-seed11")
+         "psd-normal-4-seed11", "realpart-ep-4-seed12")
 
 CASES = {
     **{f"catalog-show-{name}": ["catalog", "show", name] for name in FIXTURES},
@@ -72,7 +72,7 @@ def test_exact_inputs_regenerate_byte_for_byte(tmp_path):
     names = sorted(p.name for p in INPUTS.glob("*.json"))
     assert sorted(p.name for p in tmp_path.glob("*.json")) == names
     exact = [name for name in names if not name.startswith("float-")]
-    assert len(exact) == 23
+    assert len(exact) == 25
     for name in exact:
         assert (tmp_path / name).read_bytes() == (INPUTS / name).read_bytes(), name
 
@@ -81,7 +81,9 @@ def write_inputs(directory: Path = INPUTS) -> None:
     """Write the input files into `directory`: catalog pairs and the
     products of two of them, seeded exact Hermitian pairs, a PSD x EP pair,
     a PSD x normal pair outside the block form of the PSD-EP transform
-    (certified by Sylvester sampling on non-Hermitian products),
+    (certified by Sylvester sampling on non-Hermitian products), a
+    non-Hermitian matrix with a PSD real part of equal rank times an EP
+    matrix in block form of smaller rank (the PSD-EP transform with Y != X),
     a Cayley conjugate of I_1 + J_3 whose entries have non-unit
     denominators, two float matrices for classify (an indefinite Hermitian
     one and a unitary conjugate of J_3, which is neither normal nor EP),
@@ -109,6 +111,11 @@ def write_inputs(directory: Path = INPUTS) -> None:
     rng = np.random.default_rng(11)
     save_matrix(rational_psd(4, rng, rank=3), directory / "psd-normal-4-seed11__a.json")
     save_matrix(rational_normal(4, rng, rank=3), directory / "psd-normal-4-seed11__b.json")
+    u = rational_unitary(4, np.random.default_rng(12))  # real part u* (I_3 + 0) u
+    core = Matrix.exact([[(1, 1), 1, 0, 0], [-1, 1, (0, 1), 0], [0, (0, 1), 1, 0], [0, 0, 0, 0]])
+    save_matrix(u.adjoint() @ core @ u, directory / "realpart-ep-4-seed12__a.json")
+    ep = Matrix.exact([[(0, 2), "1/2", 0, 0], [1, -1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+    save_matrix(ep, directory / "realpart-ep-4-seed12__b.json")
     u = rational_unitary(4, np.random.default_rng(6))
     m = u @ realize_rank_sequence((4, 3, 2, 1)) @ u.adjoint()
     assert any(m[i, j].re.denominator > 1 for i in range(4) for j in range(4))

@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from abba import (
     BackendError,
@@ -7,10 +10,14 @@ from abba import (
     Matrix,
     ShapeError,
     SimilarityCertificate,
+    block,
     certificate_for,
+    characteristic_polynomial,
+    column_inclusion_factor,
     construct_similarity_psd_ep,
     decide_product_similarity,
     decide_unitary_2x2,
+    determinant,
     doubling_conjugator,
     doubling_product_similarity,
     find_intertwiner,
@@ -22,6 +29,7 @@ from abba import (
     is_psd,
     kron,
     normal_doubling,
+    rank,
     realpart_psd_same_rank,
     unitary_intertwiner,
     verify_certificate,
@@ -30,8 +38,9 @@ from abba import (
 )
 from abba import generators as gen
 from abba import similarity
-from abba.linalg import principal_minor_sums
-from abba.scalars import GQ
+from abba.classes import _ep_ranks
+from abba.linalg import _charpoly_numerators
+from abba.scalars import DEFAULT_TOLERANCE, GQ
 
 
 def _random_exact(rng, n, span=3):
@@ -440,17 +449,18 @@ def test_construct_hypothesis_rule_agrees_with_either_rule():
 
 
 def test_construct_tests_b_before_a(monkeypatch):
-    """An indefinite Hermitian a: its minor sums are read once after a
-    block-form EP b, and not at all when an exact b is not in block form."""
+    """An indefinite Hermitian a: its minor sums (the integer charpoly
+    coefficients that _psd_violation reads) are read once after a block-form
+    EP b, and not at all when an exact b is not in block form."""
     from abba import classes
 
     calls = []
 
-    def counted(m):
-        calls.append(m.shape)
-        return principal_minor_sums(m)
+    def counted(re, im):
+        calls.append(re.shape)
+        return _charpoly_numerators(re, im)
 
-    monkeypatch.setattr(classes, "principal_minor_sums", counted)
+    monkeypatch.setattr(classes, "_charpoly_numerators", counted)
     a = Matrix.exact([[1, 2], [2, 1]])  # eigenvalues 3 and -1
     with pytest.raises(HypothesisViolation):
         construct_similarity_psd_ep(a, Matrix.diagonal([5, 0]))
@@ -470,6 +480,151 @@ def test_construct_extreme_ranks_float():
     full = gen.random_ep(4, rng, rank=4)
     cert2 = construct_similarity_psd_ep(a, full)
     assert cert2.residual <= 1e-10
+
+
+# the construction as composed before the exact branch ran on numerators, kept as the oracle
+
+
+def _matrix_certificate(t, m1, m2):
+    """(t, det, residual, ok) of certificate_for, from Matrix products and Bareiss."""
+    lhs, rhs = t @ m1, m2 @ t
+    residual = 0.0
+    if lhs != rhs:
+        denom = t.frobenius() * max(m1.frobenius(), m2.frobenius())
+        residual = (lhs - rhs).frobenius() / denom if denom else float("inf")
+    det = determinant(t)
+    return t, det, residual, bool(det) and residual == 0.0
+
+
+def _minor_sums_nonnegative(m):
+    return all(c.im == 0 and (c if k % 2 == 0 else -c).re >= 0
+               for k, c in enumerate(characteristic_polynomial(m)))
+
+
+def _composed_construction(a, b):
+    n = b.rows
+    r, r_joint = _ep_ranks(b, DEFAULT_TOLERANCE)
+    if r_joint != r:
+        raise HypothesisViolation("matrix is not EP (range differs from adjoint range)")
+    if not (b.block(0, r, r, n).is_zero() and b.block(r, n, 0, n).is_zero()):
+        raise BackendError(
+            "exact decomposition requires the matrix already in invertible-block-plus-zero form")
+    herm = a == a.adjoint()
+    h = (a + a.adjoint()) * Fraction(1, 2)
+    if not (_minor_sums_nonnegative(a) if herm else
+            _minor_sums_nonnegative(h) and rank(h) == rank(a)):
+        raise HypothesisViolation(
+            "a must be positive semidefinite or have a PSD real part of equal rank")
+    x = column_inclusion_factor(a, r)
+    if x is None:
+        raise HypothesisViolation("column inclusion solve failed for a")
+    y = x if herm else column_inclusion_factor(a.adjoint(), r)
+    if y is None:
+        raise HypothesisViolation("row inclusion solve failed for a")
+    s = block([[b.block(0, r, 0, r) + x @ y.adjoint(), -x], [-y.adjoint(), Matrix.identity(n - r)]])
+    cert = _matrix_certificate(s, a @ b, b @ a)
+    if not cert[3]:
+        raise HypothesisViolation(
+            f"constructed transform failed verification (residual {cert[2]:.3g})")
+    return cert
+
+
+def _invertible(k, rng):
+    """A dense exact invertible k x k matrix with non-unit denominators."""
+    return gen.rational_unitary(k, rng, span=2) @ gen.rational_diagonal(k, rng, nonzeros=k)
+
+
+def _direct_sum(x, y):
+    return block([[x, Matrix.zeros(x.rows, y.cols)], [Matrix.zeros(y.rows, x.cols), y]])
+
+
+def _construction_a(kind, n, rng):
+    k = int(rng.integers(0, n + 1))
+    if kind == "psd":  # Hermitian PSD of rank k, conjugated by a Cayley unitary
+        u = gen.rational_unitary(n, rng)
+        return u @ gen.rational_psd(n, rng, rank=k) @ u.adjoint()
+    if kind == "realpart":  # c* ((I + S) + 0) c: real part c* (I + 0) c, rank k both
+        c = _invertible(n, rng)
+        core = Matrix.identity(k) + gen.rational_skew_hermitian(k, rng) if k else Matrix.zeros(0, 0)
+        return c.adjoint() @ _direct_sum(core, Matrix.zeros(n - k, n - k)) @ c
+    if kind == "indefinite":
+        return gen.rational_hermitian(n, rng) - gen.rational_psd(n, rng, rank=max(k, 1))
+    return _random_exact(rng, n, 2)  # generic, usually neither
+
+
+def _construction_b(kind, n, rng):
+    r = int(rng.integers(0, n + 1))
+    b = _direct_sum(_invertible(r, rng), Matrix.zeros(n - r, n - r)) if r else Matrix.zeros(n, n)
+    if kind == "block":
+        return b
+    if kind == "ep":  # EP, in block form only by chance
+        u = gen.rational_unitary(n, rng)
+        return u @ b @ u.adjoint()
+    # [[C, E], [0, 0]] with E != 0: range(b) is the leading r coordinates, range(b*) is not
+    r = max(1, min(r, n - 1))
+    re, im, den = _direct_sum(_invertible(r, rng), Matrix.zeros(n - r, n - r)).numerators
+    re = re.copy()
+    re[0, n - 1] = den
+    return Matrix.from_ints(re, im, den)
+
+
+@given(st.integers(1, 5), st.sampled_from(["psd", "realpart", "indefinite", "generic"]),
+       st.sampled_from(["block", "ep", "non-ep"]), st.integers(0, 2**32 - 1))
+@settings(max_examples=400, deadline=None)
+def test_exact_construction_matches_the_composed_construction(n, a_kind, b_kind, seed):
+    assume(n > 1 or b_kind != "non-ep")  # every 1 x 1 matrix is EP
+    rng = np.random.default_rng(seed)
+    a, b = _construction_a(a_kind, n, rng), _construction_b(b_kind, n, rng)
+    try:
+        want = _composed_construction(a, b)
+    except (BackendError, HypothesisViolation) as err:
+        with pytest.raises(type(err)) as got:
+            construct_similarity_psd_ep(a, b)
+        assert type(got.value) is type(err) and str(got.value) == str(err)
+        return
+    cert = construct_similarity_psd_ep(a, b)
+    assert (cert.t, cert.det, cert.residual, cert.ok) == want
+
+
+def test_exact_construction_differential_reaches_every_branch():
+    """The strategy above reaches success with Hermitian a (Y = X) and with
+    non-Hermitian a (Y solved on its own), and each error of the exact path."""
+    seen = set()
+    for seed in range(60):
+        for n in (2, 3, 4):
+            for a_kind in ("psd", "realpart", "indefinite"):
+                for b_kind in ("block", "ep", "non-ep"):
+                    rng = np.random.default_rng(seed)
+                    a, b = _construction_a(a_kind, n, rng), _construction_b(b_kind, n, rng)
+                    try:
+                        _composed_construction(a, b)
+                        seen.add(("ok", a == a.adjoint()))
+                    except (BackendError, HypothesisViolation) as err:
+                        seen.add((type(err).__name__, str(err).split(" (")[0]))
+    assert seen >= {("ok", True), ("ok", False), ("BackendError", "exact decomposition requires the"
+                    " matrix already in invertible-block-plus-zero form"),
+                    ("HypothesisViolation", "matrix is not EP"),
+                    ("HypothesisViolation",
+                     "a must be positive semidefinite or have a PSD real part of equal rank")}
+
+
+_SMALL = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    *(st.lists(st.lists(_SMALL, min_size=n, max_size=n), min_size=n, max_size=n)
+      for _ in range(3)))), st.tuples(*(st.sampled_from([1, 2, 3, 6]) for _ in range(3))))
+@settings(max_examples=300, deadline=None)
+def test_exact_certificate_for_matches_matrix_products(entries, dens):
+    """Mismatches, singular t, and intertwiners whose products have unequal
+    denominators (t = u unitary, m2 = u m1 u*) give the fields of the Matrix form."""
+    t, m1, m2 = (Matrix.exact([[GQ(Fraction(re, d), Fraction(im, d)) for re, im in row]
+                               for row in rows]) for rows, d in zip(entries, dens))
+    u = gen.rational_unitary(t.rows, np.random.default_rng(t.rows))
+    for args in ((t, m1, m2), (Matrix.zeros(t.rows, t.rows), m1, m2), (m1, m1, m1),
+                 (u, m1, u @ m1 @ u.adjoint())):
+        cert = certificate_for(*args)
+        assert (cert.t, cert.det, cert.residual, cert.ok) == _matrix_certificate(*args)
 
 
 # -- doubling construction ---------------------------------------------------
