@@ -71,21 +71,23 @@ def is_psd(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> bool:
     return is_hermitian(m, tol) and _psd_violation(m, tol) is None
 
 
-def _ep_ranks(m: Matrix, tol: TolerancePolicy) -> tuple[int, int]:
-    """(rank(m), rank([m | m*])); m is EP exactly when the two agree."""
+def _ep_ranks(m: Matrix, tol: TolerancePolicy, r: int | None = None) -> tuple[int, int]:
+    """(rank(m), rank([m | m*])), reading rank(m) from r when the caller has it; m is EP
+    exactly when the two agree."""
     if not m.is_square:
         raise ShapeError("predicate requires a square matrix")
-    return rank(m, tol), rank(hstack([m, m.adjoint()]), tol)
+    return rank(m, tol) if r is None else r, rank(hstack([m, m.adjoint()]), tol)
 
 
 def _ep_rank(m: Matrix, tol: TolerancePolicy) -> int:
     """rank(m) of an EP m, else HypothesisViolation; an exact m must be c + 0 with c of size
     rank(m), else BackendError.  That form makes m EP, so _ep_ranks runs only to pick the error."""
+    r = None
     if m.backend == EXACT and m.is_square:
         (re, im, _), r = m.numerators, rank(m)
         if not (re[r:].any() or im[r:].any() or re[:, r:].any() or im[:, r:].any()):
             return r
-    r, r_joint = _ep_ranks(m, tol)
+    r, r_joint = _ep_ranks(m, tol, r)
     if r_joint != r:
         raise HypothesisViolation("matrix is not EP (range differs from adjoint range)")
     if m.backend == EXACT:

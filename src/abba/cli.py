@@ -97,16 +97,18 @@ def cmd_decide(args) -> dict:
         raise ValueError("attempts must be positive")
     a = _load_square(args, "a")
     b = _load_square(args, "b")
-    verdict = decide_product_similarity(a, b, tol)
+    a._check_operand_pair(b)  # the check decide_product_similarity makes before the products
+    products = a @ b, b @ a  # one pair for the verdict and the certificate
+    verdict = decide_product_similarity(a, b, tol, _products=products)
     result = {"verdict": verdict}
     if args.construct:
         try:
-            cert = construct_similarity_psd_ep(a, b, tol)
+            cert = construct_similarity_psd_ep(a, b, tol, _products=products)
             method = "psd-ep-transform"
         except (BackendError, HypothesisViolation):
             cert = method = None
         if cert is None and verdict.similar:
-            cert = find_intertwiner(a @ b, b @ a, seed=args.seed, attempts=args.attempts, tol=tol)
+            cert = find_intertwiner(*products, seed=args.seed, attempts=args.attempts, tol=tol)
             if cert is not None:
                 method = "sylvester-sampling"
         result["certificate"] = cert

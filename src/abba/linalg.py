@@ -4,10 +4,16 @@ On the exact backend one routine, :func:`_eliminate_rows`, does every
 elimination: fraction-free (Bareiss) elimination over the Gaussian
 integers on rows of Python ints, so intermediate entries stay minors of
 the input.  :func:`_eliminate` feeds it the integer numerators that
-:attr:`Matrix.numerators` exposes, and exact rank sequences feed it their
-integer products directly, with no Matrix in between.  It loops over
-lists, not numpy object arrays: on the small matrices the program
-eliminates, numpy's per-call overhead cost more than the arithmetic.
+:attr:`Matrix.numerators` exposes; exact rank sequences and Sylvester
+systems feed it their integer rows directly, with no Matrix in between.
+It skips a row whose entry in the pivot column is zero, which Bareiss's
+step would only rescale: the row remembers the pivot q of the step that
+last updated it, its next update divides by q, and chosen as pivot row it
+is first multiplied by prev / q.  Both divisions are exact, since their
+results are again minors, and pivots and pivot rows come out as the eager
+update has them.  It loops over lists, not numpy object arrays: on the
+small matrices the program eliminates, numpy's per-call overhead cost
+more than the arithmetic.
 Rank and determinant read its forward pass; null spaces and solves go on
 by fraction-free back-substitution to the (unique) reduced row echelon
 form over the positive integer s = |d|, or |d|^2 when the last pivot d is
@@ -51,20 +57,29 @@ def _eliminate_rows(re: list, im: list):
     """Fraction-free forward elimination over Z[i] on the rows re + i im of
     Python ints, which it consumes.
 
-    Pivots are the first nonzero entries of their columns.  Each update is
-    (p * a - f * b) / prev, with p the current pivot and prev the one
-    before it; the division is exact in Z[i] because every entry stays a
-    minor of the input, and is skipped when it is by 1 (the first pivot).
-    It is a plain // when prev is real; otherwise p and f are multiplied
-    by conj(prev) and the division is by |prev|^2.  The rows below a pivot
-    drop its (now zero) column, so pivot row k holds the columns not in
-    pivots[:k], column c at index c - k from its pivot on.
+    Pivots are the first nonzero entries of their columns.  Bareiss's
+    update of a row below the pivot p is (p * a - f * b) / prev, with f
+    the row's entry in the pivot column, b the pivot row and prev the pivot
+    before p; every entry stays a minor of the input.  A row with f = 0
+    would only be rescaled by p / prev, so it is left as it is and keeps
+    q, the pivot of the last step that updated it (1 at first): it holds
+    that step's minors, and the current ones are those times prev / q.
+    Its next update is (p * a - f * b) / q, and a row chosen as pivot row
+    is first multiplied by prev / q.  Both divisions are exact in Z[i],
+    since their results are minors of the input.  A division by a real q
+    is a plain //, skipped when q = 1; otherwise the numerator is
+    multiplied by conj(q) and divided by |q|^2.  Pivots, sign, last pivot
+    and pivot rows are those of the eager update, and the rows below the
+    rank are zero either way.  The rows below a pivot drop its (now zero)
+    column, so pivot row k holds the columns not in pivots[:k], column c
+    at index c - k from its pivot on.
 
     Returns (re, im, pivot columns, row-swap sign, last pivot as (re, im)).
     """
     rows = len(re)
     cols = len(re[0]) if rows else 0
     prev = (1, 0)
+    scale = [prev] * rows  # q of each row
     sign = 1
     pivots: list[int] = []
     for c in range(cols):
@@ -79,25 +94,37 @@ def _eliminate_rows(re: list, im: list):
             continue
         if hit != r:
             re[r], re[hit], im[r], im[hit] = re[hit], re[r], im[hit], im[r]
+            scale[r], scale[hit] = scale[hit], scale[r]
             sign = -sign
-        qr, qi = prev
-        pr, pi = prev = re[r][k], im[r][k]
-        div = qr
-        if qi:
-            pr, pi, div = pr * qr + pi * qi, pi * qr - pr * qi, qr * qr + qi * qi
-        tr, ti = re[r][k + 1:], im[r][k + 1:]  # rows below are zero left of column c + 1
+        ur, ui, (qr, qi) = re[r], im[r], scale[r]
+        if (qr, qi) != prev:  # times prev / q; the row is zero left of column c
+            gr, gi = prev
+            div = qr
+            if qi:
+                gr, gi, div = gr * qr + gi * qi, gi * qr - gr * qi, qr * qr + qi * qi
+            xs = ur[k:], ui[k:]
+            ur[k:] = [(a * gr - b * gi) // div for a, b in zip(*xs)]
+            ui[k:] = [(a * gi + b * gr) // div for a, b in zip(*xs)]
+        prev = pr, pi = ur[k], ui[k]
+        tr, ti = ur[k + 1:], ui[k + 1:]  # rows below are zero left of column c + 1
         for i in range(r + 1, rows):
             ar, ai = re[i], im[i]
             fr, fi = ar[k], ai[k]
+            if not (fr or fi):
+                del ar[k], ai[k]
+                continue
+            (qr, qi), scale[i] = scale[i], prev
+            gr, gi, div = pr, pi, qr
             if qi:
+                gr, gi, div = pr * qr + pi * qi, pi * qr - pr * qi, qr * qr + qi * qi
                 fr, fi = fr * qr + fi * qi, fi * qr - fr * qi
             xs = (ar[k + 1:], ai[k + 1:], tr, ti)
             if div == 1:
-                ar[k:] = [pr * a - pi * b - fr * x + fi * y for a, b, x, y in zip(*xs)]
-                ai[k:] = [pr * b + pi * a - fr * y - fi * x for a, b, x, y in zip(*xs)]
+                ar[k:] = [gr * a - gi * b - fr * x + fi * y for a, b, x, y in zip(*xs)]
+                ai[k:] = [gr * b + gi * a - fr * y - fi * x for a, b, x, y in zip(*xs)]
             else:
-                ar[k:] = [(pr * a - pi * b - fr * x + fi * y) // div for a, b, x, y in zip(*xs)]
-                ai[k:] = [(pr * b + pi * a - fr * y - fi * x) // div for a, b, x, y in zip(*xs)]
+                ar[k:] = [(gr * a - gi * b - fr * x + fi * y) // div for a, b, x, y in zip(*xs)]
+                ai[k:] = [(gr * b + gi * a - fr * y - fi * x) // div for a, b, x, y in zip(*xs)]
         pivots.append(c)
     return re, im, pivots, sign, prev
 
@@ -133,6 +160,20 @@ def _back_substitute(re: list, im: list, pivots: list, d: tuple, targets):
                 xr, xi = xr * qr + xi * qi, xi * qr - xr * qi
             zr[k][t], zi[k][t] = xr // div, xi // div
     return np.array([zr, zi], dtype=object).reshape(2, len(pivots), len(targets)), s
+
+
+def _kernel_rows(re: list, im: list, cols: int):
+    """(v, s) for the rows re + i im of Python ints (consumed), cols entries each: the
+    integer object array v, shape (2, cols, nullity), whose column j over the positive
+    integer s is the j-th reduced-row-echelon basis vector of the kernel (nullspace_basis)."""
+    re, im, pivots, _, d = _eliminate_rows(re, im)
+    free = [j for j in range(cols) if j not in pivots]
+    # v_f = e_f - sum_k rref[k, f] e_{pivots[k]}, over s
+    z, s = _back_substitute(re, im, pivots, d, free)
+    v = np.zeros((2, cols, len(free)), dtype=object)  # re | im
+    v[0, free, range(len(free))] = s
+    v[:, pivots] = z
+    return v, s
 
 
 def _solve_rows(re: list, im: list, k: int, cols: int) -> Matrix | None:
@@ -198,13 +239,8 @@ def nullspace_basis(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE, norm=No
     """The cols x (cols - rank(m)) matrix whose columns are a basis of ker(m): the reduced-row-
     echelon basis (exact) or the right singular vectors past _float_svd's rank (float)."""
     if m.backend == EXACT:
-        re, im, pivots, _, d = _eliminate(m)
-        free = [j for j in range(m.cols) if j not in pivots]
-        # v_f = e_f - sum_k rref[k, f] e_{pivots[k]}, over the positive integer s
-        z, s = _back_substitute(re, im, pivots, d, free)
-        v = np.zeros((2, m.cols, len(free)), dtype=object)  # re | im
-        v[0, free, range(len(free))] = s
-        v[:, pivots] = z
+        re, im, _ = m.numerators
+        v, s = _kernel_rows(re.tolist(), im.tolist(), m.cols)
         return Matrix((*v, s), EXACT)
     _, _, vh, r = _float_svd(m, tol, norm)
     return Matrix.from_float(vh.conj().T[:, r:])

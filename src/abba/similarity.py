@@ -7,8 +7,11 @@ sound and complete for product pairs.  Constructions:
   is the kernel of an n^2 x n^2 linear map; random combinations of a
   kernel basis are invertible generically whenever any invertible
   intertwiner exists.  Adding the block for S M1* = M2* S and taking the
-  polar factor of a sample gives a unitary intertwiner.  Exact systems
-  are written entry by entry from the numerators, with no Kronecker product.
+  polar factor of a sample gives a unitary intertwiner.  Exact sampling
+  runs on numerators: the Sylvester rows are written entry by entry
+  from them, with no Kronecker product, and go straight into
+  elimination; the kernel stays one numerator array over one integer,
+  and each sample is one integer dot with the drawn coefficients.
 * The positive-semidefinite / EP transform: after aligning the range of
   b, solve the column-inclusion systems and assemble the explicit block
   matrix [[C + X Y*, -X], [-Y*, I]]; for Hermitian a the two solves
@@ -37,7 +40,7 @@ from .classes import (
     realpart_psd_same_rank,
 )
 from .errors import HypothesisViolation, IntertwinerNotFound, ShapeError
-from .linalg import condition_estimate, determinant, nullspace_basis
+from .linalg import _kernel_rows, condition_estimate, determinant, nullspace_basis
 from .matrix import EXACT, FLOAT, Matrix, _at_unit_scale, _gauss, block, kron, vstack
 from .rankseq import RankSequence, rank_sequence
 from .scalars import DEFAULT_TOLERANCE, GQ, TolerancePolicy
@@ -103,14 +106,15 @@ def verify_certificate(
 
 
 def decide_product_similarity(
-    a: Matrix, b: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE
+    a: Matrix, b: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE,
+    _products: tuple[Matrix, Matrix] | None = None,
 ) -> SimilarityVerdict:
     """AB is similar to BA iff their rank sequences agree.  Float ranks of both
     products are cut on one scale, ||a||_2 ||b||_2, which a product that is
-    zero up to rounding cannot set."""
+    zero up to rounding cannot set.  _products is (a @ b, b @ a) when the caller
+    has formed them already."""
     a._check_operand_pair(b)
-    ab = a @ b
-    ba = b @ a
+    ab, ba = _products or (a @ b, b @ a)
     ref = None
     if a.backend != EXACT:  # (v, k) with ||a||_2 ||b||_2 = v * 2^k, which cannot overflow
         (ua, ea), (ub, eb) = _at_unit_scale(a), _at_unit_scale(b)
@@ -122,29 +126,18 @@ def decide_product_similarity(
     return SimilarityVerdict(similar=similar, reason=reason, seq_ab=seq_ab, seq_ba=seq_ba)
 
 
-def _kernel_matrices(system: Matrix, m1: Matrix, m2: Matrix, tol: TolerancePolicy) -> list[Matrix]:
-    """The s with vec(s) in ker(system), a stack of Sylvester blocks of m1 and m2.  A float
-    cutoff is set against ||m1||_2 + ||m2||_2: the system's own norm is noise when m1 ~ m2."""
-    n = m1.rows
-    norm = None if m1.backend == EXACT else sum(np.linalg.norm(m.array, 2) for m in (m1, m2))
-    kernel = nullspace_basis(system, tol, norm)
-    # column i of the kernel is vec(s_i), which stacks the columns of s_i
-    if kernel.backend == EXACT:
-        re, im, den = kernel.numerators
-        return [Matrix((cr.reshape((n, n), order="F"), ci.reshape((n, n), order="F"), den), EXACT)
-                for cr, ci in zip(re.T, im.T)]
-    return [Matrix.from_float(v.reshape((n, n), order="F")) for v in kernel.array.T]
-
-
 def _sylvester(x: Matrix, y: Matrix) -> Matrix:
-    """x^T (x) I - I (x) y, whose kernel is vec of {s : s x = y s}.  Exact: entry
-    ((l, i), (j, i')) is x[j, l] [i = i'] - y[i, i'] [j = l], written into an
-    (n, n, n, n) grid of numerators over lcm(den_x, den_y).  Float: two krons,
-    since writing 0.0 * x entries could flip signed zeros that the SVD reads."""
+    """x^T (x) I - I (x) y on the float backend, whose kernel is vec of {s : s x = y s}: two
+    krons, since writing 0.0 * x entries could flip signed zeros that the SVD reads."""
+    eye = Matrix.identity(x.rows, x.backend)
+    return kron(x.transpose(), eye) - kron(eye, y)
+
+
+def _sylvester_rows(x: Matrix, y: Matrix) -> tuple[list, list, int]:
+    """(re, im, den): rows of Python ints with (re + i im) / den = x^T (x) I - I (x) y, for
+    exact x and y, over den = lcm(den_x, den_y).  Entry ((l, i), (j, i')) is
+    x[j, l] [i = i'] - y[i, i'] [j = l], written into an (n, n, n, n) grid."""
     n = x.rows
-    if x.backend != EXACT:
-        eye = Matrix.identity(n, x.backend)
-        return kron(x.transpose(), eye) - kron(eye, y)
     (xr, xi, dx), (yr, yi, dy) = x.numerators, y.numerators
     den = math.lcm(dx, dy)
     xs, ys = np.stack([xr.T, xi.T]) * (den // dx), np.stack([yr, yi]) * (den // dy)
@@ -153,29 +146,55 @@ def _sylvester(x: Matrix, y: Matrix) -> Matrix:
         grid[:, :, i, :, i] = xs
     for j in range(n):
         grid[:, j, :, j, :] -= ys
-    return Matrix((*grid.reshape(2, n * n, n * n), den), EXACT)
+    return (*grid.reshape(2, n * n, n * n).tolist(), den)
+
+
+def _kernel(m1: Matrix, m2: Matrix, tol: TolerancePolicy, adjoint: bool = False):
+    """A basis of {s : s m1 = m2 s}, and of s m1* = m2* s too when adjoint.  Exact: (v, d)
+    with basis matrix i = (v[0, :, :, i] + i v[1, :, :, i]) / d, the kernel of the Sylvester
+    rows as one numerator array.  Float: the list of matrices, with the kernel cutoff set
+    against ||m1||_2 + ||m2||_2: the system's own norm is noise when m1 ~ m2."""
+    n = m1.rows
+    pairs = [(m1, m2), (m1.adjoint(), m2.adjoint())][:1 + adjoint]
+    if m1.backend == EXACT:
+        re, im = [], []
+        for x, y in pairs:
+            xr, xi, _ = _sylvester_rows(x, y)
+            re += xr
+            im += xi
+        v, d = _kernel_rows(re, im, n * n)
+        # column i of v is vec(s_i): entry j n + i' is s_i[i', j]
+        return v.reshape(2, n, n, v.shape[2]).transpose(0, 2, 1, 3), d
+    norm = sum(np.linalg.norm(m.array, 2) for m in (m1, m2))
+    kernel = nullspace_basis(vstack([_sylvester(x, y) for x, y in pairs]), tol, norm)
+    return [Matrix.from_float(v.reshape((n, n), order="F")) for v in kernel.array.T]
 
 
 def intertwiner_space(m1: Matrix, m2: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> list[Matrix]:
     """Basis of {s : s m1 = m2 s}, via the kernel of m1^T (x) I - I (x) m2."""
-    return _kernel_matrices(_sylvester(m1, m2), m1, m2, tol)
+    m1._check_operand_pair(m2)
+    kernel = _kernel(m1, m2, tol)
+    if m1.backend != EXACT:
+        return kernel
+    v, d = kernel
+    return [Matrix((*v[..., i], d), EXACT) for i in range(v.shape[3])]
 
 
-def _sample_invertible(basis, m1, m2, seed, attempts, tol) -> SimilarityCertificate | None:
-    """The first random combination of basis that certificate_for accepts (find_intertwiner)."""
-    if not basis:
+def _sample_invertible(kernel, m1, m2, seed, attempts, tol) -> SimilarityCertificate | None:
+    """The first random combination of the _kernel basis that certificate_for accepts
+    (find_intertwiner)."""
+    exact = m1.backend == EXACT
+    dim = kernel[0].shape[3] if exact else len(kernel)
+    if not dim:
         return None
     n, k, rng = m1.rows, max(9, m1.rows), np.random.default_rng(seed)
-    if m1.backend == EXACT:  # (basis, re | im, n, n) numerators over one denominator
-        den = math.lcm(*(s.numerators[2] for s in basis))
-        nums = np.stack([np.stack(s.numerators[:2]) * (den // s.numerators[2]) for s in basis])
     for _ in range(attempts):
-        if m1.backend == EXACT:
-            coeffs = np.array(rng.integers(-k, k + 1, size=len(basis)).tolist(), dtype=object)
-            t = Matrix((*np.tensordot(coeffs, nums, 1), den), EXACT)
+        if exact:
+            coeffs = np.array(rng.integers(-k, k + 1, size=dim).tolist(), dtype=object)
+            t = Matrix((*np.dot(kernel[0], coeffs), kernel[1]), EXACT)
         else:
-            coeffs = list(rng.standard_normal(len(basis)))
-            t = sum((s * c for c, s in zip(coeffs, basis)), Matrix.zeros(n, n, m1.backend))
+            coeffs = list(rng.standard_normal(dim))
+            t = sum((s * c for c, s in zip(coeffs, kernel)), Matrix.zeros(n, n, m1.backend))
         cert = certificate_for(t, m1, m2, tol)
         if cert.ok:
             return cert
@@ -205,7 +224,7 @@ def find_intertwiner(
     m1._check_operand_pair(m2)
     if attempts < 1:
         raise ValueError("attempts must be positive")
-    return _sample_invertible(intertwiner_space(m1, m2, tol), m1, m2, seed, attempts, tol)
+    return _sample_invertible(_kernel(m1, m2, tol), m1, m2, seed, attempts, tol)
 
 
 def unitary_intertwiner(m1: Matrix, m2: Matrix,
@@ -217,8 +236,7 @@ def unitary_intertwiner(m1: Matrix, m2: Matrix,
     polar factor u = t (t* t)^(-1/2), w vh of the SVD t = w s vh, intertwines.
     """
     m1._check_operand_pair(m2)
-    system = vstack([_sylvester(m1, m2), _sylvester(m1.adjoint(), m2.adjoint())])
-    cert = _sample_invertible(_kernel_matrices(system, m1, m2, tol), m1, m2, 0, 32, tol)
+    cert = _sample_invertible(_kernel(m1, m2, tol, adjoint=True), m1, m2, 0, 32, tol)
     if cert is None:
         return None
     w, _, vh = np.linalg.svd(cert.t.to_float().array)
@@ -227,7 +245,8 @@ def unitary_intertwiner(m1: Matrix, m2: Matrix,
 
 
 def construct_similarity_psd_ep(
-    a: Matrix, b: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE
+    a: Matrix, b: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE,
+    _products: tuple[Matrix, Matrix] | None = None,
 ) -> SimilarityCertificate:
     """Explicit T with T(ab) = (ba)T when a is PSD (or has a PSD real part
     of full comparative rank) and b is EP.
@@ -236,7 +255,8 @@ def construct_similarity_psd_ep(
     block form), solves A11 X = A12 and A11* Y = A21* in the aligned frame,
     and conjugates S = [[C + X Y*, -X], [-Y*, I]] back.  Hermitian a gives
     Y = X and reduces S to its classical positive-semidefinite form.
-    b is tested before a, so when both fail the error is b's.
+    b is tested before a, so when both fail the error is b's.  _products is
+    (a @ b, b @ a) when the caller has formed them already.
     """
     a._check_operand_pair(b)
     n, exact = a.rows, a.backend == EXACT
@@ -267,7 +287,7 @@ def construct_similarity_psd_ep(
     else:
         eye = Matrix.identity(n - r, FLOAT)
         t = dec.v @ block([[dec.c + x @ y.adjoint(), -x], [-y.adjoint(), eye]]) @ dec.v.adjoint()
-    cert = certificate_for(t, a @ b, b @ a, tol)
+    cert = certificate_for(t, *(_products or (a @ b, b @ a)), tol)
     if not cert.ok:
         raise HypothesisViolation(
             f"constructed transform failed verification (residual {cert.residual:.3g})"

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from abba import Matrix, catalog, realize_rank_sequence, save_matrix
+from abba import Matrix, block, catalog, realize_rank_sequence, save_matrix
 from abba.cli import main
 from abba.generators import (random_unitary, rational_hermitian, rational_normal, rational_psd,
                              rational_unitary)
@@ -29,7 +29,7 @@ FIXTURES = ("nilpotent-2x2", "hermitian-products-3x3", "transpose-3x3",
             "hermitian-normal-4x4", "doubling-conjugator")
 PAIRS = ("nilpotent-2x2", "hermitian-products-3x3", "hermitian-normal-4x4",
          "hermitian-3-seed3", "hermitian-4-seed4", "hermitian-5-seed5", "psd-ep-3-seed5",
-         "psd-normal-4-seed11", "realpart-ep-4-seed12")
+         "psd-normal-4-seed11", "realpart-ep-4-seed12", "hermitian-products-3x3-pad1")
 
 CASES = {
     **{f"catalog-show-{name}": ["catalog", "show", name] for name in FIXTURES},
@@ -72,14 +72,14 @@ def test_exact_inputs_regenerate_byte_for_byte(tmp_path):
     names = sorted(p.name for p in INPUTS.glob("*.json"))
     assert sorted(p.name for p in tmp_path.glob("*.json")) == names
     exact = [name for name in names if not name.startswith("float-")]
-    assert len(exact) == 25
+    assert len(exact) == 27
     for name in exact:
         assert (tmp_path / name).read_bytes() == (INPUTS / name).read_bytes(), name
 
 
 def write_inputs(directory: Path = INPUTS) -> None:
     """Write the input files into `directory`: catalog pairs and the
-    products of two of them, seeded exact Hermitian pairs, a PSD x EP pair,
+    products of two of them, a catalog pair direct-summed with a 1x1 block, seeded exact Hermitian pairs, a PSD x EP pair,
     a PSD x normal pair outside the block form of the PSD-EP transform
     (certified by Sylvester sampling on non-Hermitian products), a
     non-Hermitian matrix with a PSD real part of equal rank times an EP
@@ -100,6 +100,12 @@ def write_inputs(directory: Path = INPUTS) -> None:
         a, b = fixtures[name]["a"], fixtures[name]["b"]
         save_matrix(a @ b, directory / f"{name}__ab.json")
         save_matrix(b @ a, directory / f"{name}__ba.json")
+    a, b = fixtures["hermitian-products-3x3"]["a"], fixtures["hermitian-products-3x3"]["b"]
+    zero = Matrix.zeros(3, 1)  # direct sums with a 1x1 block, whose Sylvester rows are sparse
+    save_matrix(block([[a, zero], [zero.transpose(), Matrix.exact([[1]])]]),
+                directory / "hermitian-products-3x3-pad1__a.json")
+    save_matrix(block([[b, zero], [zero.transpose(), Matrix.exact([[2]])]]),
+                directory / "hermitian-products-3x3-pad1__b.json")
     for n, seed in ((3, 3), (4, 4), (5, 5)):  # n = 5 certifies through a 25 x 25 kernel
         rng = np.random.default_rng(seed)
         save_matrix(rational_hermitian(n, rng), directory / f"hermitian-{n}-seed{seed}__a.json")

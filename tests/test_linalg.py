@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import example, given, settings, strategies as st
 
 from abba import (
     BackendError,
@@ -24,7 +25,7 @@ from abba import (
 )
 from abba import generators as gen
 from abba.generators import random_unitary
-from abba.linalg import _eliminate
+from abba.linalg import _eliminate, _eliminate_rows
 from abba.scalars import GQ
 
 from .oracle import gq_equals_sympy, oracle_charpoly, oracle_det, oracle_rank, to_sympy
@@ -408,3 +409,86 @@ def test_sylvester_kernel_at_n4_is_the_rref_basis():
         assert sorted(set(last)) == last
         assert Matrix.from_ints(re[last], im[last], den) == Matrix.identity(v.cols)
         assert all(not (re[i, j] or im[i, j]) for j, f in enumerate(last) for i in range(f + 1, 16))
+
+
+def _eager_bareiss(re: list, im: list):
+    """Reference for _eliminate_rows: Bareiss's eager update, which replaces every
+    row below the pivot p by (p * a - f * b) / prev, also when f = 0 and the step
+    only rescales the row by p / prev.  Same rows in, same tuple out."""
+    rows = len(re)
+    cols = len(re[0]) if rows else 0
+    prev = (1, 0)
+    sign = 1
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        k = c - r
+        hit = r
+        while hit < rows and not (re[hit][k] or im[hit][k]):
+            hit += 1
+        if hit == rows:
+            continue
+        if hit != r:
+            re[r], re[hit], im[r], im[hit] = re[hit], re[r], im[hit], im[r]
+            sign = -sign
+        qr, qi = prev
+        pr, pi = prev = re[r][k], im[r][k]
+        div = qr
+        if qi:
+            pr, pi, div = pr * qr + pi * qi, pi * qr - pr * qi, qr * qr + qi * qi
+        tr, ti = re[r][k + 1:], im[r][k + 1:]
+        for i in range(r + 1, rows):
+            ar, ai = re[i], im[i]
+            fr, fi = ar[k], ai[k]
+            if qi:
+                fr, fi = fr * qr + fi * qi, fi * qr - fr * qi
+            xs = (ar[k + 1:], ai[k + 1:], tr, ti)
+            ar[k:] = [(pr * a - pi * b - fr * x + fi * y) // div for a, b, x, y in zip(*xs)]
+            ai[k:] = [(pr * b + pi * a - fr * y - fi * x) // div for a, b, x, y in zip(*xs)]
+        pivots.append(c)
+    return re, im, pivots, sign, prev
+
+
+@st.composite
+def _bareiss_inputs(draw):
+    """Rows (re, im) of Gaussian integers, 0-8 rows by 1-9 columns: sparse to dense
+    parts, so pivots are often non-real; optionally a product through a smaller inner
+    dimension (rank-deficient), zeroed off-diagonal blocks (block-diagonal), zero
+    columns, and the rows shuffled, so that pivot searches swap rows."""
+    rows, cols = draw(st.integers(0, 8)), draw(st.integers(1, 9))
+    part = st.sampled_from((0,) * draw(st.integers(0, 6)) + (1, -1, 2, -2, 3))
+
+    def gaussian(r, c):
+        return [[(draw(part), draw(part)) for _ in range(c)] for _ in range(r)]
+
+    inner = draw(st.integers(0, 9))
+    if inner < min(rows, cols):
+        left, right = gaussian(rows, inner), gaussian(inner, cols)
+        m = [[(sum(a * c - b * d for (a, b), (c, d) in zip(row, col)),
+               sum(a * d + b * c for (a, b), (c, d) in zip(row, col)))
+              for col in zip(*right)] for row in left]
+    else:
+        m = gaussian(rows, cols)
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, rows)), draw(st.integers(0, cols))
+        m = [[z if (a < i) == (b < j) else (0, 0) for b, z in enumerate(row)]
+             for a, row in enumerate(m)]
+    zero = draw(st.sets(st.integers(0, cols - 1), max_size=cols))
+    m = draw(st.permutations([[(0, 0) if b in zero else z for b, z in enumerate(row)]
+                              for row in m]))
+    return [[z[0] for z in row] for row in m], [[z[1] for z in row] for row in m]
+
+
+@given(_bareiss_inputs())
+@example(([[0, 0, 0], [0, 0, 1], [-1, 0, 0]], [[0, -1, 0], [-1, 0, 0], [0, 0, 0]]))
+@settings(max_examples=400, deadline=None)
+def test_eliminate_rows_matches_the_eager_bareiss_update(rows):
+    """Skipping the rows whose pivot-column entry is zero leaves pivots, sign, last
+    pivot and pivot rows as the eager update has them, and the rows below the rank zero.
+    In the explicit example a row last updated at the non-real pivot -i is chosen as a
+    pivot row after a skipped step, so it is rescaled by prev / q with q non-real."""
+    re, im = rows
+    expected = _eager_bareiss([r[:] for r in re], [r[:] for r in im])
+    assert _eliminate_rows(re, im) == expected

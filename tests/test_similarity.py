@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -80,7 +81,8 @@ def test_decide_errors(nilpotent_pair):
     square of one size first, then one backend."""
     a, _ = nilpotent_pair
     for entry in (decide_product_similarity, find_intertwiner, construct_similarity_psd_ep,
-                  doubling_product_similarity, word_trace_screen, unitary_intertwiner):
+                  doubling_product_similarity, word_trace_screen, unitary_intertwiner,
+                  intertwiner_space):
         with pytest.raises(ShapeError, match="operands must be square and of equal size"):
             entry(a, Matrix.identity(3))
         with pytest.raises(ShapeError, match="operands must be square and of equal size"):
@@ -186,42 +188,51 @@ def test_exact_sylvester_system_is_the_kron_form():
         for _ in range(3):
             x, y = _fractional_pair(rng, n)
             assert x.numerators[2] != 1 and y.numerators[2] != x.numerators[2]
-            assert similarity._sylvester(x, y) == _kron_sylvester(x, y)
-            assert similarity._sylvester(y, y) == _kron_sylvester(y, y)
+            assert Matrix.from_ints(*similarity._sylvester_rows(x, y)) == _kron_sylvester(x, y)
+            assert Matrix.from_ints(*similarity._sylvester_rows(y, y)) == _kron_sylvester(y, y)
 
 
 def test_unitary_intertwiner_stacks_the_kron_forms(monkeypatch):
-    systems, nullspace_basis = [], similarity.nullspace_basis
+    """The exact rows that unitary_intertwiner eliminates, over lcm(den_x, den_y),
+    are the vstack of the kron forms of (x, y) and (x*, y*)."""
+    systems, kernel_rows = [], similarity._kernel_rows
 
-    def recording(m, *args):
-        systems.append(m)
-        return nullspace_basis(m, *args)
+    def recording(re, im, cols):
+        systems.append(([row[:] for row in re], [row[:] for row in im]))
+        return kernel_rows(re, im, cols)
 
-    monkeypatch.setattr(similarity, "nullspace_basis", recording)
+    monkeypatch.setattr(similarity, "_kernel_rows", recording)
     rng = np.random.default_rng(167)
     for n in range(1, 5):
         x, y = _fractional_pair(rng, n)
         unitary_intertwiner(x, y)
-        assert systems.pop() == vstack([_kron_sylvester(x, y),
-                                        _kron_sylvester(x.adjoint(), y.adjoint())])
+        den = math.lcm(x.numerators[2], y.numerators[2])
+        assert Matrix.from_ints(*systems.pop(), den) == vstack(
+            [_kron_sylvester(x, y), _kron_sylvester(x.adjoint(), y.adjoint())])
 
 
 def test_find_intertwiner_is_the_seeded_combination_of_the_basis():
     """The exact sample is sum c_i S_i over intertwiner_space, the c_i drawn from
-    default_rng(seed) in [-9, 9] until certificate_for accepts; seeds 0 and 48
-    reject their first one and two draws."""
+    default_rng(seed) in [-9, 9] until certificate_for accepts.  On the 3x3 pair
+    seeds 0 and 48 reject their first one and two draws.  Its direct sum with a
+    1x1 block has sparse Sylvester rows, which elimination skips at every pivot;
+    there seeds 0, 29 and 107 reject one, two and three draws."""
     x = Matrix.exact([[1, 0, 0], [0, 2, 0], [0, 0, (0, 3)]])
     u = gen.rational_unitary(3, np.random.default_rng(3))
     y = u @ x @ u.adjoint()
-    basis = intertwiner_space(x, y)
-    assert sorted(s.numerators[2] for s in basis) == [2, 5, 10]
-    for seed, rejected in ((0, 1), (48, 2), (5, 0)):
-        rng = np.random.default_rng(seed)
-        for draw in range(rejected + 1):
-            coeffs = [int(c) for c in rng.integers(-9, 10, size=len(basis))]
-            t = sum((s * c for c, s in zip(coeffs, basis)), Matrix.zeros(3, 3))
-            assert certificate_for(t, x, y).ok == (draw == rejected)
-        assert find_intertwiner(x, y, seed=seed).t == t
+    zero, one = Matrix.zeros(3, 1), Matrix.exact([[4]])
+    padded = tuple(block([[m, zero], [zero.transpose(), one]]) for m in (x, y))
+    for (m1, m2), dens, draws in (((x, y), [2, 5, 10], ((0, 1), (48, 2), (5, 0))),
+                                  (padded, [1, 2, 5, 10], ((0, 1), (29, 2), (107, 3), (2, 0)))):
+        basis = intertwiner_space(m1, m2)
+        assert sorted(s.numerators[2] for s in basis) == dens
+        for seed, rejected in draws:
+            rng = np.random.default_rng(seed)
+            for draw in range(rejected + 1):
+                coeffs = [int(c) for c in rng.integers(-9, 10, size=len(basis))]
+                t = sum((s * c for c, s in zip(coeffs, basis)), Matrix.zeros(m1.rows, m1.rows))
+                assert certificate_for(t, m1, m2).ok == (draw == rejected)
+            assert find_intertwiner(m1, m2, seed=seed).t == t
 
 
 def test_find_intertwiner_float_conjugates_including_1x1(hermitian_normal_pair_4x4):
