@@ -22,4 +22,5 @@ class MatrixFormatError(ValueError):
 
 
 class ToleranceWarning(UserWarning):
-    """A float-backend result was adjusted to restore a mathematically guaranteed property."""
+    """A float-backend tolerance warning.  Nothing in abba raises it any more; it
+    stays public, and the benchmark tracer (bench/tracing.py) reads it."""

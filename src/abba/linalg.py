@@ -6,22 +6,20 @@ integers on rows of Python ints, so intermediate entries stay minors of
 the input.  :func:`_eliminate` feeds it the integer numerators that
 :attr:`Matrix.numerators` exposes; exact rank sequences and Sylvester
 systems feed it their integer rows directly, with no Matrix in between.
-It skips a row whose entry in the pivot column is zero, which Bareiss's
-step would only rescale: the row remembers the pivot q of the step that
-last updated it, its next update divides by q, and chosen as pivot row it
-is first multiplied by prev / q.  Both divisions are exact, since their
-results are again minors, and pivots and pivot rows come out as the eager
-update has them.  It loops over lists, not numpy object arrays: on the
-small matrices the program eliminates, numpy's per-call overhead cost
-more than the arithmetic.
+It returns the row echelon form of the eager update, at full width: each
+pivot row is zero left of its pivot, and every row below the rank is zero.
+It skips the rows that Bareiss's step would only rescale, dividing exactly
+at their next update (see its docstring).  It loops over lists, not numpy
+object arrays: on the small matrices the program eliminates, numpy's
+per-call overhead cost more than the arithmetic.
 Rank and determinant read its forward pass; null spaces and solves go on
-by fraction-free back-substitution to the (unique) reduced row echelon
-form over the positive integer s = |d|, or |d|^2 when the last pivot d is
-not real.  Every division is exact because d times each entry is a minor
-of the input (Cramer's rule) and s is a multiple of d in Z[i].  A null
-space comes back as one matrix whose columns are the basis vectors.  The
-characteristic polynomial runs Faddeev-LeVerrier on the same numerators,
-where its divisions are exact.
+by fraction-free back-substitution on that echelon form to the (unique)
+reduced row echelon form over the positive integer s = |d|, or |d|^2 when
+the last pivot d is not real.  Every division is exact because d times
+each entry is a minor of the input (Cramer's rule) and s is a multiple of
+d in Z[i].  A null space comes back as one matrix whose columns are the
+basis vectors.  The characteristic polynomial runs Faddeev-LeVerrier on
+the same numerators, where its divisions are exact.
 
 Every float-backend rank decision comes from one helper, :func:`_float_svd`,
 which counts the singular values with
@@ -68,11 +66,11 @@ def _eliminate_rows(re: list, im: list):
     is first multiplied by prev / q.  Both divisions are exact in Z[i],
     since their results are minors of the input.  A division by a real q
     is a plain //, skipped when q = 1; otherwise the numerator is
-    multiplied by conj(q) and divided by |q|^2.  Pivots, sign, last pivot
-    and pivot rows are those of the eager update, and the rows below the
-    rank are zero either way.  The rows below a pivot drop its (now zero)
-    column, so pivot row k holds the columns not in pivots[:k], column c
-    at index c - k from its pivot on.
+    multiplied by conj(q) and divided by |q|^2.  An updated row's entry in
+    the pivot column is set to 0, and rows keep their width: column c is at
+    index c in every row.  The rows returned are a row echelon form, the
+    one of the eager update: pivot row k is zero left of pivots[k], and
+    every row from the rank on is zero.
 
     Returns (re, im, pivot columns, row-swap sign, last pivot as (re, im)).
     """
@@ -86,9 +84,8 @@ def _eliminate_rows(re: list, im: list):
         r = len(pivots)
         if r == rows:
             break
-        k = c - r  # where column c sits once the r earlier pivot columns are deleted
         hit = r
-        while hit < rows and not (re[hit][k] or im[hit][k]):
+        while hit < rows and not (re[hit][c] or im[hit][c]):
             hit += 1
         if hit == rows:
             continue
@@ -102,38 +99,39 @@ def _eliminate_rows(re: list, im: list):
             div = qr
             if qi:
                 gr, gi, div = gr * qr + gi * qi, gi * qr - gr * qi, qr * qr + qi * qi
-            xs = ur[k:], ui[k:]
-            ur[k:] = [(a * gr - b * gi) // div for a, b in zip(*xs)]
-            ui[k:] = [(a * gi + b * gr) // div for a, b in zip(*xs)]
-        prev = pr, pi = ur[k], ui[k]
-        tr, ti = ur[k + 1:], ui[k + 1:]  # rows below are zero left of column c + 1
+            xs = ur[c:], ui[c:]
+            ur[c:] = [(a * gr - b * gi) // div for a, b in zip(*xs)]
+            ui[c:] = [(a * gi + b * gr) // div for a, b in zip(*xs)]
+        prev = pr, pi = ur[c], ui[c]
+        tr, ti = ur[c + 1:], ui[c + 1:]  # rows below are zero left of column c + 1
         for i in range(r + 1, rows):
             ar, ai = re[i], im[i]
-            fr, fi = ar[k], ai[k]
+            fr, fi = ar[c], ai[c]
             if not (fr or fi):
-                del ar[k], ai[k]
                 continue
             (qr, qi), scale[i] = scale[i], prev
             gr, gi, div = pr, pi, qr
             if qi:
                 gr, gi, div = pr * qr + pi * qi, pi * qr - pr * qi, qr * qr + qi * qi
                 fr, fi = fr * qr + fi * qi, fi * qr - fr * qi
-            xs = (ar[k + 1:], ai[k + 1:], tr, ti)
+            xs = (ar[c + 1:], ai[c + 1:], tr, ti)
+            ar[c] = ai[c] = 0
             if div == 1:
-                ar[k:] = [gr * a - gi * b - fr * x + fi * y for a, b, x, y in zip(*xs)]
-                ai[k:] = [gr * b + gi * a - fr * y - fi * x for a, b, x, y in zip(*xs)]
+                ar[c + 1:] = [gr * a - gi * b - fr * x + fi * y for a, b, x, y in zip(*xs)]
+                ai[c + 1:] = [gr * b + gi * a - fr * y - fi * x for a, b, x, y in zip(*xs)]
             else:
-                ar[k:] = [(gr * a - gi * b - fr * x + fi * y) // div for a, b, x, y in zip(*xs)]
-                ai[k:] = [(gr * b + gi * a - fr * y - fi * x) // div for a, b, x, y in zip(*xs)]
+                ar[c + 1:] = [(gr * a - gi * b - fr * x + fi * y) // div for a, b, x, y in zip(*xs)]
+                ai[c + 1:] = [(gr * b + gi * a - fr * y - fi * x) // div for a, b, x, y in zip(*xs)]
         pivots.append(c)
     return re, im, pivots, sign, prev
 
 
 def _back_substitute(re: list, im: list, pivots: list, d: tuple, targets):
-    """(z, s) from the rows _eliminate_rows leaves and its last pivot d: s = |d| when d
-    is real and |d|^2 when not, a positive multiple of d in Z[i], and the integer
-    object array z, z[0, k, j] + i z[1, k, j] = -s * rref[k][targets[j]] for every
-    pivot row k.  d * rref[k][f] is an r x r minor of the input (Cramer's rule), so
+    """(z, s) from the echelon rows _eliminate_rows returns and its last pivot d: s = |d|
+    when d is real and |d|^2 when not, a positive multiple of d in Z[i], and the integer
+    object array z, z[0, k, j] + i z[1, k, j] = -s * rref[k][targets[j]] for every pivot
+    row k, reading each row's entries by column number (zero left of its pivot, as is
+    rref[k]).  d * rref[k][f] is an r x r minor of the input (Cramer's rule), so
     s * rref[k][f] = (s / d) * d * rref[k][f] is a Gaussian integer and each step, from
     the last pivot row up, divides exactly in Z[i] by the pivot q of row k: by // when
     q is real, else by |q|^2 after multiplying by conj(q)."""
@@ -143,15 +141,13 @@ def _back_substitute(re: list, im: list, pivots: list, d: tuple, targets):
     zi = [[0] * len(targets) for _ in pivots]
     for k in reversed(range(len(pivots))):
         ur, ui, p = re[k], im[k], pivots[k]
-        qr, qi = ur[p - k], ui[p - k]
+        qr, qi = ur[p], ui[p]
         div = qr * qr + qi * qi if qi else qr
         # row k's nonzero entries in the later pivot columns, with those rows' results
-        later = [(ur[c - k], ui[c - k], zr[j], zi[j]) for j, c in enumerate(pivots[k + 1:], k + 1)
-                 if ur[c - k] or ui[c - k]]
+        later = [(ur[c], ui[c], zr[j], zi[j]) for j, c in enumerate(pivots[k + 1:], k + 1)
+                 if ur[c] or ui[c]]
         for t, f in enumerate(targets):
-            if f < p:  # rref[k] is zero left of its pivot, where f - k is not column f's index
-                continue
-            xr, xi = -s * ur[f - k], -s * ui[f - k]
+            xr, xi = -s * ur[f], -s * ui[f]
             for cr, ci, sr, si in later:
                 yr, yi = sr[t], si[t]
                 xr -= cr * yr - ci * yi

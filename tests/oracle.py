@@ -6,7 +6,7 @@ paths, so agreement is meaningful.
 
 import sympy as sp
 
-from abba import Matrix
+from abba import Matrix, kron
 
 
 def to_sympy(m: Matrix) -> sp.Matrix:
@@ -15,6 +15,12 @@ def to_sympy(m: Matrix) -> sp.Matrix:
     return sp.Matrix(
         m.rows, m.cols, lambda i, j: sp.Rational(m[i, j].re) + sp.I * sp.Rational(m[i, j].im)
     )
+
+
+def kron_sylvester(x: Matrix, y: Matrix) -> Matrix:
+    """kron(x^T, I) - kron(I, y), whose kernel is vec of {s : s x = y s}."""
+    eye = Matrix.identity(x.rows)
+    return kron(x.transpose(), eye) - kron(eye, y)
 
 
 def oracle_rank(m: Matrix) -> int:

@@ -16,7 +16,6 @@ from abba import (
     determinant,
     hstack,
     invertible,
-    kron,
     nullspace_basis,
     orthonormal_range_basis,
     rank,
@@ -25,10 +24,11 @@ from abba import (
 )
 from abba import generators as gen
 from abba.generators import random_unitary
-from abba.linalg import _eliminate, _eliminate_rows
+from abba.linalg import _eliminate, _eliminate_rows, _kernel_rows
 from abba.scalars import GQ
 
-from .oracle import gq_equals_sympy, oracle_charpoly, oracle_det, oracle_rank, to_sympy
+from .oracle import (gq_equals_sympy, kron_sylvester, oracle_charpoly, oracle_det, oracle_rank,
+                     to_sympy)
 
 
 def _random_exact(rng, rows, cols, span=4):
@@ -346,12 +346,6 @@ def _assert_eliminations_match_oracle(m: Matrix, rhs: Matrix) -> None:
         assert x is not None and to_sympy(x) == particular
 
 
-def _sylvester(x: Matrix, y: Matrix) -> Matrix:
-    """kron(x^T, I) - kron(I, y), whose kernel is vec of {s : s x = y s}."""
-    eye = Matrix.identity(x.rows)
-    return kron(x.transpose(), eye) - kron(eye, y)
-
-
 def test_elimination_branches_against_oracle():
     """Both exact divisions and both swap parities.  The real matrix swaps
     rows at its first two pivots (sign +1) and then divides by the real
@@ -383,10 +377,10 @@ def test_sylvester_eliminations_against_oracle():
     for seed in range(3):
         rng = np.random.default_rng(seed)
         a, b = gen.rational_psd(3, rng, rank=2), gen.rational_normal(3, rng, rank=2)
-        k = _sylvester(a @ b, b @ a)
+        k = kron_sylvester(a @ b, b @ a)
         assert rank(k) == 6
         _assert_eliminations_match_oracle(k, k @ _random_rational(rng, 9, 2, 2))
-        k = _sylvester(a @ b, b @ a + Matrix.identity(3))
+        k = kron_sylvester(a @ b, b @ a + Matrix.identity(3))
         assert determinant(k) != 0
         _assert_eliminations_match_oracle(k, _random_rational(rng, 9, 2, 2))
 
@@ -400,7 +394,7 @@ def test_sylvester_kernel_at_n4_is_the_rref_basis():
     rng = np.random.default_rng(4)
     for a, b in ((gen.rational_hermitian(4, rng), gen.rational_hermitian(4, rng)),
                  (gen.rational_psd(4, rng, rank=2), gen.rational_normal(4, rng, rank=3))):
-        k = _sylvester(a @ b, b @ a)
+        k = kron_sylvester(a @ b, b @ a)
         v = nullspace_basis(k)
         assert v.cols == 16 - rank(k.to_float())
         assert (k @ v).is_zero()
@@ -414,7 +408,8 @@ def test_sylvester_kernel_at_n4_is_the_rref_basis():
 def _eager_bareiss(re: list, im: list):
     """Reference for _eliminate_rows: Bareiss's eager update, which replaces every
     row below the pivot p by (p * a - f * b) / prev, also when f = 0 and the step
-    only rescales the row by p / prev.  Same rows in, same tuple out."""
+    only rescales the row by p / prev, and sets the row's pivot-column entry to 0.
+    Same rows in, same tuple out."""
     rows = len(re)
     cols = len(re[0]) if rows else 0
     prev = (1, 0)
@@ -424,9 +419,8 @@ def _eager_bareiss(re: list, im: list):
         r = len(pivots)
         if r == rows:
             break
-        k = c - r
         hit = r
-        while hit < rows and not (re[hit][k] or im[hit][k]):
+        while hit < rows and not (re[hit][c] or im[hit][c]):
             hit += 1
         if hit == rows:
             continue
@@ -434,19 +428,19 @@ def _eager_bareiss(re: list, im: list):
             re[r], re[hit], im[r], im[hit] = re[hit], re[r], im[hit], im[r]
             sign = -sign
         qr, qi = prev
-        pr, pi = prev = re[r][k], im[r][k]
+        pr, pi = prev = re[r][c], im[r][c]
         div = qr
         if qi:
             pr, pi, div = pr * qr + pi * qi, pi * qr - pr * qi, qr * qr + qi * qi
-        tr, ti = re[r][k + 1:], im[r][k + 1:]
+        tr, ti = re[r][c + 1:], im[r][c + 1:]
         for i in range(r + 1, rows):
             ar, ai = re[i], im[i]
-            fr, fi = ar[k], ai[k]
+            fr, fi = ar[c], ai[c]
             if qi:
                 fr, fi = fr * qr + fi * qi, fi * qr - fr * qi
-            xs = (ar[k + 1:], ai[k + 1:], tr, ti)
-            ar[k:] = [(pr * a - pi * b - fr * x + fi * y) // div for a, b, x, y in zip(*xs)]
-            ai[k:] = [(pr * b + pi * a - fr * y - fi * x) // div for a, b, x, y in zip(*xs)]
+            xs = (ar[c + 1:], ai[c + 1:], tr, ti)
+            ar[c:] = [0] + [(pr * a - pi * b - fr * x + fi * y) // div for a, b, x, y in zip(*xs)]
+            ai[c:] = [0] + [(pr * b + pi * a - fr * y - fi * x) // div for a, b, x, y in zip(*xs)]
         pivots.append(c)
     return re, im, pivots, sign, prev
 
@@ -492,3 +486,24 @@ def test_eliminate_rows_matches_the_eager_bareiss_update(rows):
     re, im = rows
     expected = _eager_bareiss([r[:] for r in re], [r[:] for r in im])
     assert _eliminate_rows(re, im) == expected
+
+
+@given(_bareiss_inputs())
+@settings(max_examples=400, deadline=None)
+def test_eliminated_rows_are_an_echelon_form_with_the_rref_kernel(rows):
+    """The rows _eliminate_rows returns are a row-echelon form: each pivot row is zero
+    left of its (nonzero) pivot and every row from the rank on is zero.  _kernel_rows
+    returns v, with s > 0, such that A v = 0 and v is s * I on the free rows."""
+    re, im = rows
+    cols = len(re[0]) if re else 0
+    er, ei, pivots, _, _ = _eliminate_rows([r[:] for r in re], [r[:] for r in im])
+    for k, row in enumerate(zip(er, ei)):
+        p = pivots[k] if k < len(pivots) else cols
+        assert not any(row[0][:p] + row[1][:p])
+        assert p == cols or row[0][p] or row[1][p]
+    v, s = _kernel_rows([r[:] for r in re], [r[:] for r in im], cols)
+    free = [j for j in range(cols) if j not in pivots]
+    assert s > 0 and v.shape == (2, cols, len(free))
+    assert (v[0, free] == s * np.eye(len(free), dtype=int)).all() and not v[1, free].any()
+    a = [np.array(p, dtype=object).reshape(len(re), cols) for p in (re, im)]
+    assert not (a[0] @ v[0] - a[1] @ v[1]).any() and not (a[0] @ v[1] + a[1] @ v[0]).any()

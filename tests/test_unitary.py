@@ -102,6 +102,16 @@ def test_float_screen_ignores_power_of_two_scale(transpose_matrix):
         assert decide_unitary_2x2(e12 * 2.0 ** k, u @ (e12 * 2.0 ** k) @ u.adjoint())
 
 
+@pytest.mark.xfail(strict=True, reason="CHANGES.md FOUND: word_trace_screen reports the "
+                   "distinguishing traces at the input's scale, where they underflow")
+def test_float_screen_reports_distinct_traces_at_tiny_scale(transpose_matrix):
+    """The traces that distinguish x from x^T (16 and 4 at unit scale) must still
+    differ in the report when x is scaled by 2^-300."""
+    x = transpose_matrix.to_float() * 2.0 ** -300
+    rep = word_trace_screen(x, x.transpose(), 6)
+    assert rep.distinguished and rep.traces[0] != rep.traces[1]
+
+
 def test_unitary_conjugates_indistinguishable():
     rng = np.random.default_rng(71)
     for _ in range(10):
