@@ -4,16 +4,19 @@ Float families: normal/Hermitian matrices are built as U D U* with U the
 Q factor of a complex Gaussian matrix, PSD as G* G, EP as U (C + 0) U*.
 Exact families replace U by a Cayley transform (I + S)^(-1)(I - S) of a
 small skew-Hermitian S, which is exactly unitary with Gaussian-rational
-entries.  Each exact candidate draws its integer parts in one ``rng.integers``
-call, straight into numerator arrays.  Every generator is deterministic
-given its Generator instance.
+entries; it is solved from the rows of [I + S | I - S], written straight
+from the drawn parts of S.  Each exact candidate draws its integer parts in
+one ``rng.integers`` call, straight into numerator arrays.  Each conjugation
+(U D U*, U_r C U_r*) is one integer product of numerators over den_U^2, with
+one canonical Matrix for the result.  Every generator is deterministic given
+its Generator instance.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import rank as matrix_rank, solve_linear
+from .linalg import _solve_rows, rank as matrix_rank
 from .matrix import EXACT, Matrix, _gauss
 
 
@@ -99,9 +102,9 @@ def _ints(rng: np.random.Generator, span: int, size) -> np.ndarray:
     return rng.integers(-span, span + 1, size=size).astype(object)
 
 
-def _triangular_fill(n: int, rng: np.random.Generator, span: int, skew: bool) -> Matrix:
-    """Hermitian (skew-Hermitian when skew) Gaussian-integer matrix with parts
-    in [-span, span], drawn row by row over the diagonal and upper triangle."""
+def _triangular_parts(n: int, rng: np.random.Generator, span: int, skew: bool):
+    """(re, im) of a Hermitian (skew-Hermitian when skew) Gaussian-integer matrix with
+    parts in [-span, span], drawn row by row over the diagonal and upper triangle."""
     draws = iter(_ints(rng, span, n * n).tolist())
     re, im = np.zeros((2, n, n), dtype=object)
     diagonal, sign = (im, -1) if skew else (re, 1)
@@ -111,7 +114,11 @@ def _triangular_fill(n: int, rng: np.random.Generator, span: int, skew: bool) ->
             a, b = next(draws), next(draws)
             re[i, j], im[i, j] = a, b
             re[j, i], im[j, i] = sign * a, -sign * b
-    return Matrix((re, im, 1), EXACT)
+    return re, im
+
+
+def _triangular_fill(n: int, rng: np.random.Generator, span: int, skew: bool) -> Matrix:
+    return Matrix((*_triangular_parts(n, rng, span, skew), 1), EXACT)
 
 
 def rational_skew_hermitian(n: int, rng: np.random.Generator, span: int = 1) -> Matrix:
@@ -120,10 +127,12 @@ def rational_skew_hermitian(n: int, rng: np.random.Generator, span: int = 1) -> 
 
 def rational_unitary(n: int, rng: np.random.Generator, span: int = 1) -> Matrix:
     """Cayley transform (I + S)^(-1)(I - S) of a skew-Hermitian S: exactly
-    unitary, as I + S is invertible and commutes with I - S = (I + S)*."""
-    s_re, s_im, _ = rational_skew_hermitian(n, rng, span).numerators  # over den 1
+    unitary, as I + S is invertible and commutes with I - S = (I + S)*.
+    Solved from the rows of [I + S | I - S], written from the drawn parts of S."""
+    s_re, s_im = _triangular_parts(n, rng, span, skew=True)
     eye = np.eye(n, dtype=object)
-    u = solve_linear(Matrix((eye + s_re, s_im, 1), EXACT), Matrix((eye - s_re, -s_im, 1), EXACT))
+    u = _solve_rows(np.hstack([eye + s_re, eye - s_re]).tolist(),
+                    np.hstack([s_im, -s_im]).tolist(), n, 2 * n)
     assert u is not None
     return u
 
@@ -135,23 +144,27 @@ def _rational_nonzero(rng: np.random.Generator) -> tuple[int, int]:
             return z
 
 
-def rational_diagonal(n: int, rng: np.random.Generator, nonzeros: int, real: bool = False) -> Matrix:
+def _diagonal_parts(n: int, rng: np.random.Generator, nonzeros: int, real: bool):
+    """(re, im): the diagonal of rational_diagonal as two integer arrays."""
     values = [_rational_nonzero(rng) for _ in range(min(nonzeros, n))]
     if real:
         values = [(re or 1, 0) for re, _ in values]
     values += [(0, 0)] * (n - len(values))
     perm = rng.permutation(n).tolist()
-    re, im = (np.diag(np.array([values[p][k] for p in perm], dtype=object)) for k in (0, 1))
-    return Matrix((re, im, 1), EXACT)
+    return tuple(np.array([values[p][k] for p in perm], dtype=object) for k in (0, 1))
+
+
+def rational_diagonal(n: int, rng: np.random.Generator, nonzeros: int, real: bool = False) -> Matrix:
+    re, im = _diagonal_parts(n, rng, nonzeros, real)
+    return Matrix((np.diag(re), np.diag(im), 1), EXACT)
 
 
 def _conjugated_diagonal(n: int, rng: np.random.Generator, r: int, real: bool) -> Matrix:
-    """u d u*, with u d formed by scaling the columns of u by the diagonal of d."""
-    u = rational_unitary(n, rng)
-    d_re, d_im, _ = rational_diagonal(n, rng, r, real).numerators  # over den 1
-    u_re, u_im, u_den = u.numerators
-    ud = _gauss(np.multiply, u_re, u_im, d_re.diagonal(), d_im.diagonal())
-    return Matrix((*ud, u_den), EXACT) @ u.adjoint()
+    """u d u* as integer products over den_u^2, with u d formed by scaling the
+    columns of u by the diagonal of d."""
+    u_re, u_im, u_den = rational_unitary(n, rng).numerators
+    ud = _gauss(np.multiply, u_re, u_im, *_diagonal_parts(n, rng, r, real))
+    return Matrix((*_gauss(np.dot, *ud, u_re.T, -u_im.T), u_den * u_den), EXACT)
 
 
 def rational_normal(n: int, rng: np.random.Generator, rank: int | None = None) -> Matrix:
@@ -182,12 +195,13 @@ def rational_psd(n: int, rng: np.random.Generator, rank: int | None = None) -> M
 
 def rational_ep(n: int, rng: np.random.Generator, rank: int | None = None) -> Matrix:
     r = _pick_rank(n, rng, rank)
-    u = rational_unitary(n, rng)
+    u_re, u_im, u_den = rational_unitary(n, rng).numerators
     if r == 0:
         return Matrix.zeros(n, n)
-    c = _full_rank(r, r, rng)
-    u_r = u.block(0, n, 0, r)  # u (c + 0) u* = u_r c u_r*
-    return u_r @ c @ u_r.adjoint()
+    c_re, c_im, _ = _full_rank(r, r, rng).numerators  # over den 1
+    ur, ui = u_re[:, :r], u_im[:, :r]  # u (c + 0) u* = u_r c u_r*, over den_u^2
+    uc = _gauss(np.dot, ur, ui, c_re, c_im)
+    return Matrix((*_gauss(np.dot, *uc, ur.T, -ui.T), u_den * u_den), EXACT)
 
 
 def zero_one_normal(n: int, rng: np.random.Generator, rank: int | None = None) -> Matrix:

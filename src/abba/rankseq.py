@@ -6,9 +6,11 @@ Jordan structure: the j-th drop equals the number of Jordan blocks at
 eigenvalue zero of size at least j+1.  Sequences are stored only up to
 stabilization; the final term repeats forever.  Both backends compute
 them by range iteration (see rank_sequence), never forming a power.  The
-exact branch runs on integer numerators, each product made primitive (divided
-by the gcd of its entries), and builds no Matrix per power; the float branch
-keeps orthonormal bases from linalg.orthonormal_range_basis.
+exact branch is _exact_terms(re, im): it runs on integer numerators, each
+product made primitive (divided by the gcd of its entries), and builds no
+Matrix per power, so a caller holding only numerators (exact
+decide_product_similarity) reads a sequence with no Matrix at all.  The float
+branch keeps orthonormal bases from linalg.orthonormal_range_basis.
 """
 
 from __future__ import annotations
@@ -82,8 +84,8 @@ def rank_sequence(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE,
     span range(m^j), those of m b span range(m^(j+1)).  Each rank is read
     from an n x r_j product, no power of m is formed, and no rank can
     exceed the one before.  The exact backend runs on the integer
-    numerators of m (ranks ignore the denominator) and builds no Matrix
-    between powers: b is the pivot columns of the last product, each
+    numerators of m (ranks ignore the denominator), in _exact_terms, and builds
+    no Matrix between powers: b is the pivot columns of the last product, each
     product divided by the gcd of its entries, which leaves its range as
     it is and keeps the entries short.  The float backend keeps the
     orthonormal leading left singular vectors of the last product; every
@@ -95,20 +97,10 @@ def rank_sequence(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE,
     """
     if not m.is_square:
         raise ShapeError("rank sequences require a square matrix")
-    terms = [m.rows]
     if m.backend == EXACT:
         re, im, _ = m.numerators
-        pivots = _eliminate_rows(re.tolist(), im.tolist())[2]
-        br, bi = re, im
-        while 0 < len(pivots) < terms[-1]:
-            terms.append(len(pivots))
-            br, bi = _gauss(np.dot, re, im, br[:, pivots], bi[:, pivots])
-            g = math.gcd(*br.flat, *bi.flat)
-            if g > 1:
-                br, bi = br // g, bi // g
-            pivots = _eliminate_rows(br.tolist(), bi.tolist())[2]
-        terms.append(len(pivots))
-        return RankSequence.from_terms(terms)
+        return _exact_terms(re, im)
+    terms = [m.rows]
     m, e = _at_unit_scale(m)  # ranks ignore scale, and m's products stay finite
     norm = np.linalg.norm(m.array, 2)
     if _ref_norm is not None:
@@ -118,6 +110,23 @@ def rank_sequence(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE,
         terms.append(basis.cols)
         basis = orthonormal_range_basis(m @ basis, tol, norm)
     terms.append(basis.cols)
+    return RankSequence.from_terms(terms)
+
+
+def _exact_terms(re: np.ndarray, im: np.ndarray) -> RankSequence:
+    """The rank sequence of the square integer matrix re + i im: the exact range
+    iteration of rank_sequence, for callers that hold numerators and no Matrix."""
+    terms = [len(re)]
+    pivots = _eliminate_rows(re.tolist(), im.tolist())[2]
+    br, bi = re, im
+    while 0 < len(pivots) < terms[-1]:
+        terms.append(len(pivots))
+        br, bi = _gauss(np.dot, re, im, br[:, pivots], bi[:, pivots])
+        g = math.gcd(*br.flat, *bi.flat)
+        if g > 1:
+            br, bi = br // g, bi // g
+        pivots = _eliminate_rows(br.tolist(), bi.tolist())[2]
+    terms.append(len(pivots))
     return RankSequence.from_terms(terms)
 
 

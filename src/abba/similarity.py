@@ -42,7 +42,7 @@ from .classes import (
 from .errors import HypothesisViolation, IntertwinerNotFound, ShapeError
 from .linalg import _kernel_rows, condition_estimate, determinant, nullspace_basis
 from .matrix import EXACT, FLOAT, Matrix, _at_unit_scale, _gauss, block, kron, vstack
-from .rankseq import RankSequence, rank_sequence
+from .rankseq import RankSequence, _exact_terms, rank_sequence
 from .scalars import DEFAULT_TOLERANCE, GQ, TolerancePolicy
 
 
@@ -109,18 +109,26 @@ def decide_product_similarity(
     a: Matrix, b: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE,
     _products: tuple[Matrix, Matrix] | None = None,
 ) -> SimilarityVerdict:
-    """AB is similar to BA iff their rank sequences agree.  Float ranks of both
-    products are cut on one scale, ||a||_2 ||b||_2, which a product that is
+    """AB is similar to BA iff their rank sequences agree.  Exact products stay
+    integer numerators, with no Matrix: ranks ignore the denominator.  Float ranks
+    of both products are cut on one scale, ||a||_2 ||b||_2, which a product that is
     zero up to rounding cannot set.  _products is (a @ b, b @ a) when the caller
     has formed them already."""
     a._check_operand_pair(b)
-    ab, ba = _products or (a @ b, b @ a)
-    ref = None
-    if a.backend != EXACT:  # (v, k) with ||a||_2 ||b||_2 = v * 2^k, which cannot overflow
+    if a.backend == EXACT:
+        if _products:
+            (abr, abi, _), (bar, bai, _) = (p.numerators for p in _products)
+        else:
+            (ar, ai, _), (br, bi, _) = a.numerators, b.numerators
+            (abr, abi), (bar, bai) = _gauss(np.dot, ar, ai, br, bi), _gauss(np.dot, br, bi, ar, ai)
+        seq_ab, seq_ba = _exact_terms(abr, abi), _exact_terms(bar, bai)
+    else:
+        ab, ba = _products or (a @ b, b @ a)
+        # (v, k) with ||a||_2 ||b||_2 = v * 2^k, which cannot overflow
         (ua, ea), (ub, eb) = _at_unit_scale(a), _at_unit_scale(b)
         ref = (np.linalg.norm(ua.array, 2) * np.linalg.norm(ub.array, 2), ea + eb)
-    seq_ab = rank_sequence(ab, tol, _ref_norm=ref)
-    seq_ba = rank_sequence(ba, tol, _ref_norm=ref)
+        seq_ab = rank_sequence(ab, tol, _ref_norm=ref)
+        seq_ba = rank_sequence(ba, tol, _ref_norm=ref)
     similar = seq_ab.terms == seq_ba.terms
     reason = "rank-sequence-equal" if similar else "rank-sequence-differ"
     return SimilarityVerdict(similar=similar, reason=reason, seq_ab=seq_ab, seq_ba=seq_ba)

@@ -4,9 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from abba import (Matrix, dump_matrix, is_ep, is_hermitian, is_normal, is_psd, rank,
-                  realpart_psd_same_rank)
+                  realpart_psd_same_rank, solve_linear)
 from abba import generators as gen
 from abba.catalog import FAMILIES, _draw
 
@@ -43,6 +44,70 @@ def test_rational_unitary_is_exactly_unitary():
     for n in (1, 2, 5):
         u = gen.rational_unitary(n, rng)
         assert (u @ u.adjoint()) == Matrix.identity(n)
+
+
+# Matrix compositions of the Cayley and conjugated families: the references that
+# their integer-numerator forms must reproduce draw for draw
+
+
+def _composed_unitary(n, rng, span=1):
+    s = gen.rational_skew_hermitian(n, rng, span)
+    eye = Matrix.identity(n)
+    return solve_linear(eye + s, eye - s)
+
+
+def _composed_conjugated_diagonal(n, rng, r, real):
+    u = _composed_unitary(n, rng)
+    return u @ gen.rational_diagonal(n, rng, r, real) @ u.adjoint()
+
+
+def _composed_normal(n, rng, rank=None):
+    return _composed_conjugated_diagonal(n, rng, gen._pick_rank(n, rng, rank), real=False)
+
+
+def _composed_hermitian(n, rng, rank):
+    return _composed_conjugated_diagonal(n, rng, gen._pick_rank(n, rng, rank), real=True)
+
+
+def _composed_ep(n, rng, rank=None):
+    r = gen._pick_rank(n, rng, rank)
+    u = _composed_unitary(n, rng)
+    if r == 0:
+        return Matrix.zeros(n, n)
+    c = gen._full_rank(r, r, rng)
+    u_r = u.block(0, n, 0, r)
+    return u_r @ c @ u_r.adjoint()
+
+
+_COMPOSED = {gen.rational_normal: _composed_normal, gen.rational_hermitian: _composed_hermitian,
+             gen.rational_ep: _composed_ep}
+_SEEDS = st.integers(0, 2**32 - 1)
+
+
+def _same_draw(generated, composed, seed, n, arg):
+    """generated(n, rng, arg) and composed(n, rng, arg) from one seed: the same
+    matrix, and the same rng state after it."""
+    one, other = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert generated(n, one, arg) == composed(n, other, arg)
+    assert one.bit_generator.state == other.bit_generator.state
+
+
+@given(st.integers(1, 7), st.integers(1, 3), _SEEDS)
+@settings(max_examples=150, deadline=None)
+def test_rational_unitary_equals_the_composed_cayley_solve(n, span, seed):
+    _same_draw(gen.rational_unitary, _composed_unitary, seed, n, span)
+
+
+@given(st.sampled_from(list(_COMPOSED)), st.integers(1, 7).flatmap(
+    lambda n: st.tuples(st.just(n), st.sampled_from((None, *range(n + 1))))), _SEEDS)
+@settings(max_examples=300, deadline=None)
+def test_conjugated_families_equal_their_matrix_composition(generator, size_rank, seed):
+    """rational_normal, rational_hermitian (with a rank, the branch that conjugates)
+    and rational_ep return the matrix of u @ d @ u* or u_r @ c @ u_r*, and leave the
+    rng in the same state, at every size and rank."""
+    n, rank_ = size_rank
+    assume(generator is not gen.rational_hermitian or rank_ is not None)
+    _same_draw(generator, _COMPOSED[generator], seed, n, rank_)
 
 
 def test_rational_families_have_prescribed_structure():

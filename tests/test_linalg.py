@@ -462,7 +462,7 @@ def _bareiss_inputs(draw):
         left, right = gaussian(rows, inner), gaussian(inner, cols)
         m = [[(sum(a * c - b * d for (a, b), (c, d) in zip(row, col)),
                sum(a * d + b * c for (a, b), (c, d) in zip(row, col)))
-              for col in zip(*right)] for row in left]
+              for col in ([r[c] for r in right] for c in range(cols))] for row in left]
     else:
         m = gaussian(rows, cols)
     if draw(st.booleans()):

@@ -11,6 +11,7 @@ from abba import (
     Matrix,
     ShapeError,
     SimilarityCertificate,
+    SimilarityVerdict,
     block,
     certificate_for,
     characteristic_polynomial,
@@ -30,6 +31,7 @@ from abba import (
     is_psd,
     normal_doubling,
     rank,
+    rank_sequence,
     realpart_psd_same_rank,
     unitary_intertwiner,
     verify_certificate,
@@ -102,6 +104,46 @@ def test_verdict_similar_iff_sequences_equal():
         v = decide_product_similarity(_random_exact(rng, n, 2), _random_exact(rng, n, 2))
         assert v.similar == (v.seq_ab.terms == v.seq_ba.terms)
         assert v.seq_ab.limit == v.seq_ba.limit
+
+
+# mostly-zero parts make singular and nilpotent products common
+_PART = st.tuples(st.sampled_from([0, 0, 0, 1, -1, 2]), st.sampled_from([0, 0, 0, 1, -1]))
+
+
+@st.composite
+def _exact_pairs(draw):
+    """Exact pairs, n = 1-5: sparse Gaussian-integer numerators over their own
+    denominators, each matrix strictly upper triangular (nilpotent) half the time,
+    and both conjugated by one Cayley unitary half the time."""
+    n = draw(st.integers(1, 5))
+
+    def one():
+        rows = draw(st.lists(st.lists(_PART, min_size=n, max_size=n), min_size=n, max_size=n))
+        if draw(st.booleans()):
+            rows = [[z if j > i else (0, 0) for j, z in enumerate(row)] for i, row in enumerate(rows)]
+        re, im = ([[z[k] for z in row] for row in rows] for k in (0, 1))
+        return Matrix.from_ints(re, im, draw(st.integers(1, 12)))
+
+    a, b = one(), one()
+    if draw(st.booleans()):
+        u = gen.rational_unitary(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))), span=2)
+        a, b = u @ a @ u.adjoint(), u @ b @ u.adjoint()
+    return a, b
+
+
+@given(_exact_pairs())
+@settings(max_examples=300, deadline=None)
+def test_exact_decide_reads_the_rank_sequences_of_the_products(pair):
+    """Exact decide forms ab and ba as numerators, or reads the numerators of the
+    caller's products; either way it returns the rank sequences of a @ b and b @ a."""
+    a, b = pair
+    ab, ba = a @ b, b @ a
+    seq_ab, seq_ba = rank_sequence(ab), rank_sequence(ba)
+    similar = seq_ab == seq_ba
+    expected = SimilarityVerdict(similar=similar, seq_ab=seq_ab, seq_ba=seq_ba,
+                                 reason="rank-sequence-equal" if similar else "rank-sequence-differ")
+    assert decide_product_similarity(a, b) == expected
+    assert decide_product_similarity(a, b, _products=(ab, ba)) == expected
 
 
 def test_float_decide_cuts_both_products_on_one_scale():
