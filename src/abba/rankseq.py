@@ -9,8 +9,12 @@ them by range iteration (see rank_sequence), never forming a power.  The
 exact branch is _exact_terms(re, im): it runs on integer numerators, each
 product made primitive (divided by the gcd of its entries), and builds no
 Matrix per power, so a caller holding only numerators (exact
-decide_product_similarity) reads a sequence with no Matrix at all.  The float
-branch keeps orthonormal bases from linalg.orthonormal_range_basis.
+decide_product_similarity) reads a sequence with no Matrix at all.  Given the
+limit (exact decide passes AB's for BA), _exact_terms stops where the rest of
+the sequence follows, since it falls strictly until stable and convexly;
+rank_sequence and the float branch never take one, since an inferred term
+would hide a float rank defect.  The float branch keeps orthonormal bases
+from linalg.orthonormal_range_basis.
 """
 
 from __future__ import annotations
@@ -113,20 +117,30 @@ def rank_sequence(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE,
     return RankSequence.from_terms(terms)
 
 
-def _exact_terms(re: np.ndarray, im: np.ndarray) -> RankSequence:
+def _exact_terms(re: np.ndarray, im: np.ndarray, limit: int | None = None) -> RankSequence:
     """The rank sequence of the square integer matrix re + i im: the exact range
-    iteration of rank_sequence, for callers that hold numerators and no Matrix."""
-    terms = [len(re)]
-    pivots = _eliminate_rows(re.tolist(), im.tolist())[2]
-    br, bi = re, im
-    while 0 < len(pivots) < terms[-1]:
-        terms.append(len(pivots))
-        br, bi = _gauss(np.dot, re, im, br[:, pivots], bi[:, pivots])
-        g = math.gcd(*br.flat, *bi.flat)
-        if g > 1:
-            br, bi = br // g, bi // g
+    iteration of rank_sequence, for callers that hold numerators and no Matrix.
+
+    A caller that knows the limit (exact decide reads BA's sequence knowing AB's:
+    the two share their characteristic polynomial, so their limit) passes it, and
+    the iteration stops where the rest follows: when the current term r is at most
+    limit + 1 the next term is the limit, and after a drop of one every later drop
+    is one (convexity), down to the limit."""
+    terms, br, bi = [len(re)], re, im
+    while True:
+        r = terms[-1]
+        if limit is not None and (r - limit <= 1 or len(terms) > 1 and terms[-2] - r == 1):
+            terms.extend(range(r - 1, limit - 1, -1))
+            break
+        if len(terms) > 1:  # the columns of m b span the next range
+            br, bi = _gauss(np.dot, re, im, br[:, pivots], bi[:, pivots])
+            g = math.gcd(*br.flat, *bi.flat)
+            if g > 1:
+                br, bi = br // g, bi // g
         pivots = _eliminate_rows(br.tolist(), bi.tolist())[2]
-    terms.append(len(pivots))
+        terms.append(len(pivots))
+        if not 0 < len(pivots) < r:
+            break
     return RankSequence.from_terms(terms)
 
 

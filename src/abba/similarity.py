@@ -1,7 +1,10 @@
 """Decide similarity of AB vs BA and build explicit invertible intertwiners.
 
 Non-similarity is concluded only from unequal rank sequences, which is
-sound and complete for product pairs.  Constructions:
+sound and complete for product pairs.  AB and BA share their limit (the rank
+of every high power), so exact decide reads BA's sequence only as far as it
+does not follow from that limit and convexity; float decide reads both in full,
+since a float rank is not a proof.  Constructions:
 
 * Sylvester null-space sampling: the intertwiner space {S : S M1 = M2 S}
   is the kernel of an n^2 x n^2 linear map; random combinations of a
@@ -110,7 +113,10 @@ def decide_product_similarity(
     _products: tuple[Matrix, Matrix] | None = None,
 ) -> SimilarityVerdict:
     """AB is similar to BA iff their rank sequences agree.  Exact products stay
-    integer numerators, with no Matrix: ranks ignore the denominator.  Float ranks
+    integer numerators, with no Matrix: ranks ignore the denominator.  BA's exact
+    sequence is read knowing AB's limit L, which the two share: it stops at a term
+    at most L + 1 (the next is L) or after a drop of one (the rest falls by one to
+    L), so an invertible ab leaves BA with no elimination.  Float ranks
     of both products are cut on one scale, ||a||_2 ||b||_2, which a product that is
     zero up to rounding cannot set.  _products is (a @ b, b @ a) when the caller
     has formed them already."""
@@ -121,7 +127,8 @@ def decide_product_similarity(
         else:
             (ar, ai, _), (br, bi, _) = a.numerators, b.numerators
             (abr, abi), (bar, bai) = _gauss(np.dot, ar, ai, br, bi), _gauss(np.dot, br, bi, ar, ai)
-        seq_ab, seq_ba = _exact_terms(abr, abi), _exact_terms(bar, bai)
+        seq_ab = _exact_terms(abr, abi)
+        seq_ba = _exact_terms(bar, bai, limit=seq_ab.limit)
     else:
         ab, ba = _products or (a @ b, b @ a)
         # (v, k) with ||a||_2 ||b||_2 = v * 2^k, which cannot overflow

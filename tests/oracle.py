@@ -5,6 +5,7 @@ paths, so agreement is meaningful.
 """
 
 import sympy as sp
+from sympy.polys.matrices import DomainMatrix
 
 from abba import Matrix, kron
 
@@ -49,3 +50,34 @@ def oracle_word_trace(m: Matrix, letters) -> sp.Expr:
 
 def gq_equals_sympy(value, expr) -> bool:
     return sp.simplify(sp.Rational(value.re) + sp.I * sp.Rational(value.im) - expr) == 0
+
+
+def partition_at_zero(terms) -> list[int]:
+    """Jordan block sizes at eigenvalue zero, largest first, read off a rank
+    sequence: its j-th drop counts the blocks of size at least j + 1."""
+    drops = [s - t for s, t in zip(terms, terms[1:])]
+    return [sum(d >= i for d in drops) for i in range(1, drops[0] + 1)] if drops else []
+
+
+def flanders_ok(seq_ab, seq_ba) -> bool:
+    """Flanders (1951) on the rank sequences (stabilized terms) of AB and BA:
+    equal size and limit, and partitions at zero that, sorted and padded with
+    zeros, differ by at most 1 entrywise."""
+    if seq_ab[0] != seq_ba[0] or seq_ab[-1] != seq_ba[-1]:
+        return False
+    lam, mu = partition_at_zero(seq_ab), partition_at_zero(seq_ba)
+    width = max(len(lam), len(mu))
+    lam, mu = lam + [0] * (width - len(lam)), mu + [0] * (width - len(mu))
+    return all(abs(x - y) <= 1 for x, y in zip(lam, mu))
+
+
+def oracle_rank_sequence(m: Matrix) -> tuple[int, ...]:
+    """Ranks of sympy's powers of m, up to the first repeat (the stabilized terms).
+    The powers are DomainMatrix products over QQ_I, whose exact rank stays fast
+    where Matrix.rank on dense Gaussian rationals at n = 6 takes seconds."""
+    dm = DomainMatrix.from_Matrix(to_sympy(m)).convert_to(sp.QQ_I)
+    terms, power = [m.rows], DomainMatrix.eye(m.rows, sp.QQ_I)
+    while len(terms) < 2 or terms[-1] != terms[-2]:
+        power = power * dm
+        terms.append(power.rank())
+    return tuple(terms[:-1])

@@ -53,6 +53,13 @@ CASES = {
     "search-zero-one-normal-4-rank3-seed1": ["search", "--family", "zero-one-normal", "--size", "4",
                                              "--rank", "3", "--trials", "60", "--seed", "1"],
     "catalog-list": ["catalog", "list"],
+    # exact decide infers BA's tail from AB's limit: after a drop of one here,
+    # and from a term at most the limit + 1 in the swapped counterexample
+    "decide-chain4-pad1-seed13": ["decide", "chain4-pad1-seed13__a.json",
+                                  "chain4-pad1-seed13__b.json"],
+    "decide-hermitian-normal-4x4-pad1-seed14-swapped": [
+        "decide", "hermitian-normal-4x4-pad1-seed14__b.json",
+        "hermitian-normal-4x4-pad1-seed14__a.json"],
 }
 
 
@@ -72,7 +79,7 @@ def test_exact_inputs_regenerate_byte_for_byte(tmp_path):
     names = sorted(p.name for p in INPUTS.glob("*.json"))
     assert sorted(p.name for p in tmp_path.glob("*.json")) == names
     exact = [name for name in names if not name.startswith("float-")]
-    assert len(exact) == 27
+    assert len(exact) == 31
     for name in exact:
         assert (tmp_path / name).read_bytes() == (INPUTS / name).read_bytes(), name
 
@@ -87,9 +94,10 @@ def write_inputs(directory: Path = INPUTS) -> None:
     a Cayley conjugate of I_1 + J_3 whose entries have non-unit
     denominators, two float matrices for classify (an indefinite Hermitian
     one and a unitary conjugate of J_3, which is neither normal nor EP),
-    and two pairs for the word screen: an exact 3x3 matrix with a Cayley
+    two pairs for the word screen: an exact 3x3 matrix with a Cayley
     conjugate, which no word tells apart, and a float 4x4 matrix with its
-    transpose, which one does."""
+    transpose, which one does, and two Cayley-conjugated 5x5 pairs with limit 1
+    whose BA sequence exact decide partly infers from AB's limit."""
     directory.mkdir(parents=True, exist_ok=True)
     fixtures = {f.name: f.matrices for f in catalog()}
     for name in PAIRS[:3]:
@@ -140,6 +148,19 @@ def write_inputs(directory: Path = INPUTS) -> None:
     x = Matrix.from_float(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     save_matrix(x, directory / "float-transpose-4__x.json")
     save_matrix(x.transpose(), directory / "float-transpose-4__y.json")
+    # Cayley conjugates of direct sums with an invertible 1x1 block (limit 1): a PSD
+    # a and a cyclic shift b, whose products are each one Jordan chain of size 4,
+    # and the catalog's Hermitian x normal counterexample
+    u, zero4 = rational_unitary(5, np.random.default_rng(13)), Matrix.zeros(4, 1)
+    shift = Matrix.exact([[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
+    for x, name in ((Matrix.from_ints(np.diag([1, 1, 1, 0, 1])), "a"),
+                    (block([[shift, zero4], [zero4.transpose(), Matrix.exact([[2]])]]), "b")):
+        save_matrix(u @ x @ u.adjoint(), directory / f"chain4-pad1-seed13__{name}.json")
+    u = rational_unitary(5, np.random.default_rng(14))
+    for name, pad in (("a", 1), ("b", 2)):
+        x = block([[fixtures["hermitian-normal-4x4"][name], zero4],
+                   [zero4.transpose(), Matrix.exact([[pad]])]])
+        save_matrix(u @ x @ u.adjoint(), directory / f"hermitian-normal-4x4-pad1-seed14__{name}.json")
 
 
 if __name__ == "__main__":

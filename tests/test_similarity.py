@@ -22,6 +22,7 @@ from abba import (
     determinant,
     doubling_conjugator,
     doubling_product_similarity,
+    enumerate_tail_sequences,
     find_intertwiner,
     get_fixture,
     hermitian_parts,
@@ -32,6 +33,7 @@ from abba import (
     normal_doubling,
     rank,
     rank_sequence,
+    realize_rank_sequence,
     realpart_psd_same_rank,
     unitary_intertwiner,
     verify_certificate,
@@ -39,12 +41,12 @@ from abba import (
     word_trace_screen,
 )
 from abba import generators as gen
-from abba import similarity
+from abba import rankseq, similarity
 from abba.classes import _ep_ranks
 from abba.linalg import _charpoly_numerators
 from abba.scalars import DEFAULT_TOLERANCE, GQ
 
-from .oracle import kron_sylvester
+from .oracle import flanders_ok, kron_sylvester, oracle_rank_sequence
 
 
 def _random_exact(rng, n, span=3):
@@ -144,6 +146,104 @@ def test_exact_decide_reads_the_rank_sequences_of_the_products(pair):
                                  reason="rank-sequence-equal" if similar else "rank-sequence-differ")
     assert decide_product_similarity(a, b) == expected
     assert decide_product_similarity(a, b, _products=(ab, ba)) == expected
+
+
+def _atom_pairs(rng):
+    """Pairs (j_s, d) and (j_s, j_t^T) for every realized sequence s at n <= 4 (j_s =
+    realize_rank_sequence(s), d an invertible diagonal, t drawn at the same n), then
+    20 direct sums of two of them at n <= 6; each pair conjugated by one Cayley unitary."""
+    atoms = []
+    for n in range(1, 5):
+        seqs = enumerate_tail_sequences(n, n)
+        for s in seqs:
+            j = realize_rank_sequence(s)
+            t = seqs[int(rng.integers(len(seqs)))]
+            atoms += [(j, gen.rational_diagonal(n, rng, nonzeros=n)),
+                      (j, realize_rank_sequence(t).transpose())]
+    sums = []
+    while len(sums) < 20:
+        (a1, b1), (a2, b2) = (atoms[int(i)] for i in rng.integers(len(atoms), size=2))
+        if a1.rows + a2.rows <= 6:
+            sums.append((_direct_sum(a1, a2), _direct_sum(b1, b2)))
+    pairs = []
+    for a, b in atoms + sums:
+        u = gen.rational_unitary(a.rows, rng)
+        pairs.append((u @ a @ u.adjoint(), u @ b @ u.adjoint()))
+    return pairs
+
+
+def _family_pairs(rng):
+    """Two draws of every exact generator family at each n <= 6, a at a drawn rank."""
+    return [(getattr(gen, name)(n, rng, rank=int(rng.integers(n + 1))), getattr(gen, name)(n, rng))
+            for name in ("rational_normal", "rational_hermitian", "rational_psd", "rational_ep",
+                         "zero_one_normal")
+            for n in range(1, 7) for _ in range(2)]
+
+
+def test_exact_decide_with_the_shared_limit_matches_both_sequences():
+    """Exact decide reads BA's sequence knowing AB's limit; on realized atoms, their
+    sums and every exact family it must still return the sequences that the public
+    rank_sequence reads in full (and, on a fixed sample, sympy's ranks of powers),
+    and every pair of sequences must satisfy Flanders' condition."""
+    rng = np.random.default_rng(2026)
+    pairs = _atom_pairs(rng) + _family_pairs(rng)
+    for k, (a, b) in enumerate(pairs):
+        v = decide_product_similarity(a, b)
+        ab, ba = a @ b, b @ a
+        assert (v.seq_ab, v.seq_ba) == (rank_sequence(ab), rank_sequence(ba)), k
+        assert flanders_ok(v.seq_ab.terms, v.seq_ba.terms), k
+        if k % 3 == 0:
+            assert (v.seq_ab.terms, v.seq_ba.terms) == (oracle_rank_sequence(ab),
+                                                       oracle_rank_sequence(ba)), k
+
+
+def _counted_eliminations(monkeypatch):
+    """A list that gets the row count of every exact elimination rankseq runs from now on."""
+    calls, eliminate = [], rankseq._eliminate_rows
+    monkeypatch.setattr(rankseq, "_eliminate_rows", lambda re, im: calls.append(len(re)) or
+                        eliminate(re, im))
+    return calls
+
+
+def _ba_eliminations(a, b, calls):
+    """Eliminations of exact decide's BA side: all of decide's, less those of AB's
+    sequence read in full."""
+    del calls[:]
+    decide_product_similarity(a, b)
+    total = len(calls)
+    del calls[:]
+    rank_sequence(a @ b)
+    return total - len(calls)
+
+
+def test_exact_decide_skips_the_ba_eliminations_that_the_limit_decides(monkeypatch):
+    calls = _counted_eliminations(monkeypatch)
+    rng = np.random.default_rng(26)
+    u = gen.rational_unitary(5, rng)
+    d = u @ gen.rational_diagonal(5, rng, nonzeros=5) @ u.adjoint()
+    # ab invertible: L = n, so BA needs no elimination
+    assert _ba_eliminations(_invertible(5, rng), d, calls) == 0
+    # a single Jordan chain: after the first drop of one the rest counts down
+    for seq in ((5, 4, 3, 2, 1, 0), (5, 4, 3, 2, 1)):
+        chain = u @ realize_rank_sequence(seq) @ u.adjoint()
+        assert decide_product_similarity(chain, d).seq_ba.terms == seq
+        assert _ba_eliminations(chain, d, calls) == 1
+    # (5, 2, 1): the first elimination gives 2 = L + 1, so the next term is L
+    j = u @ realize_rank_sequence((5, 2, 1)) @ u.adjoint()
+    assert _ba_eliminations(j, d, calls) == 1
+
+
+def test_public_rank_sequence_runs_one_elimination_per_term(monkeypatch):
+    """rank_sequence takes no limit: one elimination per term after n, and one more
+    to see a nonzero limit repeat."""
+    calls = _counted_eliminations(monkeypatch)
+    rng = np.random.default_rng(27)
+    for n in range(1, 6):
+        for seq in enumerate_tail_sequences(n, n):
+            u = gen.rational_unitary(n, rng)
+            del calls[:]
+            assert rank_sequence(u @ realize_rank_sequence(seq) @ u.adjoint()).terms == seq
+            assert len(calls) == len(seq) - (seq[-1] == 0), seq
 
 
 def test_float_decide_cuts_both_products_on_one_scale():
