@@ -98,7 +98,7 @@ def cmd_decide(args) -> dict:
     a = _load_square(args, "a")
     b = _load_square(args, "b")
     a._check_operand_pair(b)  # the check decide_product_similarity makes before the products
-    products = a @ b, b @ a  # one pair for the verdict and the certificate
+    products = a @ b, b @ a  # one pair for the exact verdict and the certificate
     verdict = decide_product_similarity(a, b, tol, _products=products)
     result = {"verdict": verdict}
     if args.construct:

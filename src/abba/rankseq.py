@@ -81,7 +81,7 @@ def is_valid_rank_sequence(seq: Sequence[int]) -> bool:
 
 
 def rank_sequence(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE,
-                  _ref_norm: tuple[float, int] | None = None) -> RankSequence:
+                  _ref_norm: float | None = None) -> RankSequence:
     """Ranks of successive powers of m until two consecutive values agree.
 
     Range iteration, one algorithm on both backends: when the columns of b
@@ -94,10 +94,10 @@ def rank_sequence(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE,
     it is and keeps the entries short.  The float backend keeps the
     orthonormal leading left singular vectors of the last product; every
     float cutoff is relative to ||m||_2, so a power that is zero up to
-    rounding has rank 0.  A caller may pass _ref_norm = (v, k), a reference
-    norm v * 2^k, when ||m||_2 may itself be rounding noise (m = ab, with
-    ||a||_2 ||b||_2 for reference); the cutoff is then relative to the larger
-    of the two.
+    rounding has rank 0.  A caller may pass _ref_norm, a reference norm in the
+    units of m (as linalg._float_svd's norm), when ||m||_2 may itself be
+    rounding noise (m = ab, with ||a||_2 ||b||_2 for reference); the cutoff is
+    then relative to the larger of the two.
     """
     if not m.is_square:
         raise ShapeError("rank sequences require a square matrix")
@@ -108,7 +108,7 @@ def rank_sequence(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE,
     m, e = _at_unit_scale(m)  # ranks ignore scale, and m's products stay finite
     norm = np.linalg.norm(m.array, 2)
     if _ref_norm is not None:
-        norm = max(norm, np.ldexp(_ref_norm[0], _ref_norm[1] - e))
+        norm = max(norm, np.ldexp(_ref_norm, -e))
     basis = orthonormal_range_basis(m, tol, norm)
     while 0 < basis.cols < terms[-1]:
         terms.append(basis.cols)

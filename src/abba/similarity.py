@@ -116,10 +116,11 @@ def decide_product_similarity(
     integer numerators, with no Matrix: ranks ignore the denominator.  BA's exact
     sequence is read knowing AB's limit L, which the two share: it stops at a term
     at most L + 1 (the next is L) or after a drop of one (the rest falls by one to
-    L), so an invertible ab leaves BA with no elimination.  Float ranks
-    of both products are cut on one scale, ||a||_2 ||b||_2, which a product that is
-    zero up to rounding cannot set.  _products is (a @ b, b @ a) when the caller
-    has formed them already."""
+    L), so an invertible ab leaves BA with no elimination.  Float products are
+    formed from a and b at unit scale (matrix._at_unit_scale), which changes no
+    rank, and cut on one scale, ||a||_2 ||b||_2 in those units, which a product
+    that is zero up to rounding cannot set.  _products is (a @ b, b @ a) when the
+    caller has formed them already; only the exact path reads it."""
     a._check_operand_pair(b)
     if a.backend == EXACT:
         if _products:
@@ -130,12 +131,10 @@ def decide_product_similarity(
         seq_ab = _exact_terms(abr, abi)
         seq_ba = _exact_terms(bar, bai, limit=seq_ab.limit)
     else:
-        ab, ba = _products or (a @ b, b @ a)
-        # (v, k) with ||a||_2 ||b||_2 = v * 2^k, which cannot overflow
-        (ua, ea), (ub, eb) = _at_unit_scale(a), _at_unit_scale(b)
-        ref = (np.linalg.norm(ua.array, 2) * np.linalg.norm(ub.array, 2), ea + eb)
-        seq_ab = rank_sequence(ab, tol, _ref_norm=ref)
-        seq_ba = rank_sequence(ba, tol, _ref_norm=ref)
+        ua, ub = _at_unit_scale(a)[0], _at_unit_scale(b)[0]
+        ref = np.linalg.norm(ua.array, 2) * np.linalg.norm(ub.array, 2)
+        seq_ab = rank_sequence(ua @ ub, tol, _ref_norm=ref)
+        seq_ba = rank_sequence(ub @ ua, tol, _ref_norm=ref)
     similar = seq_ab.terms == seq_ba.terms
     reason = "rank-sequence-equal" if similar else "rank-sequence-differ"
     return SimilarityVerdict(similar=similar, reason=reason, seq_ab=seq_ab, seq_ba=seq_ba)

@@ -18,8 +18,8 @@ import pytest
 
 from abba import Matrix, block, catalog, realize_rank_sequence, save_matrix
 from abba.cli import main
-from abba.generators import (random_unitary, rational_hermitian, rational_normal, rational_psd,
-                             rational_unitary)
+from abba.generators import (random_hermitian, random_normal, random_unitary, rational_hermitian,
+                             rational_normal, rational_psd, rational_unitary)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 INPUTS = GOLDEN / "inputs"
@@ -60,6 +60,8 @@ CASES = {
     "decide-hermitian-normal-4x4-pad1-seed14-swapped": [
         "decide", "hermitian-normal-4x4-pad1-seed14__b.json",
         "hermitian-normal-4x4-pad1-seed14__a.json"],
+    "decide-float-hermitian-normal-4-seed15": ["decide", "float-hermitian-normal-4-seed15__a.json",
+                                               "float-hermitian-normal-4-seed15__b.json"],
 }
 
 
@@ -96,8 +98,9 @@ def write_inputs(directory: Path = INPUTS) -> None:
     one and a unitary conjugate of J_3, which is neither normal nor EP),
     two pairs for the word screen: an exact 3x3 matrix with a Cayley
     conjugate, which no word tells apart, and a float 4x4 matrix with its
-    transpose, which one does, and two Cayley-conjugated 5x5 pairs with limit 1
-    whose BA sequence exact decide partly infers from AB's limit."""
+    transpose, which one does, two Cayley-conjugated 5x5 pairs with limit 1
+    whose BA sequence exact decide partly infers from AB's limit, and a float
+    Hermitian x normal pair of ranks 3 for float decide."""
     directory.mkdir(parents=True, exist_ok=True)
     fixtures = {f.name: f.matrices for f in catalog()}
     for name in PAIRS[:3]:
@@ -161,6 +164,9 @@ def write_inputs(directory: Path = INPUTS) -> None:
         x = block([[fixtures["hermitian-normal-4x4"][name], zero4],
                    [zero4.transpose(), Matrix.exact([[pad]])]])
         save_matrix(u @ x @ u.adjoint(), directory / f"hermitian-normal-4x4-pad1-seed14__{name}.json")
+    rng = np.random.default_rng(15)
+    save_matrix(random_hermitian(4, rng, rank=3), directory / "float-hermitian-normal-4-seed15__a.json")
+    save_matrix(random_normal(4, rng, rank=3), directory / "float-hermitian-normal-4-seed15__b.json")
 
 
 if __name__ == "__main__":

@@ -5,7 +5,8 @@ known rank sequences: unitary conjugation and transposition keep them,
 a direct sum with invertible blocks shifts every term by the block size,
 and swapping the operands swaps seq_ab and seq_ba.  The two sequences of
 one pair also interlace, whatever the verdict.  On the float backend, every
-predicate, rank and rank sequence keeps its value under scaling by 2^k.
+predicate, rank, rank sequence and decide verdict keeps its value under
+scaling by 2^k.
 """
 
 import numpy as np
@@ -102,9 +103,10 @@ def _scale_free_verdicts(m: Matrix) -> tuple:
 @given(st.integers(1, 5), seeds)
 @settings(max_examples=100, deadline=None)
 def test_float_hermitian_and_normal_verdicts_ignore_scale(n, seed):
-    # every float predicate, rank and rank sequence, not only the two named:
-    # scaling by 2^k is exact; at k = -600 the products of m and the squares in
-    # its norm underflow to zero, and at k = 600 its squared norm overflows
+    # every float predicate, rank, rank sequence and decide verdict, not only the
+    # two named: scaling by 2^k is exact; at k = -600 the products of m (and of a
+    # pair, both factors scaled) and the squares in its norm underflow to zero,
+    # and at k = 600 its squared norm and the pair's products overflow
     rng = np.random.default_rng(seed)
     herm, normal = gen.random_hermitian(n, rng), gen.random_normal(n, rng)
     other = Matrix.from_float(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
@@ -117,3 +119,7 @@ def test_float_hermitian_and_normal_verdicts_ignore_scale(n, seed):
         verdicts = _scale_free_verdicts(m)
         for k in (-600, -300, 300, 600):
             assert _scale_free_verdicts(m * 2.0 ** k) == verdicts, k
+    for a, b in ((herm, normal), (psd, normal), (other, herm)):
+        verdict = decide_product_similarity(a, b)
+        for k in (-600, -300, 300, 600):
+            assert decide_product_similarity(a * 2.0 ** k, b * 2.0 ** k) == verdict, k

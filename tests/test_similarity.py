@@ -261,8 +261,6 @@ def test_float_decide_cuts_both_products_on_one_scale():
         assert not v.similar
 
 
-@pytest.mark.xfail(strict=True, reason="CHANGES.md FOUND: decide_product_similarity forms ab "
-                   "and ba at full scale, where tiny inputs give zero products")
 def test_float_decide_at_tiny_scale_keeps_the_rank_sequences():
     """A Hermitian pair of ranks 3 and 2 scaled by 2^-600 has the rank sequences of
     the unscaled pair: ab has rank 2, not the 0 of an underflowed product."""
