@@ -3,7 +3,8 @@
 Reports are JSON on stdout, written from the objects the library returns
 by one encoder, ``_encode``; no other module knows the report format.
 ``matio._json_text`` writes them as ``json.dumps(indent=2, sort_keys=True)``
-does.  Every input file is read once, before any is parsed.
+does.  Every input file is read once, before any is parsed.  ``decide`` forms
+AB and BA itself only for the ``--construct`` Sylvester fallback.
 Exit codes: 0 for a completed run (verdicts live in the payload, never in
 the exit code), 2 for invalid input or usage, 1 for internal errors.
 """
@@ -97,18 +98,16 @@ def cmd_decide(args) -> dict:
         raise ValueError("attempts must be positive")
     a = _load_square(args, "a")
     b = _load_square(args, "b")
-    a._check_operand_pair(b)  # the check decide_product_similarity makes before the products
-    products = a @ b, b @ a  # one pair for the exact verdict and the certificate
-    verdict = decide_product_similarity(a, b, tol, _products=products)
+    verdict = decide_product_similarity(a, b, tol)
     result = {"verdict": verdict}
     if args.construct:
         try:
-            cert = construct_similarity_psd_ep(a, b, tol, _products=products)
+            cert = construct_similarity_psd_ep(a, b, tol)
             method = "psd-ep-transform"
         except (BackendError, HypothesisViolation):
             cert = method = None
         if cert is None and verdict.similar:
-            cert = find_intertwiner(*products, seed=args.seed, attempts=args.attempts, tol=tol)
+            cert = find_intertwiner(a @ b, b @ a, seed=args.seed, attempts=args.attempts, tol=tol)
             if cert is not None:
                 method = "sylvester-sampling"
         result["certificate"] = cert

@@ -13,8 +13,9 @@ decide_product_similarity) reads a sequence with no Matrix at all.  Given the
 limit (exact decide passes AB's for BA), _exact_terms stops where the rest of
 the sequence follows, since it falls strictly until stable and convexly;
 rank_sequence and the float branch never take one, since an inferred term
-would hide a float rank defect.  The float branch keeps orthonormal bases
-from linalg.orthonormal_range_basis.
+would hide a float rank defect.  The float branch, _float_terms(m, ref), keeps
+orthonormal bases from linalg.orthonormal_range_basis and cuts against the
+larger of ||m||_2 and ref (||a||_2 ||b||_2 from float decide, 0 from rank_sequence).
 """
 
 from __future__ import annotations
@@ -80,8 +81,7 @@ def is_valid_rank_sequence(seq: Sequence[int]) -> bool:
     return all(a >= b for a, b in zip(drops, drops[1:]))
 
 
-def rank_sequence(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE,
-                  _ref_norm: float | None = None) -> RankSequence:
+def rank_sequence(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> RankSequence:
     """Ranks of successive powers of m until two consecutive values agree.
 
     Range iteration, one algorithm on both backends: when the columns of b
@@ -92,23 +92,25 @@ def rank_sequence(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE,
     no Matrix between powers: b is the pivot columns of the last product, each
     product divided by the gcd of its entries, which leaves its range as
     it is and keeps the entries short.  The float backend keeps the
-    orthonormal leading left singular vectors of the last product; every
-    float cutoff is relative to ||m||_2, so a power that is zero up to
-    rounding has rank 0.  A caller may pass _ref_norm, a reference norm in the
-    units of m (as linalg._float_svd's norm), when ||m||_2 may itself be
-    rounding noise (m = ab, with ||a||_2 ||b||_2 for reference); the cutoff is
-    then relative to the larger of the two.
+    orthonormal leading left singular vectors of the last product, in
+    _float_terms; every float cutoff is relative to ||m||_2, so a power that
+    is zero up to rounding has rank 0.
     """
     if not m.is_square:
         raise ShapeError("rank sequences require a square matrix")
     if m.backend == EXACT:
         re, im, _ = m.numerators
         return _exact_terms(re, im)
+    return _float_terms(m, 0.0, tol)
+
+
+def _float_terms(m: Matrix, ref: float, tol: TolerancePolicy) -> RankSequence:
+    """The float range iteration of rank_sequence, cut against the larger of ||m||_2
+    and ref, a reference norm in m's units: float decide passes ||a||_2 ||b||_2 for
+    m = ab, whose own norm may be rounding noise, and rank_sequence passes 0."""
     terms = [m.rows]
     m, e = _at_unit_scale(m)  # ranks ignore scale, and m's products stay finite
-    norm = np.linalg.norm(m.array, 2)
-    if _ref_norm is not None:
-        norm = max(norm, np.ldexp(_ref_norm, -e))
+    norm = max(np.linalg.norm(m.array, 2), np.ldexp(ref, -e))
     basis = orthonormal_range_basis(m, tol, norm)
     while 0 < basis.cols < terms[-1]:
         terms.append(basis.cols)

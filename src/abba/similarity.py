@@ -45,7 +45,7 @@ from .classes import (
 from .errors import HypothesisViolation, IntertwinerNotFound, ShapeError
 from .linalg import _kernel_rows, condition_estimate, determinant, nullspace_basis
 from .matrix import EXACT, FLOAT, Matrix, _at_unit_scale, _gauss, block, kron, vstack
-from .rankseq import RankSequence, _exact_terms, rank_sequence
+from .rankseq import RankSequence, _exact_terms, _float_terms
 from .scalars import DEFAULT_TOLERANCE, GQ, TolerancePolicy
 
 
@@ -109,8 +109,7 @@ def verify_certificate(
 
 
 def decide_product_similarity(
-    a: Matrix, b: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE,
-    _products: tuple[Matrix, Matrix] | None = None,
+    a: Matrix, b: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE
 ) -> SimilarityVerdict:
     """AB is similar to BA iff their rank sequences agree.  Exact products stay
     integer numerators, with no Matrix: ranks ignore the denominator.  BA's exact
@@ -119,22 +118,19 @@ def decide_product_similarity(
     L), so an invertible ab leaves BA with no elimination.  Float products are
     formed from a and b at unit scale (matrix._at_unit_scale), which changes no
     rank, and cut on one scale, ||a||_2 ||b||_2 in those units, which a product
-    that is zero up to rounding cannot set.  _products is (a @ b, b @ a) when the
-    caller has formed them already; only the exact path reads it."""
+    that is zero up to rounding cannot set.  No product is formed at the float
+    inputs' scale, so a pair whose a @ b overflows still gets a verdict."""
     a._check_operand_pair(b)
     if a.backend == EXACT:
-        if _products:
-            (abr, abi, _), (bar, bai, _) = (p.numerators for p in _products)
-        else:
-            (ar, ai, _), (br, bi, _) = a.numerators, b.numerators
-            (abr, abi), (bar, bai) = _gauss(np.dot, ar, ai, br, bi), _gauss(np.dot, br, bi, ar, ai)
+        (ar, ai, _), (br, bi, _) = a.numerators, b.numerators
+        (abr, abi), (bar, bai) = _gauss(np.dot, ar, ai, br, bi), _gauss(np.dot, br, bi, ar, ai)
         seq_ab = _exact_terms(abr, abi)
         seq_ba = _exact_terms(bar, bai, limit=seq_ab.limit)
     else:
         ua, ub = _at_unit_scale(a)[0], _at_unit_scale(b)[0]
         ref = np.linalg.norm(ua.array, 2) * np.linalg.norm(ub.array, 2)
-        seq_ab = rank_sequence(ua @ ub, tol, _ref_norm=ref)
-        seq_ba = rank_sequence(ub @ ua, tol, _ref_norm=ref)
+        seq_ab = _float_terms(ua @ ub, ref, tol)
+        seq_ba = _float_terms(ub @ ua, ref, tol)
     similar = seq_ab.terms == seq_ba.terms
     reason = "rank-sequence-equal" if similar else "rank-sequence-differ"
     return SimilarityVerdict(similar=similar, reason=reason, seq_ab=seq_ab, seq_ba=seq_ba)
@@ -259,8 +255,7 @@ def unitary_intertwiner(m1: Matrix, m2: Matrix,
 
 
 def construct_similarity_psd_ep(
-    a: Matrix, b: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE,
-    _products: tuple[Matrix, Matrix] | None = None,
+    a: Matrix, b: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE
 ) -> SimilarityCertificate:
     """Explicit T with T(ab) = (ba)T when a is PSD (or has a PSD real part
     of full comparative rank) and b is EP.
@@ -269,8 +264,8 @@ def construct_similarity_psd_ep(
     block form), solves A11 X = A12 and A11* Y = A21* in the aligned frame,
     and conjugates S = [[C + X Y*, -X], [-Y*, I]] back.  Hermitian a gives
     Y = X and reduces S to its classical positive-semidefinite form.
-    b is tested before a, so when both fail the error is b's.  _products is
-    (a @ b, b @ a) when the caller has formed them already.
+    b is tested before a, so when both fail the error is b's.  T is checked by
+    certificate_for against a @ b and b @ a, formed at the inputs' scale.
     """
     a._check_operand_pair(b)
     n, exact = a.rows, a.backend == EXACT
@@ -301,7 +296,7 @@ def construct_similarity_psd_ep(
     else:
         eye = Matrix.identity(n - r, FLOAT)
         t = dec.v @ block([[dec.c + x @ y.adjoint(), -x], [-y.adjoint(), eye]]) @ dec.v.adjoint()
-    cert = certificate_for(t, *(_products or (a @ b, b @ a)), tol)
+    cert = certificate_for(t, a @ b, b @ a, tol)
     if not cert.ok:
         raise HypothesisViolation(
             f"constructed transform failed verification (residual {cert.residual:.3g})"

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from abba import (DEFAULT_TOLERANCE, FAMILIES, GaussianRational, Matrix, SearchSpec,
-                  SimilarityCertificate, TolerancePolicy, catalog, save_matrix)
+                  SimilarityCertificate, TolerancePolicy, catalog, load_matrix, save_matrix)
 from abba import cli
 from abba.cli import _PARSER, _encode, _policy, main
 from abba.generators import random_normal, random_psd
@@ -347,16 +347,22 @@ def test_report_writer_rejects_what_encode_rejects(capsys, monkeypatch):
     assert out == "" and err.startswith("abba: internal error: ")
 
 
-def test_overflowing_float_products_are_exit_2(capsys, tmp_path):
+def test_overflowing_float_products_fail_only_the_certificates(capsys, tmp_path):
     big = tmp_path / "big.json"
     big.write_text(json.dumps({"scalar": "float", "rows": 2, "cols": 2,
                                "entries": [[["1e300", "0"], ["1e300", "0"]]] * 2}))
+    # the verdict ranks the products of the unit-scale factors; --construct still
+    # forms the full-scale products for its certificates, and they overflow
+    doc = _run_json(capsys, "decide", str(big), str(big))
+    verdict = doc["result"]["verdict"]
+    assert verdict["similar"] and verdict["seq_ab"]["terms"] == verdict["seq_ba"]["terms"] == [2, 1]
+    assert doc["warnings"] == []
     # a non-normal matrix as large overflows in the products of its witness
     jordan = tmp_path / "jordan.json"
     jordan.write_text(json.dumps({"scalar": "float", "rows": 2, "cols": 2,
                                   "entries": [[["1e300", "0"], ["1e300", "0"]],
                                               [["0", "0"], ["1e300", "0"]]]}))
-    for argv in (["decide", big, big], ["decide", big, big, "--construct"], ["classify", jordan]):
+    for argv in (["decide", big, big, "--construct"], ["classify", jordan]):
         code = main([str(x) for x in argv])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
@@ -372,6 +378,38 @@ def test_overflowing_float_products_are_exit_2(capsys, tmp_path):
         "hermitian": True, "normal": True, "psd": True, "ep": True,
         "realpart_psd_same_rank": True, "rank": 1, "witnesses": {}}
     assert doc["warnings"] == []
+
+
+def test_float_decide_verdict_ignores_scale(capsys, tmp_path):
+    # scaling both files by 2^k (ldexp on the real and imaginary parts) is exact; at
+    # k = 600 the full-scale products overflow
+    inputs = Path(__file__).resolve().parent / "golden" / "inputs"
+    pair = [inputs / f"float-hermitian-normal-4-seed15__{x}.json" for x in "ab"]
+    want = _run_json(capsys, "decide", *map(str, pair))["result"]
+    for k in (-600, -300, 300, 600):
+        scaled = []
+        for path in pair:
+            parts = np.ascontiguousarray(load_matrix(path).array).view(np.float64)
+            scaled.append(tmp_path / f"{k}-{path.name}")
+            save_matrix(Matrix.from_float(np.ldexp(parts, k).view(np.complex128)), scaled[-1])
+        assert _run_json(capsys, "decide", *map(str, scaled))["result"] == want, k
+
+
+def test_decide_without_construct_forms_no_matrix_product(capsys, monkeypatch):
+    # the verdict runs on numerators; only the Sylvester fallback of --construct
+    # reads a @ b and b @ a as matrices
+    def no_product(self, other):
+        raise AssertionError("decide formed a matrix product")
+
+    monkeypatch.setattr(Matrix, "__matmul__", no_product)
+    golden = Path(__file__).resolve().parent / "golden"
+    monkeypatch.chdir(golden / "inputs")
+    for case, argv in (
+        ("decide-chain4-pad1-seed13", ["chain4-pad1-seed13__a.json", "chain4-pad1-seed13__b.json"]),
+        ("decide-hermitian-normal-4x4-pad1-seed14-swapped",
+         ["hermitian-normal-4x4-pad1-seed14__b.json", "hermitian-normal-4x4-pad1-seed14__a.json"]),
+    ):
+        assert _run(capsys, "decide", *argv) == (0, (golden / "stdout" / f"{case}.out").read_text())
 
 
 def test_float_range_edge_classify_is_exit_0(capsys, tmp_path):
