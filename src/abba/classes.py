@@ -1,9 +1,9 @@
 """Structural predicates (Hermitian, normal, PSD, EP) with witnesses.
 
-Each rule has one owner, read by the predicates, by :func:`classify` and
-by :func:`ep_decomposition` alike.  ``_ep_ranks`` owns the EP test
-rank([m | m*]) = rank(m), which works on both backends; ``_ep_rank`` owns the
-exact block-form rule, where one elimination and a zero test accept c + 0.
+Each rule has one owner.  ``_ep_ranks`` owns the EP test rank([m | m*]) = rank(m)
+of :func:`is_ep` and :func:`classify`.  :func:`ep_decomposition`, which constructions
+read an EP matrix through, owns the frame on both backends: the exact block-form rule
+(one elimination and a zero test accept c + 0) and the float SVD frame.
 ``_psd_violation`` owns the PSD rule for a Hermitian matrix: the exact backend
 reads the signs of principal-minor sums e_k = (-1)^k c_k(N) / den^k off the
 integer charpoly of its numerators N instead of computing (generally
@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BackendError, HypothesisViolation, ShapeError
 from .linalg import _charpoly_numerators, _float_svd, _solve_rows, invertible, rank, solve_linear
-from .matrix import EXACT, Matrix, _at_unit_scale, block, hstack
+from .matrix import EXACT, FLOAT, Matrix, _at_unit_scale, _ldexp, block, hstack
 from .scalars import DEFAULT_TOLERANCE, TolerancePolicy
 
 _HALF = Fraction(1, 2)
@@ -71,30 +71,11 @@ def is_psd(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> bool:
     return is_hermitian(m, tol) and _psd_violation(m, tol) is None
 
 
-def _ep_ranks(m: Matrix, tol: TolerancePolicy, r: int | None = None) -> tuple[int, int]:
-    """(rank(m), rank([m | m*])), reading rank(m) from r when the caller has it; m is EP
-    exactly when the two agree."""
+def _ep_ranks(m: Matrix, tol: TolerancePolicy) -> tuple[int, int]:
+    """(rank(m), rank([m | m*])); m is EP exactly when the two agree."""
     if not m.is_square:
         raise ShapeError("predicate requires a square matrix")
-    return rank(m, tol) if r is None else r, rank(hstack([m, m.adjoint()]), tol)
-
-
-def _ep_rank(m: Matrix, tol: TolerancePolicy) -> int:
-    """rank(m) of an EP m, else HypothesisViolation; an exact m must be c + 0 with c of size
-    rank(m), else BackendError.  That form makes m EP, so _ep_ranks runs only to pick the error."""
-    r = None
-    if m.backend == EXACT and m.is_square:
-        (re, im, _), r = m.numerators, rank(m)
-        if not (re[r:].any() or im[r:].any() or re[:, r:].any() or im[:, r:].any()):
-            return r
-    r, r_joint = _ep_ranks(m, tol, r)
-    if r_joint != r:
-        raise HypothesisViolation("matrix is not EP (range differs from adjoint range)")
-    if m.backend == EXACT:
-        raise BackendError(
-            "exact decomposition requires the matrix already in invertible-block-plus-zero form"
-        )
-    return r
+    return rank(m, tol), rank(hstack([m, m.adjoint()]), tol)
 
 
 def is_ep(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> bool:
@@ -136,9 +117,9 @@ def _normality_witness(m: Matrix) -> dict:
     candidates = [basis_vector(j) for j in range(n)] + [
         basis_vector(j, k) for j in range(n) for k in range(j + 1, n) if d[j, k]
     ]
-    # max keeps the first of equal gaps
+    # max keeps the first of equal gaps; an exact gap is real, ranked without rounding
     gap, v = max((((v.adjoint() @ d @ v)[0, 0], v) for v in candidates),
-                 key=lambda pair: abs(complex(pair[0])))
+                 key=lambda pair: abs(pair[0].re if m.backend == EXACT else complex(pair[0])))
     if not gap:
         return {}
     return {"vector": [str(v[i, 0]) for i in range(v.rows)], "norm_gap_sq": str(gap)}
@@ -191,25 +172,35 @@ class EPDecomposition:
 
 
 def ep_decomposition(m: Matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> EPDecomposition:
-    """Align range(m): returns V unitary whose first rank(m) columns span it.
+    """Align range(m): returns V unitary whose first r = rank(m) columns span it.
 
-    Raises HypothesisViolation unless m is EP (the rank test of is_ep), so
-    constructions call this instead of is_ep.  Exact backend accepts only
-    inputs already in block form (leading block of size rank(m), zero
-    elsewhere, hence invertible), since unitary alignment needs square roots.
+    Raises HypothesisViolation unless rank([m | m*]) = r (m is EP), so constructions
+    call this instead of is_ep.  An exact m must already be c + 0, c of size r (unitary
+    alignment needs square roots); one elimination and a zero test accept it, and the
+    joint rank runs only to pick the error.  A float m is aligned by the left singular
+    vectors of one SVD at unit scale (matrix._at_unit_scale), which c is scaled back from.
     """
-    r = _ep_rank(m, tol)
+    if not m.is_square:
+        raise ShapeError("predicate requires a square matrix")
     if m.backend == EXACT:
-        return EPDecomposition(v=Matrix.identity(m.rows), c=m.block(0, r, 0, r), r=r, residual=0.0)
-    v = Matrix.from_float(_float_svd(m, tol)[0])
-    conj = v.adjoint() @ m @ v
-    c = conj.block(0, r, 0, r)
-    trailing = float(
-        np.linalg.norm(conj.array[r:, :]) ** 2 + np.linalg.norm(conj.array[:r, r:]) ** 2
-    ) ** 0.5
-    residual = trailing / max(m.frobenius(), 1e-300)
+        (re, im, _), r = m.numerators, rank(m)
+        if not (re[r:].any() or im[r:].any() or re[:, r:].any() or im[:, r:].any()):
+            return EPDecomposition(v=Matrix.identity(m.rows), c=m.block(0, r, 0, r), r=r, residual=0.0)
+    else:
+        unit, e = _at_unit_scale(m)
+        u, _, _, r = _float_svd(unit, tol)
+    if rank(hstack([m, m.adjoint()]), tol) != r:
+        raise HypothesisViolation("matrix is not EP (range differs from adjoint range)")
+    if m.backend == EXACT:
+        raise BackendError("exact decomposition requires the matrix already in "
+                           "invertible-block-plus-zero form")
+    v = Matrix.from_float(u)
+    conj = (v.adjoint() @ unit @ v).array
+    trailing = float(np.linalg.norm(conj[r:, :]) ** 2 + np.linalg.norm(conj[:r, r:]) ** 2) ** 0.5
+    residual = trailing / max(unit.frobenius(), 1e-300)
     if residual > tol.residual_tol:
         raise HypothesisViolation("range alignment left nonzero trailing blocks")
+    c = Matrix(_ldexp(conj[:r, :r], e), FLOAT)
     if not invertible(c, tol):
         raise HypothesisViolation("leading block is numerically singular")
     return EPDecomposition(v=v, c=c, r=r, residual=residual)

@@ -312,12 +312,16 @@ class Matrix:
         return bool(np.all(self._data == 0))
 
     def frobenius(self) -> float:
-        if self._backend == EXACT:
+        if self._backend == EXACT:  # sqrt(sq / (d 4^e)) 2^e, 4^e keeping the quotient in range
             re, im = self._re.ravel(), self._im.ravel()
-            return (int(np.dot(re, re) + np.dot(im, im)) / self._den ** 2) ** 0.5
-        unit, e = _at_unit_scale(self)
+            sq, d = int(np.dot(re, re) + np.dot(im, im)), self._den ** 2
+            e = max(0, (sq.bit_length() - d.bit_length()) // 2 - 500)
+            root = (sq / (d << 2 * e)) ** 0.5
+        else:
+            unit, e = _at_unit_scale(self)
+            root = np.linalg.norm(unit._data)
         with np.errstate(over="ignore"):  # a norm past the float range is inf
-            return float(np.ldexp(np.linalg.norm(unit._data), e))
+            return float(np.ldexp(root, e))
 
     def __repr__(self):
         return f"Matrix({self._backend}, {self.rows}x{self.cols})"
@@ -331,9 +335,14 @@ def _at_unit_scale(m: Matrix) -> tuple[Matrix, int]:
         return m, 0
     a = m._data
     _, e = np.frexp(max(np.abs(a.real).max(initial=0.0), np.abs(a.imag).max(initial=0.0)))
-    scaled = np.empty_like(a)
-    scaled.real, scaled.imag = np.ldexp(a.real, -e), np.ldexp(a.imag, -e)
-    return Matrix(scaled, FLOAT), int(e)
+    return Matrix(_ldexp(a, -e), FLOAT), int(e)
+
+
+def _ldexp(a: np.ndarray, e: int) -> np.ndarray:
+    """a * 2^e part by part: exact in binary, signed zeros kept, unless it under- or overflows."""
+    out = np.empty_like(a)
+    out.real, out.imag = np.ldexp(a.real, e), np.ldexp(a.imag, e)
+    return out
 
 
 def _stack(mats: Iterable[Matrix], join, name: str) -> Matrix:

@@ -34,7 +34,6 @@ from fractions import Fraction
 import numpy as np
 
 from .classes import (
-    _ep_rank,
     _psd_violation,
     column_inclusion_factor,
     ep_decomposition,
@@ -260,17 +259,17 @@ def construct_similarity_psd_ep(
     """Explicit T with T(ab) = (ba)T when a is PSD (or has a PSD real part
     of full comparative rank) and b is EP.
 
-    Aligns range(b) by a unitary V (V = I for an exact b, which must be in
-    block form), solves A11 X = A12 and A11* Y = A21* in the aligned frame,
+    Reads b only through ep_decomposition: its rank r, the unitary V aligning
+    range(b) (V = I for an exact b, which must be in block form) and the leading
+    block C of V* b V.  Solves A11 X = A12 and A11* Y = A21* in the aligned frame,
     and conjugates S = [[C + X Y*, -X], [-Y*, I]] back.  Hermitian a gives
     Y = X and reduces S to its classical positive-semidefinite form.
     b is tested before a, so when both fail the error is b's.  T is checked by
     certificate_for against a @ b and b @ a, formed at the inputs' scale.
     """
     a._check_operand_pair(b)
-    n, exact = a.rows, a.backend == EXACT
-    dec = None if exact else ep_decomposition(b, tol)
-    r = _ep_rank(b, tol) if exact else dec.r
+    dec = ep_decomposition(b, tol)
+    n, r, exact = a.rows, dec.r, a.backend == EXACT
     hermitian_a = is_hermitian(a, tol)
     if not (_psd_violation(a, tol) is None if hermitian_a else realpart_psd_same_rank(a, tol)):
         raise HypothesisViolation(
@@ -283,12 +282,12 @@ def construct_similarity_psd_ep(
     y = x if hermitian_a else column_inclusion_factor(at.adjoint(), r, tol)
     if y is None:
         raise HypothesisViolation("row inclusion solve failed for a")
-    if exact:  # S over lcm(den_b, den_x den_y)
-        (xr, xi, dx), (yr, yi, dy), (br, bi, db) = x.numerators, y.numerators, b.numerators
-        den = math.lcm(db, dx * dy)
+    if exact:  # S over lcm(den_c, den_x den_y)
+        (xr, xi, dx), (yr, yi, dy), (cr, ci, dc) = x.numerators, y.numerators, dec.c.numerators
+        den = math.lcm(dc, dx * dy)
         s = np.zeros((2, n, n), dtype=object)  # re | im
         s[:, :r, :r] = (np.stack(_gauss(np.dot, xr, xi, yr.T, -yi.T)) * (den // (dx * dy))
-                        + np.stack([br, bi])[:, :r, :r] * (den // db))
+                        + np.stack([cr, ci]) * (den // dc))
         s[0, :r, r:], s[1, :r, r:] = xr * -(den // dx), xi * -(den // dx)
         s[0, r:, :r], s[1, r:, :r] = yr.T * -(den // dy), yi.T * (den // dy)
         s[0, range(r, n), range(r, n)] = den

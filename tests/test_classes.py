@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 from itertools import combinations
 
@@ -11,6 +12,7 @@ from abba import (
     Matrix,
     classify,
     column_inclusion_factor,
+    construct_similarity_psd_ep,
     ep_decomposition,
     hermitian_real_part,
     is_ep,
@@ -304,6 +306,78 @@ def test_ep_decomposition_round_trip_random():
 def test_ep_decomposition_rejects_non_ep():
     with pytest.raises(HypothesisViolation):
         ep_decomposition(J2.to_float())
+
+
+def _times_2k(a, k):
+    """The complex array a * 2^k, real and imaginary parts scaled apart (exact in binary)."""
+    out = np.empty_like(a)
+    out.real, out.imag = np.ldexp(a.real, k), np.ldexp(a.imag, k)
+    return out
+
+
+def test_float_ep_decomposition_runs_one_svd_of_m(monkeypatch):
+    """The frame and the rank come from one SVD of m; the others are of [m | m*]
+    (the EP test) and of the leading block (its condition)."""
+    m = random_ep(4, np.random.default_rng(7), rank=2)
+    shapes, svd = [], np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    assert ep_decomposition(m).r == 2
+    assert shapes.count((4, 4)) == 1 and shapes == [(4, 4), (4, 8), (2, 2)]
+
+
+def test_float_ep_decomposition_ignores_scale():
+    """Scaling m by 2^k keeps r and v and scales c bit for bit, without a warning:
+    the blocks are formed at unit scale and c is scaled back."""
+    m = random_ep(4, np.random.default_rng(8), rank=3)
+    want = ep_decomposition(m)
+    for k in (-600, -300, 300, 600):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dec = ep_decomposition(Matrix.from_float(_times_2k(m.array, k)))
+        assert dec.r == want.r == 3 and dec.v == want.v
+        assert dec.c.array.tobytes() == _times_2k(want.c.array, k).tobytes()
+        assert dec.residual == want.residual
+    big = Matrix.from_float(np.full((2, 2), 1e300))  # Hermitian, so EP, of rank 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dec = ep_decomposition(big)
+    assert dec.r == 1 and abs(dec.c[0, 0] - 2e300) <= 1e-15 * 2e300
+    with pytest.raises(BackendError), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's, as its certificate
+        construct_similarity_psd_ep(big, big)  # products overflow at full scale
+
+
+def test_float_ep_decomposition_succeeds_exactly_on_ep():
+    """EP and normal inputs decompose; [[C, E], [0, 0]] with E != 0, conjugated by a
+    unitary, is not EP and is rejected with is_ep's verdict."""
+    rng = np.random.default_rng(309)
+    for trial in range(150):
+        n, kind = int(rng.integers(1, 7)), trial % 3
+        if kind == 0:
+            m = random_ep(n, rng)
+        elif kind == 1:
+            m = random_normal(n, rng)
+        else:
+            n = max(n, 2)
+            r = int(rng.integers(1, n))
+            core = np.zeros((n, n), dtype=complex)
+            core[:r] = rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n))
+            core[:r, :r] += 4.0 * np.eye(r)
+            u = random_unitary(n, rng)
+            m = u @ Matrix.from_float(core) @ u.adjoint()
+        assert is_ep(m) == (kind != 2)
+        if kind == 2:
+            with pytest.raises(HypothesisViolation, match="matrix is not EP"):
+                ep_decomposition(m)
+            continue
+        dec = ep_decomposition(m)
+        assert dec.r == rank(m) and dec.residual <= 1e-10
+        assert (dec.reconstruct() - m).frobenius() <= 1e-9 * max(1.0, m.frobenius())
 
 
 def test_column_inclusion_examples():

@@ -380,6 +380,19 @@ def test_overflowing_float_products_fail_only_the_certificates(capsys, tmp_path)
     assert doc["warnings"] == []
 
 
+def test_exact_classify_ranks_normality_gaps_without_rounding(capsys, tmp_path):
+    # the norm gaps of [[x, x], [0, 0]], x = 10^200, are past the float range; the
+    # largest is x^6 + 2 x^4 - x^2, at v = e_0 + x^2 e_1
+    x = 10**200
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"scalar": "exact", "rows": 2, "cols": 2,
+                                "entries": [[[str(x), "0"], [str(x), "0"]], [["0", "0"], ["0", "0"]]]}))
+    report = _run_json(capsys, "classify", str(path))["result"]["class_report"]
+    assert not report["normal"]
+    assert report["witnesses"]["normality_violation"] == {
+        "vector": ["1", str(x**2)], "norm_gap_sq": str(x**6 + 2 * x**4 - x**2)}
+
+
 def test_float_decide_verdict_ignores_scale(capsys, tmp_path):
     # scaling both files by 2^k (ldexp on the real and imaginary parts) is exact; at
     # k = 600 the full-scale products overflow

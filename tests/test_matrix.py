@@ -157,6 +157,19 @@ def test_frobenius_keeps_numpy_bits_when_finite():
         assert Matrix.from_float([[1.5e308, 1.5e308]]).frobenius() == np.inf
 
 
+def test_exact_frobenius_past_the_float_range_of_the_square():
+    # the squared norms 10^320 and 25 10^600 / 49 10^200 are past the float range,
+    # the norms are not; past that range the norm is inf, as on the float backend
+    assert Matrix.from_ints([[10**160]]).frobenius() == pytest.approx(1e160, rel=1e-15)
+    m = Matrix.from_ints([[3 * 10**300, 4 * 10**300]], den=7 * 10**100)
+    assert m.frobenius() == pytest.approx(5e200 / 7, rel=1e-15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert Matrix.from_ints([[10**400]]).frobenius() == np.inf
+        three = Matrix.from_ints([[10**154, 10**154]], [[0, 10**154]]).frobenius()
+    assert three == pytest.approx(3**0.5 * 1e154, rel=1e-15)
+
+
 def test_numerators_expose_the_exact_layout():
     re, im, den = Matrix.exact([["1/2", (1, "3/4")]]).numerators
     assert (re.tolist(), im.tolist(), den) == ([[2, 4]], [[0, 3]], 4)

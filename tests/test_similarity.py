@@ -23,6 +23,7 @@ from abba import (
     doubling_conjugator,
     doubling_product_similarity,
     enumerate_tail_sequences,
+    ep_decomposition,
     find_intertwiner,
     get_fixture,
     hermitian_parts,
@@ -762,6 +763,39 @@ def test_exact_construction_differential_reaches_every_branch():
                     ("HypothesisViolation", "matrix is not EP"),
                     ("HypothesisViolation",
                      "a must be positive semidefinite or have a PSD real part of equal rank")}
+
+
+@given(st.integers(1, 5), st.sampled_from(["block", "ep", "non-ep"]), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_exact_ep_decomposition_accepts_only_the_block_form(n, kind, seed):
+    """Block form c + 0 decomposes with V = I; an EP b outside it raises BackendError,
+    and a b that is not EP raises HypothesisViolation, whatever its form."""
+    assume(n > 1 or kind != "non-ep")  # every 1 x 1 matrix is EP
+    b = _construction_b(kind, n, np.random.default_rng(seed))
+    r = rank(b)
+    re, im, _ = b.numerators
+    block_form = not (re[r:].any() or im[r:].any() or re[:, r:].any() or im[:, r:].any())
+    if kind == "non-ep":
+        with pytest.raises(HypothesisViolation) as err:
+            ep_decomposition(b)
+        assert str(err.value) == "matrix is not EP (range differs from adjoint range)"
+    elif block_form:  # an "ep" draw of rank 0 or n is in block form too
+        dec = ep_decomposition(b)
+        assert dec.v == Matrix.identity(n) and dec.c == b.block(0, r, 0, r)
+        assert dec.r == r and dec.residual == 0.0
+    else:
+        with pytest.raises(BackendError, match="invertible-block-plus-zero form"):
+            ep_decomposition(b)
+    assert kind != "block" or block_form
+
+
+def test_exact_certificate_residual_past_the_float_range_of_the_squares():
+    """||t||_F^2 = 10^320 is past the float range, ||t||_F is not: a mismatched t
+    gets a certificate that is not ok, with the exact relative residual 1/2."""
+    t, eye = Matrix.from_ints([[10**160]]), Matrix.identity(1)
+    for cert in (certificate_for(t, eye, eye * 2),
+                 verify_certificate(SimilarityCertificate(t=t, residual=0.0), eye, eye * 2)):
+        assert cert.invertible and not cert.ok and cert.residual == 0.5
 
 
 _SMALL = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
