@@ -62,19 +62,81 @@ def _close(m1: Matrix, m2: Matrix) -> bool:
     return (m1 - m2).frobenius() <= DEFAULT_TOLERANCE.residual_tol * max(1.0, m1.frobenius())
 
 
-def catalog() -> list[Fixture]:
-    a2 = Matrix.exact([[0, 1], [0, 0]])
-    b2 = Matrix.exact([[0, 0], [0, 1]])
+def _nilpotent_2x2(name: str) -> Fixture:
+    a, b = Matrix.exact([[0, 1], [0, 0]]), Matrix.exact([[0, 0], [0, 1]])
+    return Fixture(
+        name=name,
+        description="Smallest pair with AB not similar to BA",
+        matrices={"a": a, "b": b},
+        claims=(
+            Claim("not-similar", lambda m: not decide_product_similarity(m["a"], m["b"]).similar),
+            Claim("seq-ab", lambda m: rank_sequence(m["a"] @ m["b"]).terms == (2, 1, 0)),
+            Claim("seq-ba", lambda m: rank_sequence(m["b"] @ m["a"]).terms == (2, 0)),
+        ),
+    )
 
-    a3 = Matrix.exact([[1, 0, 0], [0, 1, 0], [0, 0, 0]])
-    b3 = Matrix.exact([[0, -1j, 1j], [1j, 0, -1j], [-1j, 1j, 0]])
 
-    at = Matrix.exact([[0, 1, 0], [0, 0, 2], [0, 0, 0]])
+def _hermitian_products_3x3(name: str) -> Fixture:
+    a = Matrix.exact([[1, 0, 0], [0, 1, 0], [0, 0, 0]])
+    b = Matrix.exact([[0, -1j, 1j], [1j, 0, -1j], [-1j, 1j, 0]])
+    return Fixture(
+        name=name,
+        description="Hermitian pair: products similar but not unitarily similar",
+        matrices={"a": a, "b": b},
+        claims=(
+            Claim("a-hermitian", lambda m: is_hermitian(m["a"])),
+            Claim("b-hermitian", lambda m: is_hermitian(m["b"])),
+            Claim("products-similar", lambda m: decide_product_similarity(m["a"], m["b"]).similar),
+            Claim(
+                "intertwiner-found",
+                lambda m: find_intertwiner(m["a"] @ m["b"], m["b"] @ m["a"]) is not None,
+            ),
+            Claim(
+                "word-trace-distinguishes",
+                lambda m: word_trace_screen(m["a"] @ m["b"], m["b"] @ m["a"], 6).distinguished,
+            ),
+        ),
+    )
 
-    a4 = Matrix.exact([[0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]])
-    b4 = Matrix.exact([[0, 0, 0, 0], [0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]])
 
-    w = doubling_conjugator(2)
+def _transpose_3x3(name: str) -> Fixture:
+    return Fixture(
+        name=name,
+        description="Similar to its transpose but not unitarily similar to it",
+        matrices={"a": Matrix.exact([[0, 1, 0], [0, 0, 2], [0, 0, 0]])},
+        claims=(
+            Claim("similar-to-transpose",
+                  lambda m: find_intertwiner(m["a"], m["a"].transpose()) is not None),
+            Claim(
+                "word-trace-distinguishes",
+                lambda m: word_trace_screen(m["a"], m["a"].transpose(), 6).distinguished,
+            ),
+        ),
+    )
+
+
+def _hermitian_normal_4x4(name: str) -> Fixture:
+    a = Matrix.exact([[0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]])
+    b = Matrix.exact([[0, 0, 0, 0], [0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]])
+    return Fixture(
+        name=name,
+        description="Hermitian a, normal b with AB not similar to BA (minimal size and rank)",
+        matrices={"a": a, "b": b},
+        claims=(
+            Claim("a-hermitian", lambda m: is_hermitian(m["a"])),
+            Claim("b-normal", lambda m: is_normal(m["b"])),
+            Claim("seq-ab", lambda m: rank_sequence(m["a"] @ m["b"]).terms == (4, 2, 0)),
+            Claim("seq-ba", lambda m: rank_sequence(m["b"] @ m["a"]).terms == (4, 2, 1, 0)),
+            Claim("not-similar", lambda m: not decide_product_similarity(m["a"], m["b"]).similar),
+            Claim("ab-squared-zero", lambda m: _close((m["a"] @ m["b"]) @ (m["a"] @ m["b"]),
+                                                      Matrix.zeros(4, 4, m["a"].backend))),
+            Claim("ba-squared-nonzero", lambda m: not _close((m["b"] @ m["a"]) @ (m["b"] @ m["a"]),
+                                                             Matrix.zeros(4, 4, m["a"].backend))),
+        ),
+    )
+
+
+def _doubling_conjugator(name: str) -> Fixture:
     w_sample = Matrix.exact([[(1, 2), (0, -1)], [(3, 0), (-1, 1)]])
 
     def conjugation_diagonalizes(mats: dict) -> bool:
@@ -88,81 +150,29 @@ def catalog() -> list[Fixture]:
         rhs = block([[h * 4, zero], [zero, k * GQ(0, 4)]])
         return _close(lhs, rhs)
 
-    return [
-        Fixture(
-            name="nilpotent-2x2",
-            description="Smallest pair with AB not similar to BA",
-            matrices={"a": a2, "b": b2},
-            claims=(
-                Claim("not-similar", lambda m: not decide_product_similarity(m["a"], m["b"]).similar),
-                Claim("seq-ab", lambda m: rank_sequence(m["a"] @ m["b"]).terms == (2, 1, 0)),
-                Claim("seq-ba", lambda m: rank_sequence(m["b"] @ m["a"]).terms == (2, 0)),
-            ),
+    return Fixture(
+        name=name,
+        description="Rational conjugator that block-diagonalizes every doubled matrix",
+        matrices={"w": doubling_conjugator(2)},
+        claims=(
+            Claim("invertible", lambda m: invertible(m["w"])),
+            Claim("conjugation-block-diagonalizes", conjugation_diagonalizes),
         ),
-        Fixture(
-            name="hermitian-products-3x3",
-            description="Hermitian pair: products similar but not unitarily similar",
-            matrices={"a": a3, "b": b3},
-            claims=(
-                Claim("a-hermitian", lambda m: is_hermitian(m["a"])),
-                Claim("b-hermitian", lambda m: is_hermitian(m["b"])),
-                Claim("products-similar", lambda m: decide_product_similarity(m["a"], m["b"]).similar),
-                Claim(
-                    "intertwiner-found",
-                    lambda m: find_intertwiner(m["a"] @ m["b"], m["b"] @ m["a"]) is not None,
-                ),
-                Claim(
-                    "word-trace-distinguishes",
-                    lambda m: word_trace_screen(m["a"] @ m["b"], m["b"] @ m["a"], 6).distinguished,
-                ),
-            ),
-        ),
-        Fixture(
-            name="transpose-3x3",
-            description="Similar to its transpose but not unitarily similar to it",
-            matrices={"a": at},
-            claims=(
-                Claim("similar-to-transpose",
-                      lambda m: find_intertwiner(m["a"], m["a"].transpose()) is not None),
-                Claim(
-                    "word-trace-distinguishes",
-                    lambda m: word_trace_screen(m["a"], m["a"].transpose(), 6).distinguished,
-                ),
-            ),
-        ),
-        Fixture(
-            name="hermitian-normal-4x4",
-            description="Hermitian a, normal b with AB not similar to BA (minimal size and rank)",
-            matrices={"a": a4, "b": b4},
-            claims=(
-                Claim("a-hermitian", lambda m: is_hermitian(m["a"])),
-                Claim("b-normal", lambda m: is_normal(m["b"])),
-                Claim("seq-ab", lambda m: rank_sequence(m["a"] @ m["b"]).terms == (4, 2, 0)),
-                Claim("seq-ba", lambda m: rank_sequence(m["b"] @ m["a"]).terms == (4, 2, 1, 0)),
-                Claim("not-similar", lambda m: not decide_product_similarity(m["a"], m["b"]).similar),
-                Claim("ab-squared-zero", lambda m: _close((m["a"] @ m["b"]) @ (m["a"] @ m["b"]),
-                                                          Matrix.zeros(4, 4, m["a"].backend))),
-                Claim("ba-squared-nonzero", lambda m: not _close((m["b"] @ m["a"]) @ (m["b"] @ m["a"]),
-                                                                 Matrix.zeros(4, 4, m["a"].backend))),
-            ),
-        ),
-        Fixture(
-            name="doubling-conjugator",
-            description="Rational conjugator that block-diagonalizes every doubled matrix",
-            matrices={"w": w},
-            claims=(
-                Claim("invertible", lambda m: invertible(m["w"])),
-                Claim("conjugation-block-diagonalizes", conjugation_diagonalizes),
-            ),
-        ),
-    ]
+    )
+
+
+# name -> builder, in catalog order; get_fixture builds only the fixture it is asked for
+_FIXTURES = {"nilpotent-2x2": _nilpotent_2x2, "hermitian-products-3x3": _hermitian_products_3x3,
+             "transpose-3x3": _transpose_3x3, "hermitian-normal-4x4": _hermitian_normal_4x4,
+             "doubling-conjugator": _doubling_conjugator}
+
+
+def catalog() -> list[Fixture]:
+    return [build(name) for name, build in _FIXTURES.items()]
 
 
 def get_fixture(name: str) -> Fixture:
-    for f in catalog():
-        if f.name == name:
-            return f
-    raise KeyError(name)
+    return _FIXTURES[name](name)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """Rank, null spaces, solves, and characteristic polynomials on both backends.
 
 On the exact backend one routine, :func:`_eliminate_rows`, does every
-elimination: fraction-free (Bareiss) elimination over the Gaussian
-integers on rows of Python ints, so intermediate entries stay minors of
-the input.  :func:`_eliminate` feeds it the integer numerators that
+elimination over Z[i] (wide null spaces first try the modular path below):
+fraction-free (Bareiss) elimination over the Gaussian integers on rows of
+Python ints, so intermediate entries stay minors of the input.  :func:`_eliminate` feeds it the integer numerators that
 :attr:`Matrix.numerators` exposes; exact rank sequences and Sylvester
 systems feed it their integer rows directly, with no Matrix in between.
 It returns the row echelon form of the eager update, at full width: each
@@ -20,6 +20,21 @@ each entry is a minor of the input (Cramer's rule) and s is a multiple of
 d in Z[i].  A null space comes back as one matrix whose columns are the
 basis vectors.  The characteristic polynomial runs Faddeev-LeVerrier on
 the same numerators, where its divisions are exact.
+
+Null spaces of at least _MODULAR_COLS = 25 columns (the n^2-column Sylvester
+systems from n = 5 up) first try :func:`_modular_kernel`, whose Bareiss
+pivots would be far larger than the answer: int64 Gauss-Jordan elimination
+of the rows' images modulo primes p = 1 (mod 4), under both square roots of
+-1, then Chinese remaindering and rational reconstruction over one common
+denominator, with primes added until one more agrees.  Its candidate V is
+kept only if A V = 0 holds exactly, which proves it is the RREF basis: (1) a
+modular rank is at most the rank and V is the identity on the modular free
+columns, so V spans the kernel; (2) each free column of V is e_f plus earlier
+pivot columns, so the modular free columns are the true ones; (3) a kernel
+vector that is zero on the free columns is zero.  When that path fails (no
+agreeing images, table exhausted, check failed) Bareiss's answer is returned,
+so results never depend on the path.  Below 25 columns Bareiss runs alone: at
+16 it was as fast or faster on every measured system (BENCH_modular_kernel.json).
 
 Every float-backend rank decision comes from one helper, :func:`_float_svd`,
 which counts the singular values with
@@ -161,7 +176,13 @@ def _back_substitute(re: list, im: list, pivots: list, d: tuple, targets):
 def _kernel_rows(re: list, im: list, cols: int):
     """(v, s) for the rows re + i im of Python ints (consumed), cols entries each: the
     integer object array v, shape (2, cols, nullity), whose column j over the positive
-    integer s is the j-th reduced-row-echelon basis vector of the kernel (nullspace_basis)."""
+    integer s is the j-th reduced-row-echelon basis vector of the kernel (nullspace_basis).
+    From _MODULAR_COLS columns up it is _modular_kernel's answer when that certifies one,
+    else, and below, Bareiss's: the forward pass and back-substitution over s = |d| or |d|^2."""
+    if cols >= _MODULAR_COLS:
+        kernel = _modular_kernel(re, im, cols, _PRIMES)
+        if kernel is not None:
+            return kernel
     re, im, pivots, _, d = _eliminate_rows(re, im)
     free = [j for j in range(cols) if j not in pivots]
     # v_f = e_f - sum_k rref[k, f] e_{pivots[k]}, over s
@@ -170,6 +191,209 @@ def _kernel_rows(re: list, im: list, cols: int):
     v[0, free, range(len(free))] = s
     v[:, pivots] = z
     return v, s
+
+
+# (p, w): the 128 largest primes p = 1 (mod 4) below 2^27, each with a square root w of -1 mod p
+_PRIMES = (
+    (134217689, 13499907), (134217649, 8241801), (134217617, 62740711), (134217613, 63886940),
+    (134217593, 62008330), (134217541, 42228379), (134217529, 32163452), (134217509, 64076162),
+    (134217497, 53610396), (134217493, 29562799), (134217437, 12949986), (134217409, 57788212),
+    (134217401, 40353974), (134217361, 32940754), (134217353, 50205385), (134217301, 29639150),
+    (134217277, 46440297), (134217257, 41008234), (134217221, 10899527), (134217173, 59323476),
+    (134217157, 59094104), (134217089, 15020161), (134217049, 49574775), (134217001, 50965634),
+    (134216933, 15605273), (134216881, 34687651), (134216869, 6102938), (134216861, 57529787),
+    (134216837, 59912021), (134216801, 10552080), (134216777, 42710836), (134216737, 53040835),
+    (134216729, 66571025), (134216629, 31348013), (134216609, 58043538), (134216597, 58780536),
+    (134216573, 48870168), (134216557, 52473641), (134216473, 47813771), (134216461, 59698546),
+    (134216393, 48512661), (134216389, 40284337), (134216261, 18365779), (134216249, 37466260),
+    (134216189, 4055356), (134216141, 48046759), (134216129, 53674637), (134216113, 26020568),
+    (134216077, 23853455), (134216053, 46951616), (134216041, 58192476), (134216021, 21898013),
+    (134216009, 36447907), (134215841, 7247874), (134215817, 25661121), (134215813, 64915701),
+    (134215801, 26116240), (134215721, 57701451), (134215693, 16746413), (134215681, 37361560),
+    (134215589, 62479471), (134215577, 37357265), (134215573, 17679572), (134215553, 60098992),
+    (134215441, 14845631), (134215429, 8099934), (134215349, 1397198), (134215261, 50171737),
+    (134215253, 13808047), (134215241, 16478458), (134215229, 16966809), (134215141, 32311267),
+    (134215121, 31537334), (134215057, 10533068), (134215049, 55487230), (134215013, 53057233),
+    (134215009, 65902471), (134215001, 25961553), (134214989, 49649353), (134214973, 27893754),
+    (134214893, 28594038), (134214889, 7558726), (134214877, 44966917), (134214833, 29644929),
+    (134214809, 59942959), (134214781, 51692635), (134214761, 30326898), (134214749, 55940001),
+    (134214673, 47164240), (134214649, 64219605), (134214629, 43640440), (134214529, 47534071),
+    (134214517, 31048586), (134214449, 57341729), (134214413, 22810592), (134214389, 19638852),
+    (134214317, 3824010), (134214277, 61399013), (134214257, 48059436), (134214229, 12403906),
+    (134214209, 49333547), (134214181, 5904496), (134214173, 23271908), (134214109, 32145079),
+    (134214089, 47188456), (134213941, 8827682), (134213921, 45142715), (134213873, 4132624),
+    (134213857, 29648332), (134213789, 34678769), (134213773, 21941303), (134213753, 57632550),
+    (134213713, 30875259), (134213617, 7486970), (134213609, 63118022), (134213581, 31059032),
+    (134213489, 48349653), (134213413, 9234921), (134213381, 59211445), (134213357, 57149019),
+    (134213333, 19348060), (134213329, 48898746), (134213297, 18192529), (134213293, 45424069),
+    (134213273, 38399532), (134213269, 13837501), (134213081, 29440214), (134213077, 5963065),
+)
+# _kernel_rows tries _modular_kernel on systems of at least this many columns: the measured
+# crossover with Bareiss on Sylvester systems lies between 16 and 25 (BENCH_modular_kernel.json)
+_MODULAR_COLS = 25
+
+
+def _modular_kernel(re: list, im: list, cols: int, primes):
+    """(v, s) as _kernel_rows returns it, for the rows re + i im of Python ints (not
+    consumed), computed modulo the (p, w) of primes, or None.
+
+    Each prime's two ring maps Z[i] -> F_p, i -> w and i -> -w, send the rows to two
+    images, and passes over growing batches of primes run _gauss_jordan_images on all of
+    their images at once.  A batch keeps the primes whose two images share the best
+    pivot profile seen (more pivots, then earlier ones), and those images' RREF entries
+    give the two images x+ and x- of each kernel entry, hence its real and imaginary
+    parts mod p: (x+ + x-) / 2 and (x- - x+) w / 2.  Chinese remaindering over every
+    kept prime but the last, rational reconstruction over one common denominator s
+    (Wang 1981) and agreement with the last prime (early termination, Monagan 2004) give
+    a candidate v; a failure adds the next batch, and an exhausted table returns None.
+
+    The candidate is accepted only if A v = 0 holds exactly, and then it is the RREF
+    basis: (1) a minor of the image is the image of the minor, so the modular rank r is
+    at most the rank; v is s * I on the cols - r modular free columns, so the check gives
+    nullity >= cols - r, hence rank = r and v spans the kernel; (2) column f of v is e_f
+    plus a combination of the pivot columns before f, so each free column f is a
+    combination of the columns before it, which makes the modular free columns the true
+    ones; (3) two kernel vectors that agree on the free columns differ by a kernel vector
+    on the pivot columns alone, which is 0.  A failed check returns None.
+    """
+    rows = len(re)
+    if min(rows, cols) >= _LAZY_PIVOTS:
+        return None
+    try:
+        a = np.array([re, im], dtype=np.int64).reshape(2, rows, cols)
+    except OverflowError:  # entries past 62 bits are reduced as Python ints
+        a = np.array([re, im], dtype=object).reshape(2, rows, cols)
+    best, moduli, residues, used = None, [], [], 0
+    while used < len(primes):
+        batch = np.array(primes[used:used + (used // 2 or 12)], dtype=np.int64)
+        used += len(batch)
+        p, w = batch[:, :1, None], batch[:, 1:, None]  # (batch, 1, 1)
+        ar, ai = (a[:, None] % p).astype(np.int64)
+        iw = ai * w % p
+        images = np.stack([ar + iw, ar - iw], axis=1) % p[:, None]  # image 2j + 1 has -w
+        m, kept, pivots = _gauss_jordan_images(images.reshape(2 * len(batch), rows, cols),
+                                               batch[:, 0].repeat(2))
+        key = (-len(pivots), pivots)
+        if best is None or key < best:
+            best, moduli, residues = key, [], []
+            free = [j for j in range(cols) if j not in pivots]
+        elif key > best:
+            continue
+        at = {k: i for i, k in enumerate(kept.tolist())}
+        both = [j for j in range(len(batch)) if 2 * j in at and 2 * j + 1 in at]
+        if not both:
+            continue
+        # the RREF entries x of the free columns under i -> w and i -> -w; v[pivots[k], f] = -x
+        p, w = p[both], w[both]
+        x = m[:, :len(pivots)][:, :, free]
+        xp, xm = (x[[at[2 * j + e] for j in both]] % p for e in (0, 1))
+        half = (p + 1) // 2
+        residues.append(np.stack([(-xp - xm) % p * half % p, (xp - xm) % p * w % p * half % p], 1))
+        moduli += p.ravel().tolist()
+        if len(moduli) < 2:
+            continue
+        r = np.concatenate(residues)
+        kernel = _reconstruct(_crt(r[:-1], moduli[:-1]), math.prod(moduli[:-1]))
+        if kernel is None:
+            continue
+        nums, s = kernel
+        if ((nums - r[-1].astype(object) * s) % moduli[-1]).any():
+            continue
+        obj = a.astype(object)
+        zr, zi = _gauss(np.dot, obj[0][:, pivots], obj[1][:, pivots], *nums)
+        if (zr + obj[0][:, free] * s).any() or (zi + obj[1][:, free] * s).any():
+            return None
+        v = np.zeros((2, cols, len(free)), dtype=object)  # re | im
+        v[0, free, range(len(free))] = s
+        v[:, pivots] = nums
+        return v, s
+    return None
+
+
+# updates in _gauss_jordan_images stay unreduced: with p < 2^27 each adds less than
+# p^2 < 2^54 to an entry, so entries stay below 2^63 for up to 511 pivots
+_LAZY_PIVOTS = 512
+
+
+def _gauss_jordan_images(m: np.ndarray, p: np.ndarray):
+    """(m, kept, pivots): Gauss-Jordan elimination of the images m[k] (int64, shape
+    (images, rows, cols), entries in [0, p[k])) modulo p[k] < 2^27, all images in lockstep.
+
+    An image that has no pivot in a column where another one has is unlucky (its rank
+    profile falls below theirs, and the true one is at least every modular one), so it
+    is dropped; kept holds the indices into the input of the images returned.  Column c
+    is reduced mod p when it is read, and so is the pivot row, scaled to a leading 1;
+    every other entry is updated unreduced, for fewer than _LAZY_PIVOTS pivots.  Pivot
+    columns are left as they are, so only rows[:len(pivots)] at the other columns are
+    meaningful: the RREF entries there, up to multiples of p.
+    """
+    kept = np.arange(len(m))
+    rows, cols = m.shape[1:]
+    pivots: list[int] = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        col = m[:, :, c] % p[:, None]
+        nonzero = col[:, r:] != 0
+        every = nonzero.all(0)
+        hit = int(every.argmax())
+        if every[hit]:  # a pivot row shared by every image
+            if hit:
+                m[:, [r, r + hit]] = m[:, [r + hit, r]]
+                col[:, [r, r + hit]] = col[:, [r + hit, r]]
+        else:
+            has = nonzero.any(1)
+            if not has.any():
+                continue
+            m, p, kept, col, nonzero = m[has], p[has], kept[has], col[has], nonzero[has]
+            k, hits = np.arange(len(m)), r + nonzero.argmax(1)
+            for x in (m, col):
+                x[k, r], x[k, hits] = x[k, hits], x[k, r].copy()
+        inverse = np.array([pow(x, -1, q) for x, q in zip(col[:, r].tolist(), p.tolist())])
+        row = m[:, r, c + 1:] % p[:, None] * inverse[:, None] % p[:, None]
+        m[:, r, c + 1:] = row
+        col[:, r] = 0
+        m[:, :, c + 1:] -= col[:, :, None] * row[:, None, :]
+        pivots.append(c)
+    return m, kept, pivots
+
+
+def _crt(residues: np.ndarray, moduli: list) -> np.ndarray:
+    """The object array x mod prod(moduli) with x = residues[k] mod moduli[k]."""
+    mod = math.prod(moduli)
+    x = 0
+    for r, q in zip(residues, moduli):
+        c = mod // q
+        x = x + r.astype(object) * (c * pow(c, -1, q))
+    return x % mod
+
+
+def _reconstruct(x: np.ndarray, mod: int):
+    """(nums, s): the residues x mod `mod` (an object array) as nums / s over one common
+    denominator s > 0, every |num| and s at most sqrt(mod / 2), so that they are unique
+    (Wang 1981); or None.  s grows by the denominator of each entry that s times it
+    leaves large, found by the half-extended Euclidean algorithm."""
+    bound = math.isqrt(mod // 2)
+    flat, s, start = x.ravel(), 1, 0
+    while True:
+        y = flat[start:] * s % mod
+        large = np.flatnonzero(np.minimum(y, mod - y) > bound)
+        if not large.size:
+            break
+        start += int(large[0])
+        r0, r1, t0, t1 = mod, int(y[large[0]]), 0, 1
+        while r1 > bound:
+            k = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - k * r1, t1, t0 - k * t1
+        if abs(t1) * s > bound or math.gcd(r1, t1) != 1:
+            return None
+        s *= abs(t1)
+    y = flat * s % mod
+    nums = np.where(y > mod // 2, y - mod, y)
+    if (abs(nums) > bound).any():
+        return None
+    return nums.reshape(x.shape), s
 
 
 def _solve_rows(re: list, im: list, k: int, cols: int) -> Matrix | None:

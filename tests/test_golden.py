@@ -28,8 +28,9 @@ STDOUT = GOLDEN / "stdout"
 FIXTURES = ("nilpotent-2x2", "hermitian-products-3x3", "transpose-3x3",
             "hermitian-normal-4x4", "doubling-conjugator")
 PAIRS = ("nilpotent-2x2", "hermitian-products-3x3", "hermitian-normal-4x4",
-         "hermitian-3-seed3", "hermitian-4-seed4", "hermitian-5-seed5", "psd-ep-3-seed5",
-         "psd-normal-4-seed11", "realpart-ep-4-seed12", "hermitian-products-3x3-pad1")
+         "hermitian-3-seed3", "hermitian-4-seed4", "hermitian-5-seed5", "hermitian-6-seed6",
+         "psd-ep-3-seed5", "psd-normal-4-seed11", "realpart-ep-4-seed12",
+         "hermitian-products-3x3-pad1")
 
 CASES = {
     **{f"catalog-show-{name}": ["catalog", "show", name] for name in FIXTURES},
@@ -81,7 +82,7 @@ def test_exact_inputs_regenerate_byte_for_byte(tmp_path):
     names = sorted(p.name for p in INPUTS.glob("*.json"))
     assert sorted(p.name for p in tmp_path.glob("*.json")) == names
     exact = [name for name in names if not name.startswith("float-")]
-    assert len(exact) == 31
+    assert len(exact) == 33
     for name in exact:
         assert (tmp_path / name).read_bytes() == (INPUTS / name).read_bytes(), name
 
@@ -117,7 +118,9 @@ def write_inputs(directory: Path = INPUTS) -> None:
                 directory / "hermitian-products-3x3-pad1__a.json")
     save_matrix(block([[b, zero], [zero.transpose(), Matrix.exact([[2]])]]),
                 directory / "hermitian-products-3x3-pad1__b.json")
-    for n, seed in ((3, 3), (4, 4), (5, 5)):  # n = 5 certifies through a 25 x 25 kernel
+    # n = 5 and 6 certify through 25 x 25 and 36 x 36 kernels, which linalg._kernel_rows
+    # takes modulo primes (n <= 4 stays on Bareiss)
+    for n, seed in ((3, 3), (4, 4), (5, 5), (6, 6)):
         rng = np.random.default_rng(seed)
         save_matrix(rational_hermitian(n, rng), directory / f"hermitian-{n}-seed{seed}__a.json")
         save_matrix(rational_hermitian(n, rng), directory / f"hermitian-{n}-seed{seed}__b.json")

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from abba import (
     BackendError,
+    EXACT,
     FLOAT,
     Matrix,
     ShapeError,
@@ -24,8 +26,10 @@ from abba import (
 )
 from abba import generators as gen
 from abba.generators import random_unitary
-from abba.linalg import _eliminate, _eliminate_rows, _kernel_rows
+from abba import linalg
+from abba.linalg import _PRIMES, _eliminate, _eliminate_rows, _kernel_rows, _modular_kernel
 from abba.scalars import GQ
+from abba.similarity import _sylvester_rows
 
 from .oracle import (gq_equals_sympy, kron_sylvester, oracle_charpoly, oracle_det, oracle_nullspace,
                      oracle_rank, oracle_solve, to_sympy)
@@ -502,3 +506,85 @@ def test_eliminated_rows_are_an_echelon_form_with_the_rref_kernel(rows):
     assert (v[0, free] == s * np.eye(len(free), dtype=int)).all() and not v[1, free].any()
     a = [np.array(p, dtype=object).reshape(len(re), cols) for p in (re, im)]
     assert not (a[0] @ v[0] - a[1] @ v[1]).any() and not (a[0] @ v[1] + a[1] @ v[0]).any()
+
+
+def _bareiss_kernel(monkeypatch, re, im, cols):
+    """Bareiss's (v, s) from _kernel_rows, at any width, on copies of the rows."""
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_MODULAR_COLS", math.inf)
+        return _kernel_rows([r[:] for r in re], [r[:] for r in im], cols)
+
+
+def _same_basis(k1, k2):
+    return Matrix((*k1[0], k1[1]), EXACT) == Matrix((*k2[0], k2[1]), EXACT)
+
+
+def test_prime_table():
+    """Distinct primes p = 1 (mod 4) below 2^27, largest first, each with w^2 = -1 mod p."""
+    ps = [p for p, _ in _PRIMES]
+    assert ps == sorted(set(ps), reverse=True) and ps[0] < 2 ** 27
+    assert all(sp.isprime(p) and p % 4 == 1 and (w * w + 1) % p == 0 for p, w in _PRIMES)
+
+
+@given(_bareiss_inputs())
+@settings(max_examples=300, deadline=None)
+def test_modular_kernel_matches_bareiss(rows):
+    """On any Gaussian-integer rows the modular helper certifies Bareiss's RREF basis
+    (_kernel_rows below _MODULAR_COLS) and leaves its rows unconsumed."""
+    re, im = rows
+    cols = len(re[0]) if re else 0
+    copies = [r[:] for r in re], [r[:] for r in im]
+    kernel = _modular_kernel(re, im, cols, _PRIMES)
+    assert (re, im) == copies and cols < linalg._MODULAR_COLS
+    assert kernel is not None and _same_basis(kernel, _kernel_rows(*copies, cols))
+
+
+def _unlucky(product):
+    """Rows of rank 2 whose second pivot, over Z[i], is `product`."""
+    return [[1, 1, 1, 1], [1, 1 + product, 2, 0]], [[0, 0, 0, 0], [0, 0, 0, 1]]
+
+
+def test_modular_kernel_drops_unlucky_primes(monkeypatch):
+    """A pivot divisible by the first two primes leaves their images without a pivot
+    where the others have one: they are dropped and the rest certify Bareiss's basis.
+    Divisible by every prime of the first batch (12), no image sees the true pivots;
+    the exact check rejects the candidate and _kernel_rows returns Bareiss's answer."""
+    ps = [p for p, _ in _PRIMES]
+    kept, eliminate = [], linalg._gauss_jordan_images
+
+    def recording(m, p):
+        out = eliminate(m, p)
+        kept.append(out[1].tolist())
+        return out
+
+    monkeypatch.setattr(linalg, "_gauss_jordan_images", recording)
+    re, im = _unlucky(ps[0] * ps[1])
+    assert _same_basis(_modular_kernel(re, im, 4, _PRIMES), _bareiss_kernel(monkeypatch, re, im, 4))
+    assert kept == [list(range(4, 24))]  # images 2j and 2j + 1 are prime j's
+    re, im = _unlucky(math.prod(ps[:12]))
+    assert _modular_kernel(re, im, 4, _PRIMES) is None and len(kept) == 2  # one batch
+    expected = _bareiss_kernel(monkeypatch, re, im, 4)
+    monkeypatch.setattr(linalg, "_MODULAR_COLS", 4)
+    assert _same_basis(_kernel_rows(re, im, 4), expected)
+
+
+def test_modular_kernel_capped_at_too_few_primes_falls_back(monkeypatch):
+    """herm5's 25 x 25 Sylvester kernel needs numerators and a denominator of about 50
+    bits each: two primes cannot reconstruct it, and _kernel_rows then runs Bareiss."""
+    rng = np.random.default_rng(5)
+    a, b = gen.rational_hermitian(5, rng), gen.rational_hermitian(5, rng)
+    re, im, _ = _sylvester_rows(a @ b, b @ a)
+    expected = _bareiss_kernel(monkeypatch, re, im, 25)
+    assert _modular_kernel(re, im, 25, _PRIMES[:2]) is None
+    assert _same_basis(_modular_kernel(re, im, 25, _PRIMES), expected)
+    calls = []
+    eliminate = linalg._eliminate_rows
+    monkeypatch.setattr(linalg, "_eliminate_rows", lambda re, im: calls.append(1) or eliminate(re, im))
+    monkeypatch.setattr(linalg, "_PRIMES", _PRIMES[:2])
+    assert _same_basis(_kernel_rows(re, im, 25), expected) and calls == [1]
+
+
+def test_modular_kernel_declines_past_its_lazy_update_bound():
+    """512 pivots could carry unreduced updates past 2^63, so the helper returns None."""
+    eye = [[int(i == j) for j in range(512)] for i in range(512)]
+    assert _modular_kernel(eye, [[0] * 512 for _ in range(512)], 512, _PRIMES) is None

@@ -42,12 +42,14 @@ from abba import (
     word_trace_screen,
 )
 from abba import generators as gen
-from abba import rankseq, similarity
+from abba import linalg, load_matrix, rankseq, similarity
 from abba.classes import _ep_ranks
 from abba.linalg import _charpoly_numerators
 from abba.scalars import DEFAULT_TOLERANCE, GQ
 
 from .oracle import flanders_ok, kron_sylvester, oracle_rank_sequence
+from .test_golden import INPUTS
+from .test_linalg import _bareiss_kernel, _same_basis
 
 
 def _random_exact(rng, n, span=3):
@@ -355,6 +357,38 @@ def test_unitary_intertwiner_stacks_the_kron_forms(monkeypatch):
         den = math.lcm(x.numerators[2], y.numerators[2])
         assert Matrix.from_ints(*systems.pop(), den) == vstack(
             [kron_sylvester(x, y), kron_sylvester(x.adjoint(), y.adjoint())])
+
+
+def test_modular_sylvester_kernels_match_bareiss(monkeypatch):
+    """linalg._modular_kernel certifies Bareiss's RREF basis on the Sylvester rows of
+    realized-sequence and family pairs under Cayley conjugation: (ab, ba), often rank
+    deficient; its first half of rows (wide); the stacked rows of unitary_intertwiner
+    (tall); and (ab, ab + c) for c past twice the spectral radius, whose kernel is 0."""
+    rng = np.random.default_rng(30)
+    for k, (a, b) in enumerate(_atom_pairs(rng) + _family_pairs(rng)):
+        ab, ba = a @ b, b @ a
+        n2 = ab.rows ** 2
+        re, im, _ = similarity._sylvester_rows(ab, ba)
+        star = similarity._sylvester_rows(ab.adjoint(), ba.adjoint())
+        c = 2 * int(ab.frobenius()) + 1
+        shifted = similarity._sylvester_rows(ab, ab + Matrix.identity(ab.rows) * c)
+        for rows in ((re, im), (re[:n2 // 2], im[:n2 // 2]), (re + star[0], im + star[1]), shifted[:2]):
+            kernel = linalg._modular_kernel(*rows, n2, linalg._PRIMES)
+            assert kernel is not None and _same_basis(kernel, _bareiss_kernel(monkeypatch, *rows, n2)), k
+        assert kernel[0].shape[2] == 0
+
+
+def test_kernel_rows_dispatch_by_width(monkeypatch):
+    """The 36-column Sylvester system of the golden hermitian-6-seed6 pair runs no
+    Bareiss pass, the 16-column one of hermitian-products-3x3-pad1 exactly one."""
+    calls, eliminate = [], linalg._eliminate_rows
+    monkeypatch.setattr(linalg, "_eliminate_rows", lambda re, im: calls.append(len(re)) or
+                        eliminate(re, im))
+    for pair, bareiss in (("hermitian-6-seed6", []), ("hermitian-products-3x3-pad1", [16])):
+        a, b = (load_matrix(INPUTS / f"{pair}__{x}.json") for x in "ab")
+        del calls[:]
+        assert intertwiner_space(a @ b, b @ a)
+        assert calls == bareiss
 
 
 def test_find_intertwiner_is_the_seeded_combination_of_the_basis():
