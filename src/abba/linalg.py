@@ -12,29 +12,31 @@ It skips the rows that Bareiss's step would only rescale, dividing exactly
 at their next update (see its docstring).  It loops over lists, not numpy
 object arrays: on the small matrices the program eliminates, numpy's
 per-call overhead cost more than the arithmetic.
-Rank and determinant read its forward pass; null spaces and solves go on
-by fraction-free back-substitution on that echelon form to the (unique)
-reduced row echelon form over the positive integer s = |d|, or |d|^2 when
-the last pivot d is not real.  Every division is exact because d times
-each entry is a minor of the input (Cramer's rule) and s is a multiple of
-d in Z[i].  A null space comes back as one matrix whose columns are the
-basis vectors.  The characteristic polynomial runs Faddeev-LeVerrier on
-the same numerators, where its divisions are exact.
+Rank and determinant read its forward pass.  Null spaces and solves read the
+reduced row echelon form from :func:`_rref_rows`, where Bareiss's pass goes
+on by fraction-free back-substitution to the (unique) RREF over the positive
+integer s = |d|, or |d|^2 when the last pivot d is not real.  Every division
+is exact because d times each entry is a minor of the input (Cramer's rule)
+and s is a multiple of d in Z[i].  A null space comes back as one matrix
+whose columns are the basis vectors; A X = B is solved from the RREF of
+[A | B].  The characteristic polynomial runs Faddeev-LeVerrier on the same
+numerators, where its divisions are exact.
 
-Null spaces of at least _MODULAR_COLS = 25 columns (the n^2-column Sylvester
-systems from n = 5 up) first try :func:`_modular_kernel`, whose Bareiss
-pivots would be far larger than the answer: int64 Gauss-Jordan elimination
-of the rows' images modulo primes p = 1 (mod 4), under both square roots of
--1, then Chinese remaindering and rational reconstruction over one common
-denominator, with primes added until one more agrees.  Its candidate V is
-kept only if A V = 0 holds exactly, which proves it is the RREF basis: (1) a
-modular rank is at most the rank and V is the identity on the modular free
-columns, so V spans the kernel; (2) each free column of V is e_f plus earlier
-pivot columns, so the modular free columns are the true ones; (3) a kernel
-vector that is zero on the free columns is zero.  When that path fails (no
-agreeing images, table exhausted, check failed) Bareiss's answer is returned,
-so results never depend on the path.  Below 25 columns Bareiss runs alone: at
-16 it was as fast or faster on every measured system (BENCH_modular_kernel.json).
+Systems of at least _MODULAR_COLS = 25 columns (the n^2-column Sylvester
+systems from n = 5 up, and wide solves) first try :func:`_modular_kernel`,
+whose Bareiss pivots would be far larger than the answer: int64 Gauss-Jordan
+elimination of the rows' images modulo the primes p = 1 (mod 4) of
+:func:`_primes`, under both square roots of -1, then Chinese remaindering and
+rational reconstruction over one common denominator, with primes added until
+one more agrees.  Its candidate V is kept only if A V = 0 holds exactly,
+which proves it is the RREF basis: (1) a modular rank is at most the rank and
+V is the identity on the modular free columns, so V spans the kernel; (2)
+each free column of V is e_f plus earlier pivot columns, so the modular free
+columns are the true ones; (3) a kernel vector that is zero on the free
+columns is zero.  When that path fails (check failed, or past its lazy-update
+bound) Bareiss's answer is returned, so results never depend on the path.
+Below 25 columns Bareiss runs alone: at 16 it was as fast or faster on every
+measured system (BENCH_modular_kernel.json).
 
 Every float-backend rank decision comes from one helper, :func:`_float_svd`,
 which counts the singular values with
@@ -141,19 +143,25 @@ def _eliminate_rows(re: list, im: list):
     return re, im, pivots, sign, prev
 
 
-def _back_substitute(re: list, im: list, pivots: list, d: tuple, targets):
-    """(z, s) from the echelon rows _eliminate_rows returns and its last pivot d: s = |d|
-    when d is real and |d|^2 when not, a positive multiple of d in Z[i], and the integer
-    object array z, z[0, k, j] + i z[1, k, j] = -s * rref[k][targets[j]] for every pivot
-    row k, reading each row's entries by column number (zero left of its pivot, as is
-    rref[k]).  d * rref[k][f] is an r x r minor of the input (Cramer's rule), so
-    s * rref[k][f] = (s / d) * d * rref[k][f] is a Gaussian integer and each step, from
-    the last pivot row up, divides exactly in Z[i] by the pivot q of row k: by // when
-    q is real, else by |q|^2 after multiplying by conj(q)."""
-    dr, di = d
+def _rref_rows(re: list, im: list, cols: int):
+    """(z, s, pivots) for the rows re + i im of Python ints (consumed), cols entries each:
+    the pivot columns of their reduced row echelon form rref, a positive integer s and the
+    integer object array z, shape (2, rank, cols - rank), z[0, k, j] + i z[1, k, j] =
+    -s * rref[k][f] for the j-th free column f.  From _MODULAR_COLS columns up it is
+    _modular_kernel's answer when that certifies one, else Bareiss's: _eliminate_rows, s =
+    |d| for its last pivot d when real and |d|^2 when not, and back-substitution from the
+    last pivot row up, reading rows by column number and dividing exactly in Z[i] by each
+    row's pivot q (by // when q is real, else by |q|^2 after multiplying by conj(q)), since
+    s * rref[k][f] = (s / d) * d * rref[k][f] and d * rref[k][f] is a minor (Cramer's rule)."""
+    if cols >= _MODULAR_COLS:
+        rref = _modular_kernel(re, im, cols)
+        if rref is not None:
+            return rref
+    re, im, pivots, _, (dr, di) = _eliminate_rows(re, im)
     s = dr * dr + di * di if di else abs(dr)
-    zr = [[0] * len(targets) for _ in pivots]
-    zi = [[0] * len(targets) for _ in pivots]
+    free = [j for j in range(cols) if j not in pivots]
+    zr = [[0] * len(free) for _ in pivots]
+    zi = [[0] * len(free) for _ in pivots]
     for k in reversed(range(len(pivots))):
         ur, ui, p = re[k], im[k], pivots[k]
         qr, qi = ur[p], ui[p]
@@ -161,7 +169,7 @@ def _back_substitute(re: list, im: list, pivots: list, d: tuple, targets):
         # row k's nonzero entries in the later pivot columns, with those rows' results
         later = [(ur[c], ui[c], zr[j], zi[j]) for j, c in enumerate(pivots[k + 1:], k + 1)
                  if ur[c] or ui[c]]
-        for t, f in enumerate(targets):
+        for t, f in enumerate(free):
             xr, xi = -s * ur[f], -s * ui[f]
             for cr, ci, sr, si in later:
                 yr, yi = sr[t], si[t]
@@ -170,72 +178,58 @@ def _back_substitute(re: list, im: list, pivots: list, d: tuple, targets):
             if qi:
                 xr, xi = xr * qr + xi * qi, xi * qr - xr * qi
             zr[k][t], zi[k][t] = xr // div, xi // div
-    return np.array([zr, zi], dtype=object).reshape(2, len(pivots), len(targets)), s
+    return np.array([zr, zi], dtype=object).reshape(2, len(pivots), len(free)), s, pivots
 
 
 def _kernel_rows(re: list, im: list, cols: int):
     """(v, s) for the rows re + i im of Python ints (consumed), cols entries each: the
     integer object array v, shape (2, cols, nullity), whose column j over the positive
-    integer s is the j-th reduced-row-echelon basis vector of the kernel (nullspace_basis).
-    From _MODULAR_COLS columns up it is _modular_kernel's answer when that certifies one,
-    else, and below, Bareiss's: the forward pass and back-substitution over s = |d| or |d|^2."""
-    if cols >= _MODULAR_COLS:
-        kernel = _modular_kernel(re, im, cols, _PRIMES)
-        if kernel is not None:
-            return kernel
-    re, im, pivots, _, d = _eliminate_rows(re, im)
+    integer s is the j-th reduced-row-echelon basis vector of the kernel (nullspace_basis),
+    v_f = e_f - sum_k rref[k][f] e_{pivots[k]} for the free column f, read off _rref_rows."""
+    z, s, pivots = _rref_rows(re, im, cols)
     free = [j for j in range(cols) if j not in pivots]
-    # v_f = e_f - sum_k rref[k, f] e_{pivots[k]}, over s
-    z, s = _back_substitute(re, im, pivots, d, free)
     v = np.zeros((2, cols, len(free)), dtype=object)  # re | im
     v[0, free, range(len(free))] = s
     v[:, pivots] = z
     return v, s
 
 
-# (p, w): the 128 largest primes p = 1 (mod 4) below 2^27, each with a square root w of -1 mod p
-_PRIMES = (
-    (134217689, 13499907), (134217649, 8241801), (134217617, 62740711), (134217613, 63886940),
-    (134217593, 62008330), (134217541, 42228379), (134217529, 32163452), (134217509, 64076162),
-    (134217497, 53610396), (134217493, 29562799), (134217437, 12949986), (134217409, 57788212),
-    (134217401, 40353974), (134217361, 32940754), (134217353, 50205385), (134217301, 29639150),
-    (134217277, 46440297), (134217257, 41008234), (134217221, 10899527), (134217173, 59323476),
-    (134217157, 59094104), (134217089, 15020161), (134217049, 49574775), (134217001, 50965634),
-    (134216933, 15605273), (134216881, 34687651), (134216869, 6102938), (134216861, 57529787),
-    (134216837, 59912021), (134216801, 10552080), (134216777, 42710836), (134216737, 53040835),
-    (134216729, 66571025), (134216629, 31348013), (134216609, 58043538), (134216597, 58780536),
-    (134216573, 48870168), (134216557, 52473641), (134216473, 47813771), (134216461, 59698546),
-    (134216393, 48512661), (134216389, 40284337), (134216261, 18365779), (134216249, 37466260),
-    (134216189, 4055356), (134216141, 48046759), (134216129, 53674637), (134216113, 26020568),
-    (134216077, 23853455), (134216053, 46951616), (134216041, 58192476), (134216021, 21898013),
-    (134216009, 36447907), (134215841, 7247874), (134215817, 25661121), (134215813, 64915701),
-    (134215801, 26116240), (134215721, 57701451), (134215693, 16746413), (134215681, 37361560),
-    (134215589, 62479471), (134215577, 37357265), (134215573, 17679572), (134215553, 60098992),
-    (134215441, 14845631), (134215429, 8099934), (134215349, 1397198), (134215261, 50171737),
-    (134215253, 13808047), (134215241, 16478458), (134215229, 16966809), (134215141, 32311267),
-    (134215121, 31537334), (134215057, 10533068), (134215049, 55487230), (134215013, 53057233),
-    (134215009, 65902471), (134215001, 25961553), (134214989, 49649353), (134214973, 27893754),
-    (134214893, 28594038), (134214889, 7558726), (134214877, 44966917), (134214833, 29644929),
-    (134214809, 59942959), (134214781, 51692635), (134214761, 30326898), (134214749, 55940001),
-    (134214673, 47164240), (134214649, 64219605), (134214629, 43640440), (134214529, 47534071),
-    (134214517, 31048586), (134214449, 57341729), (134214413, 22810592), (134214389, 19638852),
-    (134214317, 3824010), (134214277, 61399013), (134214257, 48059436), (134214229, 12403906),
-    (134214209, 49333547), (134214181, 5904496), (134214173, 23271908), (134214109, 32145079),
-    (134214089, 47188456), (134213941, 8827682), (134213921, 45142715), (134213873, 4132624),
-    (134213857, 29648332), (134213789, 34678769), (134213773, 21941303), (134213753, 57632550),
-    (134213713, 30875259), (134213617, 7486970), (134213609, 63118022), (134213581, 31059032),
-    (134213489, 48349653), (134213413, 9234921), (134213381, 59211445), (134213357, 57149019),
-    (134213333, 19348060), (134213329, 48898746), (134213297, 18192529), (134213293, 45424069),
-    (134213273, 38399532), (134213269, 13837501), (134213081, 29440214), (134213077, 5963065),
-)
-# _kernel_rows tries _modular_kernel on systems of at least this many columns: the measured
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on odd n > 61 with bases 2, 7 and 61, a proof below 4,759,123,141
+    (Jaeschke 1993): n - 1 = 2^r d with d odd, and a^d = 1 or a^(2^j d) = -1 for a j < r."""
+    r = ((n - 1) & (1 - n)).bit_length() - 1
+    return all(x == 1 or n - 1 in (pow(x, 2 ** j, n) for j in range(r))
+               for x in (pow(a, (n - 1) >> r, n) for a in (2, 7, 61)))
+
+
+_drawn: list = []  # the (p, w) pairs _primes has generated so far
+
+
+def _primes(start: int, stop: int) -> list:
+    """Pairs start to stop - 1 of the primes p = 1 (mod 4) below 2^27, largest first, each
+    as (p, w) with w < p - w the square roots of -1 mod p: w = c^((p - 1) / 4), or p minus
+    it, for the first quadratic non-residue c.  Generated on first use and kept; fewer
+    when the supply, which ends above 61, runs out."""
+    p = _drawn[-1][0] if _drawn else 2 ** 27 + 1
+    while len(_drawn) < stop and p > 65:
+        p -= 4
+        if _is_prime(p):
+            c = 2
+            while pow(c, (p - 1) // 2, p) != p - 1:  # Euler's criterion
+                c += 1
+            w = pow(c, (p - 1) // 4, p)
+            _drawn.append((p, min(w, p - w)))
+    return _drawn[start:stop]
+
+
+# _rref_rows tries _modular_kernel on systems of at least this many columns: the measured
 # crossover with Bareiss on Sylvester systems lies between 16 and 25 (BENCH_modular_kernel.json)
 _MODULAR_COLS = 25
 
 
-def _modular_kernel(re: list, im: list, cols: int, primes):
-    """(v, s) as _kernel_rows returns it, for the rows re + i im of Python ints (not
-    consumed), computed modulo the (p, w) of primes, or None.
+def _modular_kernel(re: list, im: list, cols: int):
+    """(z, s, pivots) as _rref_rows returns it, for the rows re + i im of Python ints (not
+    consumed), computed modulo the (p, w) that _primes supplies, or None.
 
     Each prime's two ring maps Z[i] -> F_p, i -> w and i -> -w, send the rows to two
     images, and passes over growing batches of primes run _gauss_jordan_images on all of
@@ -245,7 +239,11 @@ def _modular_kernel(re: list, im: list, cols: int, primes):
     parts mod p: (x+ + x-) / 2 and (x- - x+) w / 2.  Chinese remaindering over every
     kept prime but the last, rational reconstruction over one common denominator s
     (Wang 1981) and agreement with the last prime (early termination, Monagan 2004) give
-    a candidate v; a failure adds the next batch, and an exhausted table returns None.
+    a candidate z, the pivot rows of the basis v that _kernel_rows assembles from it; a
+    failure draws the next batch.  That ends: all but finitely many primes are lucky
+    (divide no pivot minor of the true profile) and give the images of the true RREF, so
+    their product passes 2 max(|num|, s)^2 and the reconstruction is the true one (an
+    exhausted supply, millions of primes on, would return None).
 
     The candidate is accepted only if A v = 0 holds exactly, and then it is the RREF
     basis: (1) a minor of the image is the image of the minor, so the modular rank r is
@@ -264,9 +262,9 @@ def _modular_kernel(re: list, im: list, cols: int, primes):
     except OverflowError:  # entries past 62 bits are reduced as Python ints
         a = np.array([re, im], dtype=object).reshape(2, rows, cols)
     best, moduli, residues, used = None, [], [], 0
-    while used < len(primes):
-        batch = np.array(primes[used:used + (used // 2 or 12)], dtype=np.int64)
+    while batch := _primes(used, used + (used // 2 or 12)):
         used += len(batch)
+        batch = np.array(batch, dtype=np.int64)
         p, w = batch[:, :1, None], batch[:, 1:, None]  # (batch, 1, 1)
         ar, ai = (a[:, None] % p).astype(np.int64)
         iw = ai * w % p
@@ -283,7 +281,7 @@ def _modular_kernel(re: list, im: list, cols: int, primes):
         both = [j for j in range(len(batch)) if 2 * j in at and 2 * j + 1 in at]
         if not both:
             continue
-        # the RREF entries x of the free columns under i -> w and i -> -w; v[pivots[k], f] = -x
+        # the RREF entries x of the free columns under i -> w and i -> -w; z = -s x
         p, w = p[both], w[both]
         x = m[:, :len(pivots)][:, :, free]
         xp, xm = (x[[at[2 * j + e] for j in both]] % p for e in (0, 1))
@@ -303,10 +301,7 @@ def _modular_kernel(re: list, im: list, cols: int, primes):
         zr, zi = _gauss(np.dot, obj[0][:, pivots], obj[1][:, pivots], *nums)
         if (zr + obj[0][:, free] * s).any() or (zi + obj[1][:, free] * s).any():
             return None
-        v = np.zeros((2, cols, len(free)), dtype=object)  # re | im
-        v[0, free, range(len(free))] = s
-        v[:, pivots] = nums
-        return v, s
+        return nums, s, pivots
     return None
 
 
@@ -397,14 +392,17 @@ def _reconstruct(x: np.ndarray, mod: int):
 
 
 def _solve_rows(re: list, im: list, k: int, cols: int) -> Matrix | None:
-    """Any exact X with A X = B, or None, for the rows re + i im of Python ints (consumed)
-    of [A | B]: k columns in A and cols in all, eliminated once and back-substituted."""
-    re, im, pivots, _, d = _eliminate_rows(re, im)
+    """The exact X with A X = B that is zero on A's free rows, or None, for the rows re + i im
+    of Python ints (consumed) of [A | B], k columns in A and cols in all, read off _rref_rows:
+    A X = B is consistent iff no pivot lies in B, and then B's columns are the last cols - k
+    free ones and X[pivots] = rref[:, B's columns]."""
+    z, s, pivots = _rref_rows(re, im, cols)
     if pivots and pivots[-1] >= k:
         return None
-    z, s = _back_substitute(re, im, pivots, d, range(k, cols))
-    x = np.zeros((2, k, cols - k), dtype=object)  # re | im
-    x[:, pivots] = -z  # x_k = rref[k][B's columns]
+    x = -z[:, :, k - len(pivots):]  # re | im of X's pivot rows
+    if len(pivots) < k:  # X is zero on A's free rows
+        x, rows = np.zeros((2, k, cols - k), dtype=object), x
+        x[:, pivots] = rows
     return Matrix((*x, s), EXACT)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -27,7 +28,7 @@ from abba import (
 from abba import generators as gen
 from abba.generators import random_unitary
 from abba import linalg
-from abba.linalg import _PRIMES, _eliminate, _eliminate_rows, _kernel_rows, _modular_kernel
+from abba.linalg import _eliminate, _eliminate_rows, _kernel_rows, _modular_kernel, _primes, _rref_rows
 from abba.scalars import GQ
 from abba.similarity import _sylvester_rows
 
@@ -382,6 +383,36 @@ def test_sylvester_eliminations_against_oracle():
         _assert_eliminations_match_oracle(k, _random_rational(rng, 9, 2, 2))
 
 
+def test_wide_solves_against_oracle():
+    """Solves of at least _MODULAR_COLS columns, read off the modular RREF of [a | b]:
+    an invertible 13 x 13 a with a 13 x 13 b, a singular a (rank 9) with a consistent
+    and with an inconsistent b."""
+    rng = np.random.default_rng(131)
+    a = _random_rational(rng, 13, 13, 13)
+    assert rank(a) == 13
+    _assert_eliminations_match_oracle(a, _random_rational(rng, 13, 13, 13))
+    singular = _random_rational(rng, 13, 13, 9)
+    consistent = singular @ _random_rational(rng, 13, 13, 13)
+    inconsistent = _random_rational(rng, 13, 13, 13)
+    assert solve_linear(singular, consistent) is not None and solve_linear(singular, inconsistent) is None
+    _assert_eliminations_match_oracle(singular, consistent)
+    _assert_eliminations_match_oracle(singular, inconsistent)
+
+
+def test_wide_solves_run_no_bareiss_pass(monkeypatch):
+    """A 26-column solve_linear runs no Bareiss pass, as the modular RREF certifies; the
+    8-column Cayley solve of rational_unitary(4) runs exactly one."""
+    calls, eliminate = [], linalg._eliminate_rows
+    monkeypatch.setattr(linalg, "_eliminate_rows", lambda re, im: calls.append(len(re)) or
+                        eliminate(re, im))
+    rng = np.random.default_rng(137)
+    a, b = _random_rational(rng, 13, 13, 13), _random_rational(rng, 13, 13, 13)
+    x = solve_linear(a, b)
+    assert calls == [] and a @ x == b
+    u = gen.rational_unitary(4, rng)
+    assert calls == [4] and u @ u.adjoint() == Matrix.identity(4)
+
+
 def test_sylvester_kernel_at_n4_is_the_rref_basis():
     """16 x 16 Sylvester kernels against the oracle's rank and null space, vector
     for vector, and by the properties that make a basis the reduced-row-echelon
@@ -515,15 +546,35 @@ def _bareiss_kernel(monkeypatch, re, im, cols):
         return _kernel_rows([r[:] for r in re], [r[:] for r in im], cols)
 
 
+def _bareiss_rref(monkeypatch, re, im, cols):
+    """Bareiss's (z, s, pivots) from _rref_rows, at any width, on copies of the rows."""
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_MODULAR_COLS", math.inf)
+        return _rref_rows([r[:] for r in re], [r[:] for r in im], cols)
+
+
 def _same_basis(k1, k2):
     return Matrix((*k1[0], k1[1]), EXACT) == Matrix((*k2[0], k2[1]), EXACT)
 
 
+def _same_rref(r1, r2):
+    """Two (z, s, pivots) triples, as _rref_rows returns them, for the same RREF."""
+    return r1[2] == r2[2] and _same_basis(r1, r2)
+
+
 def test_prime_table():
-    """Distinct primes p = 1 (mod 4) below 2^27, largest first, each with w^2 = -1 mod p."""
-    ps = [p for p, _ in _PRIMES]
-    assert ps == sorted(set(ps), reverse=True) and ps[0] < 2 ** 27
-    assert all(sp.isprime(p) and p % 4 == 1 and (w * w + 1) % p == 0 for p, w in _PRIMES)
+    """The first 128 pairs are the 128-prime table of earlier versions, pinned by its sha256.
+    The first 600 are every prime p = 1 (mod 4) below 2^27, largest first with none skipped,
+    each with w^2 = -1 mod p and w < p - w; later calls extend the same sequence."""
+    pairs = _primes(0, 128)
+    assert pairs[0] == (134217689, 13499907) and pairs[-1] == (134213077, 5963065)
+    assert hashlib.sha256(repr(tuple(pairs)).encode()).hexdigest().startswith("eb7f53b73273d1f8")
+    pairs = _primes(0, 600)
+    ps = [p for p, _ in pairs]
+    assert len(ps) == 600 and ps == sorted(set(ps), reverse=True)
+    assert all(sp.isprime(p) and p % 4 == 1 and (w * w + 1) % p == 0 and w < p - w for p, w in pairs)
+    assert ps == [p for p in sp.primerange(ps[-1], 2 ** 27) if p % 4 == 1][::-1]
+    assert _primes(598, 602)[:2] == pairs[598:] and len(_primes(598, 602)) == 4
 
 
 @given(_bareiss_inputs())
@@ -534,9 +585,9 @@ def test_modular_kernel_matches_bareiss(rows):
     re, im = rows
     cols = len(re[0]) if re else 0
     copies = [r[:] for r in re], [r[:] for r in im]
-    kernel = _modular_kernel(re, im, cols, _PRIMES)
+    kernel = _modular_kernel(re, im, cols)
     assert (re, im) == copies and cols < linalg._MODULAR_COLS
-    assert kernel is not None and _same_basis(kernel, _kernel_rows(*copies, cols))
+    assert kernel is not None and _same_rref(kernel, _rref_rows(*copies, cols))
 
 
 def _unlucky(product):
@@ -549,7 +600,7 @@ def test_modular_kernel_drops_unlucky_primes(monkeypatch):
     where the others have one: they are dropped and the rest certify Bareiss's basis.
     Divisible by every prime of the first batch (12), no image sees the true pivots;
     the exact check rejects the candidate and _kernel_rows returns Bareiss's answer."""
-    ps = [p for p, _ in _PRIMES]
+    ps = [p for p, _ in _primes(0, 12)]
     kept, eliminate = [], linalg._gauss_jordan_images
 
     def recording(m, p):
@@ -559,10 +610,10 @@ def test_modular_kernel_drops_unlucky_primes(monkeypatch):
 
     monkeypatch.setattr(linalg, "_gauss_jordan_images", recording)
     re, im = _unlucky(ps[0] * ps[1])
-    assert _same_basis(_modular_kernel(re, im, 4, _PRIMES), _bareiss_kernel(monkeypatch, re, im, 4))
+    assert _same_rref(_modular_kernel(re, im, 4), _bareiss_rref(monkeypatch, re, im, 4))
     assert kept == [list(range(4, 24))]  # images 2j and 2j + 1 are prime j's
     re, im = _unlucky(math.prod(ps[:12]))
-    assert _modular_kernel(re, im, 4, _PRIMES) is None and len(kept) == 2  # one batch
+    assert _modular_kernel(re, im, 4) is None and len(kept) == 2  # one batch
     expected = _bareiss_kernel(monkeypatch, re, im, 4)
     monkeypatch.setattr(linalg, "_MODULAR_COLS", 4)
     assert _same_basis(_kernel_rows(re, im, 4), expected)
@@ -570,21 +621,35 @@ def test_modular_kernel_drops_unlucky_primes(monkeypatch):
 
 def test_modular_kernel_capped_at_too_few_primes_falls_back(monkeypatch):
     """herm5's 25 x 25 Sylvester kernel needs numerators and a denominator of about 50
-    bits each: two primes cannot reconstruct it, and _kernel_rows then runs Bareiss."""
+    bits each: a supply of two primes cannot reconstruct it, and _kernel_rows then runs
+    Bareiss."""
     rng = np.random.default_rng(5)
     a, b = gen.rational_hermitian(5, rng), gen.rational_hermitian(5, rng)
     re, im, _ = _sylvester_rows(a @ b, b @ a)
     expected = _bareiss_kernel(monkeypatch, re, im, 25)
-    assert _modular_kernel(re, im, 25, _PRIMES[:2]) is None
-    assert _same_basis(_modular_kernel(re, im, 25, _PRIMES), expected)
+    assert _same_rref(_modular_kernel(re, im, 25), _bareiss_rref(monkeypatch, re, im, 25))
+    monkeypatch.setattr(linalg, "_primes", lambda start, stop: _primes(start, min(stop, 2)))
+    assert _modular_kernel(re, im, 25) is None
     calls = []
     eliminate = linalg._eliminate_rows
     monkeypatch.setattr(linalg, "_eliminate_rows", lambda re, im: calls.append(1) or eliminate(re, im))
-    monkeypatch.setattr(linalg, "_PRIMES", _PRIMES[:2])
     assert _same_basis(_kernel_rows(re, im, 25), expected) and calls == [1]
+
+
+def test_modular_kernel_draws_primes_until_it_certifies(monkeypatch):
+    """A kernel vector of about 4000 bits needs more primes than the 128 of earlier versions:
+    the modular kernel keeps drawing primes (303 of them) and certifies Bareiss's basis."""
+    rng = np.random.default_rng(31)
+    x, y, z = (int.from_bytes(rng.bytes(250), "big") | 1 << 1999 for _ in range(3))
+    re, im = [[1, 0, x], [0, y, z]], [[0, 0, 0], [0, 0, 1]]
+    drawn, primes = [], linalg._primes
+    monkeypatch.setattr(linalg, "_primes", lambda start, stop: drawn.append(stop) or primes(start, stop))
+    kernel = _modular_kernel(re, im, 3)
+    assert kernel is not None and drawn[-1] > 128
+    assert _same_rref(kernel, _bareiss_rref(monkeypatch, re, im, 3))
 
 
 def test_modular_kernel_declines_past_its_lazy_update_bound():
     """512 pivots could carry unreduced updates past 2^63, so the helper returns None."""
     eye = [[int(i == j) for j in range(512)] for i in range(512)]
-    assert _modular_kernel(eye, [[0] * 512 for _ in range(512)], 512, _PRIMES) is None
+    assert _modular_kernel(eye, [[0] * 512 for _ in range(512)], 512) is None
